@@ -48,9 +48,9 @@ bool probe_update_everywhere(TechniqueKind kind) {
   const auto reply = cluster.run_op(1, core::op_put("k", "v"), 60 * sim::kSec);
   if (!reply.ok) return false;
   const auto client_node = cluster.client_node(1);
-  for (const auto& ev : cluster.sim().trace().messages()) {
-    if (ev.from == client_node && ev.type == "core.ClientRequest") {
-      return ev.to != cluster.replica_node(0);
+  for (const auto& flow : cluster.sim().tracer().flows()) {
+    if (flow.from == client_node && flow.type == "core.ClientRequest") {
+      return flow.to != cluster.replica_node(0);
     }
   }
   return false;

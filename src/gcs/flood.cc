@@ -23,7 +23,7 @@ void Flooder::rbcast(const wire::Message& msg) {
 }
 
 void Flooder::accept(const FloodData& data) {
-  if (!seen_.insert({data.origin, data.seq}).second) return;
+  if (!first_time(data.origin, data.seq)) return;
   // Relay first, then deliver: if we deliver, every correct process will
   // eventually receive the relays (uniform agreement under crash-stop).
   disseminate(data, host_.id());
@@ -36,6 +36,23 @@ void Flooder::disseminate(const FloodData& data, sim::NodeId skip) {
     if (m == data.origin) continue;  // the origin has it by construction
     link_.send_reliable(m, data);
   }
+}
+
+bool Flooder::first_time(std::int32_t origin, std::uint64_t seq) {
+  SeqWindow& w = seen_[origin];
+  if (seq < w.next) return false;
+  if (seq > w.next) return w.ahead.insert(seq).second;
+  ++w.next;
+  while (!w.ahead.empty() && *w.ahead.begin() == w.next) {
+    w.ahead.erase(w.ahead.begin());
+    ++w.next;
+  }
+  return true;
+}
+
+std::size_t Flooder::out_of_order(sim::NodeId origin) const {
+  const auto it = seen_.find(origin);
+  return it == seen_.end() ? 0 : it->second.ahead.size();
 }
 
 bool Flooder::handle(sim::NodeId from, const wire::MessagePtr& msg) {

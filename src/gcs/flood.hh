@@ -3,10 +3,16 @@
 // group member before delivering, so if any correct process delivers, all
 // correct processes eventually deliver. Point-to-point loss is absorbed by
 // an internal ReliableLink.
+//
+// Each origin numbers its broadcasts densely (1, 2, ...), so duplicate
+// suppression keeps, per origin, a watermark below which every broadcast
+// has been accepted, plus the few broadcasts accepted out of order above
+// it; those fold into the watermark as the gaps fill.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <set>
 #include <string>
 
@@ -44,9 +50,19 @@ class Flooder : public Component {
 
   bool handle(sim::NodeId from, const wire::MessagePtr& msg) override;
 
+  /// Broadcasts from `origin` accepted ahead of a gap (0 once the gaps fill).
+  std::size_t out_of_order(sim::NodeId origin) const;
+
  private:
+  struct SeqWindow {
+    std::uint64_t next = 1;          // every seq below has been accepted
+    std::set<std::uint64_t> ahead;   // accepted seqs above `next`
+  };
+
   void disseminate(const FloodData& data, sim::NodeId skip);
   void accept(const FloodData& data);
+  /// Marks (origin, seq) accepted; false when it already was.
+  bool first_time(std::int32_t origin, std::uint64_t seq);
 
   sim::Process& host_;
   Group group_;
@@ -54,7 +70,7 @@ class Flooder : public Component {
   ReliableLink link_;
   DeliverFn deliver_;
   std::uint64_t next_seq_ = 1;
-  std::set<std::pair<std::int32_t, std::uint64_t>> seen_;
+  std::map<std::int32_t, SeqWindow> seen_;  // dedup per origin
 };
 
 }  // namespace repli::gcs

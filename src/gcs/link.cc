@@ -99,7 +99,11 @@ bool ReliableLink::handle(sim::NodeId from, const wire::MessagePtr& msg) {
     ack->channel = channel_;
     ack->seq = data->seq;
     host_.send(from, std::move(ack));
-    if (seen_[from].insert(data->seq).second && deliver_) {
+    std::vector<bool>& seen = seen_[from];
+    if (seen.size() <= data->seq) seen.resize(data->seq + 1);
+    const bool fresh = !seen[data->seq];
+    seen[data->seq] = true;
+    if (fresh && deliver_) {
       const auto payload = wire::from_blob(data->payload);
       if (const auto pack = wire::message_cast<LinkPack>(payload)) {
         for (const auto& blob : pack->payloads) deliver_(from, wire::from_blob(blob));

@@ -1,7 +1,12 @@
 // Reliable point-to-point links (ARQ) over the lossy simulated network:
-// per-destination sequence numbers, retransmission until acknowledged, and
-// duplicate suppression at the receiver. This is the "quasi-reliable
-// channel" abstraction the distributed-systems protocols assume.
+// sequence numbers, retransmission until acknowledged, and duplicate
+// suppression at the receiver. This is the "quasi-reliable channel"
+// abstraction the distributed-systems protocols assume.
+//
+// A link numbers its LinkData from one counter shared by all destinations,
+// so the sequence numbers one receiver sees from a sender have gaps (the
+// numbers sent to other destinations). The receiver therefore cannot keep a
+// watermark; it keeps one bit per sequence number of the sender's link.
 //
 // Retransmission stops after `max_retries` (the peer is then assumed
 // crashed; crash-stop processes never return, so this only truncates
@@ -11,7 +16,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -114,7 +118,8 @@ class ReliableLink : public Component {
   DeliverFn deliver_;
   std::uint64_t next_seq_ = 1;
   std::map<std::uint64_t, Pending> outbox_;
-  std::map<sim::NodeId, std::set<std::uint64_t>> seen_;  // dedup per sender
+  // Dedup per sender: bit `seq` is set once that LinkData was delivered.
+  std::map<sim::NodeId, std::vector<bool>> seen_;
   sim::Process::TimerId timer_ = sim::Process::kNoTimer;
 
   struct PackBuffer {

@@ -44,9 +44,9 @@ SpanId Tracer::begin(NodeId node, std::string name, Time start, std::string requ
   span.open = true;
   latest_ = std::max(latest_, start);
   resolved_ = false;
-  spans_.push_back(std::move(span));
-  open_stack(node).push_back(spans_.back().id);
-  return spans_.back().id;
+  const SpanId id = spans_.emplace_back(std::move(span)).id;
+  open_stack(node).push_back(id);
+  return id;
 }
 
 void Tracer::end(SpanId id, Time end_time) {
@@ -86,8 +86,7 @@ void Tracer::set_parent(SpanId id, SpanId parent) { span_at(id).explicit_parent 
 
 std::uint64_t Tracer::flow(Flow f) {
   f.id = static_cast<std::uint64_t>(flows_.size() + 1);
-  flows_.push_back(std::move(f));
-  return flows_.back().id;
+  return flows_.emplace_back(std::move(f)).id;
 }
 
 void Tracer::flow_recv_lamport(std::uint64_t id, std::int64_t lamport) {

@@ -22,6 +22,8 @@
 #include <string_view>
 #include <vector>
 
+#include "util/chunked_store.hh"
+
 namespace repli::obs {
 
 using Time = std::int64_t;    // microseconds, same clock as sim::Time
@@ -63,9 +65,15 @@ struct Flow {
   Time recv = 0;
   std::int64_t lamport_send = 0;
   std::int64_t lamport_recv = 0;  // filled in at delivery
+  std::size_t bytes = 0;          // encoded size of the logical message
   // Wire type name; views the type's static kTypeName storage.
   std::string_view type;
 };
+
+/// Append-only record stores: ids index them (record i has id i + 1), and
+/// a record's address is stable for the tracer's lifetime (until clear()).
+using SpanStore = util::ChunkedStore<Span>;
+using FlowStore = util::ChunkedStore<Flow>;
 
 class Tracer {
  public:
@@ -93,7 +101,7 @@ class Tracer {
   std::uint64_t flow(Flow f);
   /// Completes a flow at delivery with the receiver's merged Lamport clock.
   void flow_recv_lamport(std::uint64_t id, std::int64_t lamport);
-  const std::vector<Flow>& flows() const { return flows_; }
+  const FlowStore& flows() const { return flows_; }
 
   /// The latest-begun still-open span on `node` (kNoSpan when none) — the
   /// sender-side anchor for outgoing flows.
@@ -102,7 +110,7 @@ class Tracer {
   /// Ends every still-open span at `t` (run teardown before export).
   void close_open(Time t);
 
-  const std::vector<Span>& spans() const { return spans_; }
+  const SpanStore& spans() const { return spans_; }
   const Span* find(SpanId id) const;
   std::size_t size() const { return spans_.size(); }
   /// Latest start/end time seen (effective end for still-open spans).
@@ -124,13 +132,13 @@ class Tracer {
   std::vector<SpanId>& open_stack(NodeId node);
   void unregister_open(NodeId node, SpanId id);
 
-  std::vector<Span> spans_;  // spans_[i].id == i + 1
+  SpanStore spans_;  // spans_[i].id == i + 1
   // Per-node ids of still-open spans, in begin order (indexed node + 1 so
   // kNoNode-style negatives fit). innermost_open() reads the back in O(1);
   // the old implementation rescanned the whole span history per call, which
   // made every Network::send O(run length).
   std::vector<std::vector<SpanId>> open_;
-  std::vector<Flow> flows_;  // flows_[i].id == i + 1
+  FlowStore flows_;  // flows_[i].id == i + 1
   std::uint64_t last_trace_id_ = 0;
   Time latest_ = 0;
   mutable std::vector<SpanId> parents_;  // parallel to spans_

@@ -145,10 +145,10 @@ void Network::send(NodeId from, NodeId to, wire::MessagePtr msg) {
   }
 
   ev.delivered = sim_.now() + delay;
-  sim_.trace().message(ev);
 
-  // Record the message edge for cross-node deliveries; the receiver-side
-  // Lamport value is filled in when the delivery event runs.
+  // One record per message: a cross-node delivery is a flow (the message
+  // edge; the receiver-side Lamport value is filled in when the delivery
+  // event runs), a self-send goes to the trace's message log.
   std::uint64_t flow_id = 0;
   if (cross_link) {
     obs::Flow flow;
@@ -159,8 +159,11 @@ void Network::send(NodeId from, NodeId to, wire::MessagePtr msg) {
     flow.sent = ev.sent;
     flow.recv = ev.delivered;
     flow.lamport_send = wctx.lamport;
+    flow.bytes = ev.bytes;
     flow.type = ev.type;
     flow_id = sim_.tracer().flow(std::move(flow));
+  } else {
+    sim_.trace().message(ev);
   }
 
   ++inflight_[{from, to}];
@@ -217,15 +220,6 @@ void Network::flush_frame(NodeId from, NodeId to) {
   const Time arrival = sim_.now() + delay;
 
   for (FrameEntry& e : entries) {
-    MessageEvent ev;
-    ev.from = from;
-    ev.to = to;
-    ev.type = e.type;
-    ev.sent = e.enqueued;
-    ev.delivered = arrival;
-    ev.bytes = e.bytes;
-    sim_.trace().message(ev);
-
     obs::Flow flow;
     flow.trace = e.wctx.trace_id;
     flow.src_span = e.src_span;
@@ -234,6 +228,7 @@ void Network::flush_frame(NodeId from, NodeId to) {
     flow.sent = e.enqueued;
     flow.recv = arrival;
     flow.lamport_send = e.wctx.lamport;
+    flow.bytes = e.bytes;
     flow.type = e.type;
     e.flow_id = sim_.tracer().flow(std::move(flow));
   }

@@ -5,6 +5,11 @@
 // configurable (off by default: the asynchronous model of the paper).
 // Every send really encodes the message to bytes and every delivery decodes
 // a fresh object through the wire registry.
+//
+// Each message is recorded exactly once: a cross-node message that is put
+// on the wire becomes an obs::Flow on the simulator's tracer (coalesced
+// ones when their frame is flushed), and a message with no flow — a drop or
+// a self-send — becomes an entry in the Trace message log.
 #pragma once
 
 #include <cstdint>

@@ -1,6 +1,8 @@
 // Run traces: the functional-model phase timeline (the paper's RE/SC/EX/AC/
-// END phases, Fig. 1) plus a message log. Figure benches render these
-// directly; Fig. 15/16 are derived from `pattern()`.
+// END phases, Fig. 1) plus a log of the messages that have no flow (drops
+// and self-sends; every other message is recorded once, as a flow on the
+// tracer). Figure benches render these directly; Fig. 15/16 are derived
+// from `pattern()`.
 //
 // The span tracer is the single source of truth for phase events: `phase()`
 // records a "core/<abbrev>" span (on the bound tracer — the Simulator binds
@@ -77,6 +79,8 @@ class Trace {
   /// Phase events, derived from the tracer's core/RE..core/END spans in
   /// recording order.
   std::vector<PhaseEvent> phases() const;
+  /// Dropped messages and self-sends, in send order. Delivered cross-node
+  /// messages are not here: read them from the tracer's flows.
   const std::vector<MessageEvent>& messages() const { return messages_; }
 
   /// Phase events of one request, ordered by (start, node).

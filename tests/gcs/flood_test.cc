@@ -101,6 +101,47 @@ TEST(Flooder, ConcurrentBroadcastsAllDelivered) {
   for (const auto* n : nodes) EXPECT_EQ(texts(*n), expected) << "node " << n->id();
 }
 
+TEST(Flooder, DuplicateAndOutOfOrderRelaysDeliverOnceThenCollapse) {
+  // Relays of origin 2's broadcasts reach node 0 over its link from two
+  // senders, duplicated and out of order (3, 3, 1, 2, 2). Each broadcast
+  // is delivered once; the ones ahead of a gap are held until it fills,
+  // after which the origin's state is a bare watermark again.
+  sim::Simulator sim(1);
+  const auto group = testing::first_n(3);
+  std::vector<FloodNode*> nodes;
+  for (int i = 0; i < 3; ++i) nodes.push_back(&sim.spawn<FloodNode>(group));
+  FloodNode& n0 = *nodes[0];
+  std::uint64_t link_seq[3] = {0, 0, 0};
+  const auto relay = [&](sim::NodeId via, std::uint64_t seq) {
+    FloodData data;
+    data.channel = 1;
+    data.origin = 2;
+    data.seq = seq;
+    data.payload = wire::to_blob(note("m" + std::to_string(seq)));
+    auto link = std::make_shared<LinkData>();
+    link->channel = 1;
+    link->seq = ++link_seq[via];
+    link->payload = wire::to_blob(data);
+    EXPECT_TRUE(n0.flood.handle(via, link));
+  };
+  relay(1, 3);
+  EXPECT_EQ(n0.flood.out_of_order(2), 1u);
+  relay(2, 3);
+  relay(1, 1);
+  EXPECT_EQ(n0.flood.out_of_order(2), 1u);
+  relay(2, 2);
+  relay(1, 2);
+  EXPECT_EQ(n0.flood.out_of_order(2), 0u);
+  sim.run();
+  const std::vector<std::pair<sim::NodeId, std::string>> expected = {
+      {2, "m3"}, {2, "m1"}, {2, "m2"}};
+  EXPECT_EQ(n0.delivered, expected);
+  // Node 0 relayed each broadcast once to node 1 (never back to origin 2).
+  EXPECT_EQ(texts(*nodes[1]), (std::multiset<std::string>{"m1", "m2", "m3"}));
+  EXPECT_EQ(nodes[1]->flood.out_of_order(2), 0u);
+  EXPECT_TRUE(nodes[2]->delivered.empty());
+}
+
 TEST(Flooder, SeparateChannelsAreIndependent) {
   sim::Simulator sim(1);
   const auto group = testing::first_n(2);

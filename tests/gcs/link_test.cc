@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "tests/gcs/gcs_test_util.hh"
 
 namespace repli::gcs {
@@ -96,6 +98,34 @@ TEST(ReliableLink, RetransmissionsAreDeduplicated) {
   sim.schedule_at(10 * sim::kMsec, [&] { sim.net().set_partition(nullptr); });
   sim.run_until(1 * sim::kSec);
   ASSERT_EQ(b.received.size(), 1u) << "duplicate deliveries after retransmission";
+  EXPECT_EQ(a.link.unacked(), 0u);
+}
+
+TEST(ReliableLink, SharedSeqCounterRetransmissionsToTwoPeersDeliverOnce) {
+  // One link numbers LinkData for every destination from one counter, so
+  // each receiver sees a gappy subset (b: 1, 3, 5; c: 2, 4, 6). With the
+  // acks cut, every LinkData is retransmitted several times; each payload
+  // must still be delivered exactly once at its own destination.
+  sim::Simulator sim(1);
+  LinkConfig cfg;
+  cfg.rto = 1 * sim::kMsec;
+  auto& a = sim.spawn<LinkNode>(cfg);
+  auto& b = sim.spawn<LinkNode>(cfg);
+  auto& c = sim.spawn<LinkNode>(cfg);
+  sim.net().set_partition([&](sim::NodeId, sim::NodeId to) { return to == a.id(); });
+  for (int i = 0; i < 3; ++i) {
+    a.link.send_reliable(b.id(), note("b" + std::to_string(i)));
+    a.link.send_reliable(c.id(), note("c" + std::to_string(i)));
+  }
+  sim.schedule_at(10 * sim::kMsec, [&] { sim.net().set_partition(nullptr); });
+  sim.run_until(1 * sim::kSec);
+  EXPECT_GT(sim.net().per_type_count().at("gcs.LinkData"), 6 * 3) << "no retransmissions";
+  std::multiset<std::string> at_b;
+  std::multiset<std::string> at_c;
+  for (const auto& [from, text] : b.received) at_b.insert(text);
+  for (const auto& [from, text] : c.received) at_c.insert(text);
+  EXPECT_EQ(at_b, (std::multiset<std::string>{"b0", "b1", "b2"}));
+  EXPECT_EQ(at_c, (std::multiset<std::string>{"c0", "c1", "c2"}));
   EXPECT_EQ(a.link.unacked(), 0u);
 }
 

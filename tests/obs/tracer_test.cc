@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "obs/profile.hh"
+
 namespace repli::obs {
 namespace {
 
@@ -141,6 +146,97 @@ TEST(Tracer, ResolveIsStableAcrossLaterInserts) {
   const auto in2 = t.record(0, "db/exec.op", 30, 40);
   EXPECT_EQ(t.parent_of(in2), outer);  // re-resolves after the insert
   EXPECT_EQ(t.parent_of(in1), outer);
+}
+
+Flow edge(NodeId from, NodeId to, Time sent, Time recv, std::size_t bytes = 0) {
+  Flow f;
+  f.from = from;
+  f.to = to;
+  f.sent = sent;
+  f.recv = recv;
+  f.bytes = bytes;
+  return f;
+}
+
+TEST(Tracer, FreshTracerAllocatesNothing) {
+  const std::uint64_t before = thread_alloc_count();
+  {
+    Tracer t;
+    EXPECT_EQ(t.size(), 0u);
+    EXPECT_TRUE(t.flows().empty());
+    EXPECT_EQ(t.spans().blocks(), 0u);
+    EXPECT_EQ(t.flows().blocks(), 0u);
+  }
+  EXPECT_EQ(thread_alloc_count() - before, 0u);
+}
+
+TEST(Tracer, RecordAddressesSurviveLaterAppends) {
+  Tracer t;
+  const auto first = t.begin(0, "core/EX", 0, "req-1");
+  const Span* span = t.find(first);
+  const std::uint64_t flow_id = t.flow(edge(0, 1, 0, 5));
+  const Flow* flow = &t.flows()[flow_id - 1];
+  // Enough records to fill many blocks of both stores.
+  for (int i = 0; i < 5000; ++i) {
+    const Time at = i + 1;
+    t.end(t.begin(1, "gcs/link.send", at), at);
+    t.record(2, "db/exec.op", at, at + 1, "req-" + std::to_string(i));
+    t.flow(edge(1, 2, at, at + 3));
+  }
+  EXPECT_GT(t.spans().blocks(), 1u);
+  EXPECT_GT(t.flows().blocks(), 1u);
+  EXPECT_EQ(t.find(first), span);
+  EXPECT_EQ(span->name, "core/EX");
+  EXPECT_TRUE(span->open);
+  t.end(first, 9000);
+  EXPECT_EQ(span->end, 9000);
+  EXPECT_EQ(&t.flows()[flow_id - 1], flow);
+  t.flow_recv_lamport(flow_id, 42);
+  EXPECT_EQ(flow->lamport_recv, 42);
+  EXPECT_EQ(flow->to, 1);
+}
+
+TEST(Tracer, IndexingByIdMatchesRecordingOrder) {
+  // What the tracer held as a std::vector: spans()[id - 1] and flows()
+  // [id - 1] are the id-th records, in recording order, in every view.
+  Tracer t;
+  struct Expected {
+    NodeId node;
+    std::string name;
+    Time start;
+    Time end;
+  };
+  std::vector<Expected> expected;
+  for (int i = 0; i < 12; ++i) {
+    const NodeId node = i % 3;
+    const std::string name = i % 2 == 0 ? "core/EX" : "db/exec.op";
+    const SpanId id = t.record(node, name, i * 10, i * 10 + 5);
+    EXPECT_EQ(id, static_cast<SpanId>(expected.size() + 1));
+    expected.push_back({node, name, i * 10, i * 10 + 5});
+    t.flow(edge(node, node + 1, i, i + 1, 10u + static_cast<std::size_t>(i)));
+  }
+  ASSERT_EQ(t.size(), expected.size());
+  std::size_t i = 0;
+  for (const Span& span : t.spans()) {
+    EXPECT_EQ(span.id, i + 1);
+    EXPECT_EQ(&span, &t.spans()[i]);
+    EXPECT_EQ(&span, t.find(span.id));
+    EXPECT_EQ(span.node, expected[i].node);
+    EXPECT_EQ(span.name, expected[i].name);
+    EXPECT_EQ(span.start, expected[i].start);
+    EXPECT_EQ(span.end, expected[i].end);
+    ++i;
+  }
+  EXPECT_EQ(i, expected.size());
+  ASSERT_EQ(t.flows().size(), 12u);
+  for (std::size_t k = 0; k < t.flows().size(); ++k) {
+    EXPECT_EQ(t.flows()[k].id, k + 1);
+    EXPECT_EQ(t.flows()[k].bytes, 10u + k);
+  }
+  EXPECT_EQ(t.find(13), nullptr);
+  t.clear();
+  EXPECT_EQ(t.spans().blocks(), 0u);
+  EXPECT_EQ(t.flows().blocks(), 0u);
 }
 
 }  // namespace

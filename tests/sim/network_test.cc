@@ -227,5 +227,65 @@ TEST(Network, MessageTraceRecordsDropsAndDeliveries) {
   EXPECT_GT(ev.bytes, 0u);
 }
 
+// Each message lands in exactly one record: a flow when it crosses nodes
+// on the wire, the trace's message log when it has no flow (a drop or a
+// self-send). Both the per-message path (window 0) and the coalesced
+// flush_frame path (window > 0) are covered.
+void expect_one_record_per_message(Time coalesce_window) {
+  auto cfg = quiet();
+  cfg.coalesce_window = coalesce_window;
+  Simulator sim(1, cfg);
+  auto& a = sim.spawn<Recorder>();
+  auto& b = sim.spawn<Recorder>();
+  auto& c = sim.spawn<Recorder>();
+  sim.net().set_partition([&](NodeId from, NodeId to) { return from == a.id() && to == c.id(); });
+  for (int i = 0; i < 5; ++i) a.send_ping(b.id(), i, "cross");
+  for (int i = 0; i < 2; ++i) a.send_ping(a.id(), i, "self");
+  for (int i = 0; i < 3; ++i) a.send_ping(c.id(), i, "cut");
+  sim.run();
+  ASSERT_EQ(b.deliveries.size(), 5u);
+  ASSERT_EQ(a.deliveries.size(), 2u);
+  EXPECT_TRUE(c.deliveries.empty());
+  // Coalesced, the five cross-node messages share one physical frame.
+  EXPECT_EQ(sim.net().messages_sent(), coalesce_window > 0 ? 6 : 10);
+
+  const auto& flows = sim.tracer().flows();
+  ASSERT_EQ(flows.size(), 5u);  // the cross-node sends that went on the wire
+  std::size_t recorded_bytes = 0;
+  for (const auto& flow : flows) {
+    EXPECT_EQ(flow.from, a.id());
+    EXPECT_EQ(flow.to, b.id());
+    EXPECT_EQ(flow.type, "test.Ping");
+    EXPECT_GT(flow.bytes, 0u);
+    EXPECT_NE(flow.lamport_recv, 0);  // delivered
+    recorded_bytes += flow.bytes;
+  }
+
+  const auto& log = sim.trace().messages();
+  ASSERT_EQ(log.size(), 5u);  // 2 self-sends + 3 drops, nothing else
+  std::size_t self_sends = 0;
+  std::size_t drops = 0;
+  for (const auto& ev : log) {
+    if (ev.dropped) {
+      ++drops;
+      EXPECT_EQ(ev.to, c.id());
+    } else {
+      ++self_sends;
+      EXPECT_EQ(ev.from, ev.to);
+    }
+    recorded_bytes += ev.bytes;
+  }
+  EXPECT_EQ(self_sends, 2u);
+  EXPECT_EQ(drops, 3u);
+  // Every byte sent is accounted for by exactly one record.
+  EXPECT_EQ(static_cast<std::int64_t>(recorded_bytes), sim.net().bytes_sent());
+}
+
+TEST(Network, EachMessageRecordedOncePerMessagePath) { expect_one_record_per_message(0); }
+
+TEST(Network, EachMessageRecordedOnceCoalescedPath) {
+  expect_one_record_per_message(200);
+}
+
 }  // namespace
 }  // namespace repli::sim
