@@ -5,5 +5,6 @@
 int main() {
   return repli::bench::figure_multi_op(
       repli::core::TechniqueKind::EagerPrimary, "Figure 12",
-      "per-operation change propagation, final Two Phase Commit");
+      "per-operation change propagation, final Two Phase Commit",
+      {repli::sim::Phase::Execution, repli::sim::Phase::AgreementCoord});
 }

@@ -5,5 +5,6 @@
 int main() {
   return repli::bench::figure_multi_op(
       repli::core::TechniqueKind::EagerLocking, "Figure 13",
-      "per-operation lock round and execution, final Two Phase Commit");
+      "per-operation lock round and execution, final Two Phase Commit",
+      {repli::sim::Phase::ServerCoord});
 }

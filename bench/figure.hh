@@ -4,7 +4,9 @@
 // style of the paper's figures, and the message mix.
 #pragma once
 
+#include <initializer_list>
 #include <iostream>
+#include <map>
 
 #include "bench/common.hh"
 
@@ -35,8 +37,12 @@ inline int figure_single_op(core::TechniqueKind kind, const std::string& figure,
   return probe.measured_pattern == info.paper_pattern ? 0 : 1;
 }
 
+/// `looped` names the phases the figure's per-operation loop repeats: each
+/// must occur at least once per operation on the serving replica (the
+/// primary or the delegate: the node of the first phase after RE).
 inline int figure_multi_op(core::TechniqueKind kind, const std::string& figure,
-                           const std::string& description) {
+                           const std::string& description,
+                           std::initializer_list<sim::Phase> looped) {
   const auto& info = core::technique_info(kind);
   print_header(figure + " — " + std::string(info.name) + " (multi-operation transaction): " +
                description);
@@ -55,27 +61,33 @@ inline int figure_multi_op(core::TechniqueKind kind, const std::string& figure,
   const auto request_id = requests.empty() ? std::string{} : requests.front();
   const auto pattern = sim::pattern_to_string(cluster.sim().trace().pattern(request_id));
 
+  // The per-op loop: count how often each phase occurs on the serving replica.
+  const auto events = cluster.sim().trace().phases_for(request_id);
+  sim::NodeId server = sim::kNoNode;
+  std::map<sim::Phase, std::size_t> at_server;
+  for (const auto& ev : events) {
+    if (server == sim::kNoNode && ev.phase != sim::Phase::Request) server = ev.node;
+    if (ev.node == server) ++at_server[ev.phase];
+  }
+  bool loop_ok = server != sim::kNoNode;
+  for (const auto phase : looped) loop_ok = loop_ok && at_server[phase] >= txn.size();
+  const bool match = reply.ok && pattern == info.paper_pattern && loop_ok;
+
   std::cout << "  transaction      : put(x,1); put(y,2); add(x,5)  ->  "
             << (reply.ok ? "committed" : "ABORTED") << "\n";
   std::cout << "  paper pattern    : " << info.paper_pattern
             << "  (with the per-operation coordination loop of " << figure << ")\n";
-  std::cout << "  measured pattern : " << pattern << "\n";
-
-  // The per-op loop: count how often the looped phase occurs.
-  int ex_events = 0;
-  int sc_events = 0;
-  int ac_events = 0;
-  for (const auto& ev : cluster.sim().trace().phases_for(request_id)) {
-    ex_events += ev.phase == sim::Phase::Execution ? 1 : 0;
-    sc_events += ev.phase == sim::Phase::ServerCoord ? 1 : 0;
-    ac_events += ev.phase == sim::Phase::AgreementCoord ? 1 : 0;
-  }
-  std::cout << "  phase events     : SC x" << sc_events << "  EX x" << ex_events << "  AC x"
-            << ac_events << "  (3 operations -> the loop repeats per operation)\n\n";
+  std::cout << "  measured pattern : " << pattern << "   " << verdict(match) << "\n";
+  std::cout << "  phase events on  : "
+            << (server == sim::kNoNode ? "-" : cluster.sim().process(server).name()) << "  SC x"
+            << at_server[sim::Phase::ServerCoord] << "  EX x" << at_server[sim::Phase::Execution]
+            << "  AC x" << at_server[sim::Phase::AgreementCoord] << "  (3 operations -> the loop";
+  for (const auto phase : looped) std::cout << " " << sim::phase_abbrev(phase);
+  std::cout << " repeats per operation)\n\n";
   print_timeline(cluster, request_id);
   std::cout << "\n";
   print_message_mix(cluster);
-  return reply.ok ? 0 : 1;
+  return match ? 0 : 1;
 }
 
 }  // namespace repli::bench

@@ -91,7 +91,7 @@ int main() {
   std::cout << "  24 clients, 16 ops each, uniform keys, 50% read-modify-writes,\n"
             << "  ~100us think time and an 800us flush window (enough concurrency\n"
             << "  to fill batches; batching trades commit latency for traffic).\n"
-            << "  batch_max_ops=1 is the unbatched baseline (legacy code path).\n";
+            << "  batch_max_ops=1 is the baseline: a batch of one is a group of one.\n";
 
   const std::vector<core::TechniqueKind> kinds = {
       core::TechniqueKind::Active,       core::TechniqueKind::SemiActive,

@@ -46,8 +46,9 @@ struct ClusterConfig {
   // abcast submission batching + ordering batching (gcs), link payload
   // packing, group commit / writeset batching in the techniques, and
   // physical frame coalescing in the network (coalesce_window defaults to
-  // batch_flush_us when unset). batch_max_ops == 1 (the default) is the
-  // byte-identical unbatched path.
+  // batch_flush_us when unset). At batch_max_ops == 1 (the default) a batch
+  // of one is a group of one that commits at once; the gcs layers and the
+  // network take their direct, unbatched path.
   int batch_max_ops = 1;
   std::int64_t batch_flush_us = 200;  // flush window for every batching layer
 };

@@ -1,5 +1,8 @@
 #include "core/eager_locking.hh"
 
+#include <algorithm>
+#include <utility>
+
 #include "core/channels.hh"
 #include "sim/simulator.hh"
 #include "util/assert.hh"
@@ -46,45 +49,37 @@ EagerLockingReplica::EagerLockingReplica(sim::NodeId id, sim::Simulator& sim, Re
     }
   });
 
-  tpc_.set_vote_handler([this](const std::string& txn, const std::string& payload) {
-    if (!payload.empty()) {
-      const auto parsed = wire::from_blob(payload);
-      if (const auto meta = wire::message_cast<LkCommitMeta>(parsed)) {
-        if (parts_.contains(txn)) {
-          parts_.at(txn).client = meta->client;
-          parts_.at(txn).result = meta->result;
-        }
-      } else if (const auto gm = wire::message_cast<LkGroupMeta>(parsed)) {
-        // Group commit: vote yes iff we hold EVERY member's locks and staged
-        // execution (one missing member aborts the whole group — rare, since
-        // the delegate only groups transactions whose EX phase completed at
-        // all replicas). The membership is recorded regardless of the vote
-        // so an abort outcome can release each member's locks.
-        bool all = true;
-        std::vector<std::string> members;
-        for (const auto& entry : gm->entries) {
-          members.push_back(entry.txn);
-          if (const auto pit = parts_.find(entry.txn); pit != parts_.end()) {
-            pit->second.client = entry.client;
-            pit->second.result = entry.result;
-          } else {
-            all = false;
-          }
-        }
-        commit_groups_[txn] = std::move(members);
-        return all;
+  tpc_.set_vote_handler([this](const std::string& group_id, const std::string& payload) {
+    // Vote yes iff we hold EVERY member's locks and staged execution (one
+    // missing member aborts the whole group — rare, since the delegate only
+    // groups transactions whose EX phase completed at all replicas). The
+    // membership is recorded regardless of the vote so an abort outcome can
+    // release each member's locks.
+    const auto meta = wire::message_cast<LkGroupMeta>(wire::from_blob(payload));
+    util::ensure(meta != nullptr, "eager locking: 2PC prepare without a commit group");
+    bool all = true;
+    std::vector<std::string> members;
+    for (const auto& entry : meta->entries) {
+      members.push_back(entry.txn);
+      if (const auto pit = parts_.find(entry.txn); pit != parts_.end()) {
+        pit->second.client = entry.client;
+        pit->second.result = entry.result;
+      } else {
+        all = false;
       }
     }
-    return parts_.contains(txn);  // we hold locks and the staged execution
+    commit_groups_[group_id] = std::move(members);
+    return all;
   });
-  tpc_.set_outcome_handler([this](const std::string& txn, bool commit) {
-    if (const auto git = commit_groups_.find(txn); git != commit_groups_.end()) {
-      const std::vector<std::string> members = std::move(git->second);
+  tpc_.set_outcome_handler([this](const std::string& group_id, bool commit) {
+    // A participant that never saw the prepare (the coordinator's vote
+    // timeout beat it) knows the group only by its id, the first member's.
+    std::vector<std::string> members{group_id};
+    if (const auto git = commit_groups_.find(group_id); git != commit_groups_.end()) {
+      members = std::move(git->second);
       commit_groups_.erase(git);
-      for (const auto& member : members) local_outcome(member, commit);
-      return;
     }
-    local_outcome(txn, commit);
+    for (const auto& member : members) local_outcome(member, commit);
   });
 }
 
@@ -196,7 +191,12 @@ void EagerLockingReplica::local_acquire(sim::NodeId delegate, const LkAcquire& a
       link_.send_reliable(delegate, reply);
     }
   };
-  *step = [this, plan, step, txn, attempt, priority, respond](std::size_t i) {
+  // The closure holds itself weakly (a strong self-capture is a cycle that
+  // leaks every plan): the caller keeps it alive — this function for the
+  // first step, the lock manager's pending grant callback after that.
+  *step = [this, plan, self = std::weak_ptr(step), txn, attempt, priority,
+           respond](std::size_t i) {
+    const auto step = self.lock();
     // Re-enter the transaction's own trace: a contended grant resumes here
     // from the releasing transaction's event.
     TraceResume resume{*this, txn};
@@ -350,78 +350,53 @@ void EagerLockingReplica::local_abort(const std::string& txn_id, std::uint32_t a
 }
 
 void EagerLockingReplica::start_commit(const std::string& txn_id) {
-  Drive& drive = driving_.at(txn_id);
-  // Group commit: commit-ready write transactions wait (bounded by the flush
-  // window) to share one 2PC round. ROWA read-only transactions stay on the
-  // local per-txn path — they never involve another site to begin with.
-  const bool local_only = config_.read_one_write_all && !drive.wrote;
-  if (env().batch_max_ops > 1 && !local_only) {
-    commit_buffer_.push_back({txn_id, drive.request.client, drive.last_result});
-    if (static_cast<int>(commit_buffer_.size()) >= env().batch_max_ops) {
-      flush_commit_group();
-      return;
-    }
-    if (commit_buffer_.size() == 1) {
-      const std::uint64_t epoch = commit_epoch_;
-      set_timer(env().batch_flush, [this, epoch] {
-        if (epoch == commit_epoch_ && !commit_buffer_.empty()) flush_commit_group();
-      });
-    }
+  const Drive& drive = driving_.at(txn_id);
+  LkGroupEntry member{txn_id, drive.request.client, drive.last_result};
+  // ROWA: an entirely read-only transaction involved no other site, so it
+  // commits as a group of one at the delegate alone (no 2PC round trip for
+  // queries).
+  if (config_.read_one_write_all && !drive.wrote) {
+    commit_group({std::move(member)}, {id()});
     return;
   }
-  LkCommitMeta meta;
-  meta.txn = txn_id;
-  meta.client = drive.request.client;
-  meta.result = drive.last_result;
-
-  // ROWA: an entirely read-only transaction involved no other site, so the
-  // commit is local too (no 2PC round for queries).
-  std::vector<sim::NodeId> participants;
-  if (drive.wrote || !config_.read_one_write_all) {
-    for (const auto m : group().members()) {
-      if (!fd_.suspects(m)) participants.push_back(m);
-    }
-  } else {
-    participants.push_back(id());
+  // Group commit: commit-ready write transactions wait (bounded by the flush
+  // window) to share one 2PC round; a batch of one flushes at once.
+  commit_buffer_.push_back(std::move(member));
+  if (static_cast<int>(commit_buffer_.size()) >= std::max(1, env().batch_max_ops)) {
+    flush_commit_group();
+    return;
   }
-  const auto client = drive.request.client;
-  const auto result = drive.last_result;
-  tpc_.coordinate(txn_id, participants, wire::to_blob(meta),
-                  [this, client, result](const std::string& txn_id2, bool commit) {
-                    reply(client, txn_id2, commit, commit ? result : "aborted");
-                    driving_.erase(txn_id2);
-                  });
+  if (commit_buffer_.size() == 1) {
+    const std::uint64_t epoch = commit_epoch_;
+    set_timer(env().batch_flush, [this, epoch] {
+      if (epoch == commit_epoch_ && !commit_buffer_.empty()) flush_commit_group();
+    });
+  }
 }
 
 void EagerLockingReplica::flush_commit_group() {
   ++commit_epoch_;
-  std::vector<PendingCommit> batch = std::move(commit_buffer_);
-  commit_buffer_.clear();
-  metrics().histogram("core.group_commit.occupancy")
-      .observe(static_cast<double>(batch.size()));
-  const std::string group_id =
-      "lkgrp@" + std::to_string(id()) + "." + std::to_string(++group_seq_);
-  span_now("core/group_commit.start", group_id,
-           obs::Attrs{{"occupancy", std::to_string(batch.size())}});
-
-  LkGroupMeta meta;
-  meta.group = group_id;
-  std::vector<std::string> members;
-  for (const auto& e : batch) {
-    meta.entries.push_back({e.txn, e.client, e.result});
-    members.push_back(e.txn);
-  }
-  commit_groups_[group_id] = std::move(members);
-
   std::vector<sim::NodeId> participants;
   for (const auto m : group().members()) {
     if (!fd_.suspects(m)) participants.push_back(m);
   }
+  commit_group(std::exchange(commit_buffer_, {}), participants);
+}
+
+void EagerLockingReplica::commit_group(std::vector<LkGroupEntry> members,
+                                       const std::vector<sim::NodeId>& participants) {
+  metrics().histogram("core.group_commit.occupancy")
+      .observe(static_cast<double>(members.size()));
+  const std::string group_id = members.front().txn;
+  span_now("core/group_commit.start", group_id,
+           obs::Attrs{{"occupancy", std::to_string(members.size())}});
+  LkGroupMeta meta;
+  meta.entries = members;
   tpc_.coordinate(group_id, participants, wire::to_blob(meta),
-                  [this, batch](const std::string& /*group_id2*/, bool commit) {
-                    for (const auto& e : batch) {
-                      reply(e.client, e.txn, commit, commit ? e.result : "aborted");
-                      driving_.erase(e.txn);
+                  [this, members](const std::string& /*group_id*/, bool commit) {
+                    for (const auto& m : members) {
+                      reply(m.client, m.txn, commit, commit ? m.result : "aborted");
+                      driving_.erase(m.txn);
                     }
                   });
 }

@@ -97,20 +97,7 @@ struct LkAbort : wire::MessageBase<LkAbort> {
   }
 };
 
-struct LkCommitMeta : wire::MessageBase<LkCommitMeta> {
-  static constexpr const char* kTypeName = "core.LkCommitMeta";
-  std::string txn;
-  std::int32_t client = 0;
-  std::string result;
-  template <class Ar>
-  void fields(Ar& ar) {
-    ar(txn);
-    ar(client);
-    ar(result);
-  }
-};
-
-/// One member of a group commit (the delegate's commit-ready transactions).
+/// One member of a commit group.
 struct LkGroupEntry {
   std::string txn;
   std::int32_t client = 0;
@@ -123,16 +110,16 @@ struct LkGroupEntry {
   }
 };
 
-/// Group commit (batched fast path): the delegate runs ONE 2PC round for a
-/// group of commit-ready write transactions; each participant votes yes iff
-/// it holds every member's locks and staged execution.
+/// The 2PC prepare payload: the delegate commits its commit-ready
+/// transactions in groups of up to batch_max_ops through ONE 2PC round,
+/// whose id is the first member's txn id (a group of one commits under its
+/// own id). Each participant votes yes iff it holds every member's locks
+/// and staged execution.
 struct LkGroupMeta : wire::MessageBase<LkGroupMeta> {
   static constexpr const char* kTypeName = "core.LkGroupMeta";
-  std::string group;  // group id (the 2PC transaction id)
   std::vector<LkGroupEntry> entries;
   template <class Ar>
   void fields(Ar& ar) {
-    ar(group);
     ar(entries);
   }
 };
@@ -185,6 +172,8 @@ class EagerLockingReplica : public ReplicaBase {
   void abort_and_retry(const std::string& txn_id);
   void start_commit(const std::string& txn_id);
   void flush_commit_group();
+  void commit_group(std::vector<LkGroupEntry> members,
+                    const std::vector<sim::NodeId>& participants);
 
   void local_acquire(sim::NodeId delegate, const LkAcquire& acquire);
   void local_exec(sim::NodeId delegate, const LkExec& exec);
@@ -208,16 +197,10 @@ class EagerLockingReplica : public ReplicaBase {
   std::map<std::string, std::uint32_t> aborted_upto_;
   std::int64_t lock_aborts_ = 0;
 
-  // Group commit (env().batch_max_ops > 1): commit-ready write transactions
-  // gather here until the batch fills or the flush window expires.
-  struct PendingCommit {
-    std::string txn;
-    std::int32_t client = 0;
-    std::string result;
-  };
-  std::vector<PendingCommit> commit_buffer_;
+  // Group commit: commit-ready write transactions gather here until the
+  // group holds batch_max_ops of them or the flush window expires.
+  std::vector<LkGroupEntry> commit_buffer_;
   std::uint64_t commit_epoch_ = 0;  // invalidates stale flush timers
-  std::uint64_t group_seq_ = 0;
   // Both sides: group id -> member txns, recorded at prepare so the 2PC
   // outcome can be fanned out per member.
   std::map<std::string, std::vector<std::string>> commit_groups_;

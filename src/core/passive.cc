@@ -1,5 +1,8 @@
 #include "core/passive.hh"
 
+#include <algorithm>
+#include <optional>
+
 #include "core/channels.hh"
 #include "sim/simulator.hh"
 #include "util/assert.hh"
@@ -22,14 +25,7 @@ PassiveReplica::PassiveReplica(sim::NodeId id, sim::Simulator& sim, ReplicaEnv e
   exec_rng_ = std::make_unique<util::Rng>(sim.rng().split());
   choices_ = std::make_unique<db::LocalRandomChoices>(*exec_rng_);
   vg_.set_deliver([this](sim::NodeId /*origin*/, wire::MessagePtr msg) {
-    if (const auto update = wire::message_cast<PbUpdate>(msg)) {
-      on_update(*update);
-      return;
-    }
-    if (const auto batch = wire::message_cast<PbUpdateBatch>(msg)) {
-      on_update_batch(*batch);
-      return;
-    }
+    if (const auto update = wire::message_cast<PbUpdate>(msg)) on_update(*update);
   });
   vg_.on_view([this](const gcs::View& view) { on_view(view); });
   fd_.on_suspect([this](sim::NodeId who) {
@@ -57,7 +53,7 @@ void PassiveReplica::on_request(const ClientRequest& request) {
     return;
   }
   if (replay_cached_reply(request.client, request.request_id)) return;
-  if (pending_.contains(request.request_id) || queued_ids_.contains(request.request_id)) return;
+  if (queued_ids_.contains(request.request_id)) return;
   util::ensure(request.ops.size() == 1,
                "passive replication implements the single-operation model (§2.2)");
   note_request_trace(request.request_id);
@@ -67,127 +63,72 @@ void PassiveReplica::on_request(const ClientRequest& request) {
 }
 
 void PassiveReplica::pump() {
-  if (busy_ || queue_.empty()) return;
+  if (in_flight_ > 0 || queue_.empty()) return;
   if (!is_primary()) return;  // demoted: clients will be redirected on retry
-  if (env().batch_max_ops > 1) {
-    pump_batch();
-    return;
-  }
-  busy_ = true;
-  const ClientRequest request = queue_.front();
+  // Natural batching: the group is whatever queued up while the previous
+  // one was in flight, capped at batch_max_ops (a batch of one is a group
+  // of one).
+  in_flight_ = std::min(queue_.size(),
+                        static_cast<std::size_t>(std::max(1, env().batch_max_ops)));
   // The pump often runs inside the event that finished the *previous*
-  // transaction; resume this request's own causal trace before scheduling.
-  TraceResume resume{*this, request.request_id};
-
-  const db::Operation op = request.ops.front();
+  // group; resume the first request's own causal trace before scheduling.
+  TraceResume resume{*this, queue_.front().request_id};
   const auto exec_start = now();
-  cpu_execute(env().exec_cost, [this, request, op, exec_start] {
-    if (!is_primary()) {  // demoted while executing (rare; client retries)
-      busy_ = false;
+  cpu_execute(env().exec_cost * static_cast<sim::Time>(in_flight_), [this, exec_start] {
+    if (!is_primary()) {  // demoted while executing (rare; clients retry)
+      in_flight_ = 0;
       return;
     }
     // Execute on a shadow: the canonical state change happens when the
-    // update is VS-delivered, in the same order at primary and backups.
-    db::TxnExec txn(request.request_id, storage_);
-    std::string result;
-    try {
-      result = txn.run(registry(), op, *choices_);
-    } catch (const std::exception& e) {
-      reply(request.client, request.request_id, false, e.what());
-      queue_.pop_front();
-      queued_ids_.erase(request.request_id);
-      busy_ = false;
-      pump();
-      return;
-    }
-    phase(request.request_id, sim::Phase::Execution, exec_start, now());
-    exec_span(op, exec_start, request.request_id);
-
-    PendingReply pending;
-    pending.client = request.client;
-    pending.result = result;
-    pending.ac_start = now();
-    for (const auto m : vg_.view().members) {
-      if (m != id()) pending.awaiting.insert(m);
-    }
-    pending_.emplace(request.request_id, std::move(pending));
-
+    // update is VS-delivered, in the same order at primary and backups. A
+    // group of several executes on a scratch copy so each transaction sees
+    // its predecessors.
+    std::optional<db::Storage> scratch;
+    if (in_flight_ > 1) scratch.emplace(storage_);
     PbUpdate update;
-    update.request_id = request.request_id;
-    update.client = request.client;
-    update.result = result;
-    update.writes = txn.writes();
-    vg_.vscast(update);  // applies locally via VS self-delivery
-    maybe_reply(request.request_id);  // zero-backup view
-  });
-}
-
-void PassiveReplica::pump_batch() {
-  // Natural batching: drain whatever queued up while the pipeline was busy,
-  // capped at batch_max_ops, and ship all resulting updates as one VSCAST.
-  busy_ = true;
-  std::vector<ClientRequest> requests;
-  const auto limit = static_cast<std::size_t>(env().batch_max_ops);
-  while (!queue_.empty() && requests.size() < limit) {
-    requests.push_back(queue_.front());
-    queue_.pop_front();
-    queued_ids_.erase(requests.back().request_id);
-  }
-  const auto exec_start = now();
-  cpu_execute(env().exec_cost * static_cast<sim::Time>(requests.size()),
-              [this, requests, exec_start] {
-    if (!is_primary()) {  // demoted while executing (rare; clients retry)
-      busy_ = false;
-      return;
-    }
-    // Execute on a scratch copy so each transaction in the batch sees its
-    // predecessors; the canonical state change still happens at VS-delivery.
-    db::Storage scratch = storage_;
-    PbUpdateBatch batch;
-    batch.batch = "pbgrp@" + std::to_string(id()) + "." + std::to_string(++batch_seq_);
-    PendingBatch pending;
-    for (const auto& request : requests) {
-      db::TxnExec txn(request.request_id, scratch);
+    PendingUpdate pending;
+    for (std::size_t i = 0; i < in_flight_;) {
+      const ClientRequest& request = queue_[i];
+      db::TxnExec txn(request.request_id, scratch ? *scratch : storage_);
       std::string result;
       try {
         result = txn.run(registry(), request.ops.front(), *choices_);
       } catch (const std::exception& e) {
+        // Answered here and dropped from the group; the rest is unaffected.
         reply(request.client, request.request_id, false, e.what());
-        continue;  // scratch untouched: the rest of the batch is unaffected
+        queued_ids_.erase(request.request_id);
+        queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(i));
+        --in_flight_;
+        continue;
       }
       phase(request.request_id, sim::Phase::Execution, exec_start, now());
       exec_span(request.ops.front(), exec_start, request.request_id);
-      PbBatchEntry entry;
-      entry.request_id = request.request_id;
-      entry.client = request.client;
-      entry.result = result;
-      entry.writes = txn.writes();
-      txn.commit_into(scratch);
-      batch.entries.push_back(std::move(entry));
-      pending.entries.push_back({request.request_id, request.client, result});
+      if (scratch) txn.commit_into(*scratch);
+      update.entries.push_back({request.request_id, request.client, result, txn.writes()});
+      pending.answers.push_back({request.request_id, request.client, result});
+      ++i;
     }
-    if (batch.entries.empty()) {  // every member failed at execution
-      busy_ = false;
+    if (update.entries.empty()) {  // every member failed at execution
       pump();
       return;
     }
     metrics().histogram("core.group_commit.occupancy")
-        .observe(static_cast<double>(batch.entries.size()));
-    span_now("core/group_commit.start", batch.batch,
-             obs::Attrs{{"occupancy", std::to_string(batch.entries.size())}});
+        .observe(static_cast<double>(update.entries.size()));
+    span_now("core/group_commit.start", update.key(),
+             obs::Attrs{{"occupancy", std::to_string(update.entries.size())}});
     pending.ac_start = now();
     for (const auto m : vg_.view().members) {
       if (m != id()) pending.awaiting.insert(m);
     }
-    pending_batches_.emplace(batch.batch, std::move(pending));
-    vg_.vscast(batch);  // applies locally via VS self-delivery
+    pending_.emplace(update.key(), std::move(pending));
+    vg_.vscast(update);  // applies locally via VS self-delivery
   });
 }
 
-void PassiveReplica::on_update_batch(const PbUpdateBatch& batch) {
+void PassiveReplica::on_update(const PbUpdate& update) {
   const auto apply_start = now();
-  cpu_execute(env().apply_cost, [this, batch, apply_start] {
-    for (const auto& entry : batch.entries) {
+  cpu_execute(env().apply_cost, [this, update, apply_start] {
+    for (const auto& entry : update.entries) {
       if (has_cached_reply(entry.request_id)) continue;  // already applied here
       const auto seq = storage_.next_commit_seq();
       for (const auto& [key, value] : entry.writes) {
@@ -199,133 +140,63 @@ void PassiveReplica::on_update_batch(const PbUpdateBatch& batch) {
       cache_reply(entry.request_id, true, entry.result);
       phase(entry.request_id, sim::Phase::AgreementCoord, apply_start, now());
     }
-    span("db/exec.apply", apply_start, now(), batch.batch,
-         obs::Attrs{{"batch_ops", std::to_string(batch.entries.size())}});
+    span("db/exec.apply", apply_start, now(), update.key(),
+         obs::Attrs{{"batch_ops", std::to_string(update.entries.size())}});
     if (!is_primary()) {
       PbUpdateAck ack;
-      ack.request_id = batch.batch;  // one ack for the whole batch
+      ack.request_id = update.key();
       ack_link_.send_reliable(vg_.view().primary(), ack);
       return;
     }
-    const auto it = pending_batches_.find(batch.batch);
-    if (it == pending_batches_.end()) {
-      // We became primary after the old one crashed mid-broadcast: the batch
-      // stabilized through the view change; answer the clients.
-      for (const auto& entry : batch.entries) {
+    if (const auto it = pending_.find(update.key()); it != pending_.end()) {
+      it->second.applied = true;
+      maybe_reply(update.key());  // backups may already have acked
+    } else {
+      // We became primary after the old one crashed mid-broadcast: the
+      // update stabilized through the view change; answer the clients.
+      for (const auto& entry : update.entries) {
         reply(entry.client, entry.request_id, true, entry.result);
       }
-      return;
     }
-    it->second.applied = true;
-    maybe_reply_batch(batch.batch);
-  });
-}
-
-void PassiveReplica::on_update(const PbUpdate& update) {
-  if (has_cached_reply(update.request_id)) return;  // already applied here
-  const auto apply_start = now();
-  cpu_execute(env().apply_cost, [this, update, apply_start] {
-    if (has_cached_reply(update.request_id)) return;
-    const auto seq = storage_.next_commit_seq();
-    for (const auto& [key, value] : update.writes) {
-      storage_.put(key, value, seq, update.request_id);
-    }
-    if (!update.writes.empty()) {
-      record_commit(update.request_id, update.writes, {}, seq);
-    }
-    cache_reply(update.request_id, true, update.result);
-    phase(update.request_id, sim::Phase::AgreementCoord, apply_start, now());
-    span("db/exec.apply", apply_start, now(), update.request_id,
-         obs::Attrs{{"writes", std::to_string(update.writes.size())}});
-    if (!is_primary()) {
-      PbUpdateAck ack;
-      ack.request_id = update.request_id;
-      ack_link_.send_reliable(vg_.view().primary(), ack);
-    } else if (!pending_.contains(update.request_id)) {
-      // We became primary after the old one crashed mid-broadcast: the
-      // update stabilized through the view change; answer the client.
-      reply(update.client, update.request_id, true, update.result);
-    } else {
-      // Own apply finished; backups may already have acked.
-      maybe_reply(update.request_id);
-    }
-    // The primary's serial pipeline: start the next queued request once
-    // this one's update has been applied locally.
-    if (is_primary() && !queue_.empty() && queue_.front().request_id == update.request_id) {
-      queue_.pop_front();
-      queued_ids_.erase(update.request_id);
-      busy_ = false;
+    // The primary's pipeline: start the next group once this one's update
+    // has been applied locally. Acks gate only the replies.
+    if (in_flight_ > 0 && queue_.front().request_id == update.key()) {
+      for (; in_flight_ > 0; --in_flight_) {
+        queued_ids_.erase(queue_.front().request_id);
+        queue_.pop_front();
+      }
       pump();
     }
   });
 }
 
 void PassiveReplica::on_ack(sim::NodeId from, const PbUpdateAck& ack) {
-  if (const auto bit = pending_batches_.find(ack.request_id); bit != pending_batches_.end()) {
-    bit->second.awaiting.erase(from);
-    maybe_reply_batch(ack.request_id);
-    return;
-  }
   const auto it = pending_.find(ack.request_id);
   if (it == pending_.end()) return;
   it->second.awaiting.erase(from);
   maybe_reply(ack.request_id);
 }
 
-void PassiveReplica::maybe_reply_batch(const std::string& batch_id) {
-  const auto it = pending_batches_.find(batch_id);
-  if (it == pending_batches_.end()) return;
-  if (!it->second.awaiting.empty() || !it->second.applied) return;
-  for (const auto& entry : it->second.entries) {
-    phase(entry.request_id, sim::Phase::AgreementCoord, it->second.ac_start, now());
-    reply(entry.client, entry.request_id, true, entry.result);
-  }
-  pending_batches_.erase(it);
-  busy_ = false;
-  pump();
-}
-
-void PassiveReplica::maybe_reply(const std::string& request_id) {
-  const auto it = pending_.find(request_id);
+void PassiveReplica::maybe_reply(const std::string& update_key) {
+  const auto it = pending_.find(update_key);
   if (it == pending_.end()) return;
-  if (!it->second.awaiting.empty()) return;
-  if (!has_cached_reply(request_id)) return;  // own VS-delivery still pending
-  phase(request_id, sim::Phase::AgreementCoord, it->second.ac_start, now());
-  reply(it->second.client, request_id, true, it->second.result);
+  if (!it->second.awaiting.empty() || !it->second.applied) return;
+  for (const auto& answer : it->second.answers) {
+    phase(answer.request_id, sim::Phase::AgreementCoord, it->second.ac_start, now());
+    reply(answer.client, answer.request_id, true, answer.result);
+  }
   pending_.erase(it);
 }
 
 void PassiveReplica::on_view(const gcs::View& view) {
-  // Stop waiting for acks from members that left the view.
-  for (auto& [request_id, pending] : pending_) {
-    for (auto it = pending.awaiting.begin(); it != pending.awaiting.end();) {
-      if (!view.contains(*it)) {
-        it = pending.awaiting.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
-  for (auto& [batch_id, pending] : pending_batches_) {
-    for (auto it = pending.awaiting.begin(); it != pending.awaiting.end();) {
-      if (!view.contains(*it)) {
-        it = pending.awaiting.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
-  // maybe_reply mutates pending_; collect ready ids first.
+  // Stop waiting for acks from members that left the view; maybe_reply
+  // mutates pending_, so collect the ready updates first.
   std::vector<std::string> ready;
-  for (const auto& [request_id, pending] : pending_) {
-    if (pending.awaiting.empty()) ready.push_back(request_id);
+  for (auto& [update_key, pending] : pending_) {
+    std::erase_if(pending.awaiting, [&view](sim::NodeId m) { return !view.contains(m); });
+    if (pending.awaiting.empty()) ready.push_back(update_key);
   }
-  for (const auto& request_id : ready) maybe_reply(request_id);
-  std::vector<std::string> ready_batches;
-  for (const auto& [batch_id, pending] : pending_batches_) {
-    if (pending.awaiting.empty()) ready_batches.push_back(batch_id);
-  }
-  for (const auto& batch_id : ready_batches) maybe_reply_batch(batch_id);
+  for (const auto& update_key : ready) maybe_reply(update_key);
   // The monitor folds this into an open failover timeline (no-op when the
   // view change wasn't failure-driven).
   if (monitor() != nullptr && view.primary() == id()) monitor()->promoted(id(), now());

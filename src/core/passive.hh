@@ -25,48 +25,34 @@
 
 namespace repli::core {
 
+/// One executed request inside an update.
+struct PbEntry {
+  std::string request_id;
+  std::int32_t client = 0;
+  std::string result;
+  std::map<db::Key, db::Value> writes;
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(request_id);
+    ar(client);
+    ar(result);
+    ar(writes);
+  }
+};
+
+/// The primary executes a group of up to batch_max_ops queued requests
+/// back-to-back and VSCASTs their writesets as ONE update; backups apply the
+/// entries in order and ack once per update. An update (and its ack) is
+/// keyed by its first entry's request id: a request belongs to exactly one
+/// update.
 struct PbUpdate : wire::MessageBase<PbUpdate> {
   static constexpr const char* kTypeName = "core.PbUpdate";
-  std::string request_id;
-  std::int32_t client = 0;
-  std::string result;
-  std::map<db::Key, db::Value> writes;
+  std::vector<PbEntry> entries;
   template <class Ar>
   void fields(Ar& ar) {
-    ar(request_id);
-    ar(client);
-    ar(result);
-    ar(writes);
-  }
-};
-
-/// One transaction inside a batched update.
-struct PbBatchEntry {
-  std::string request_id;
-  std::int32_t client = 0;
-  std::string result;
-  std::map<db::Key, db::Value> writes;
-  template <class Ar>
-  void fields(Ar& ar) {
-    ar(request_id);
-    ar(client);
-    ar(result);
-    ar(writes);
-  }
-};
-
-/// Writeset batching (batched fast path): the primary executes up to
-/// batch_max_ops queued requests back-to-back and VSCASTs their updates as
-/// ONE message; backups apply the entries in order and ack once per batch.
-struct PbUpdateBatch : wire::MessageBase<PbUpdateBatch> {
-  static constexpr const char* kTypeName = "core.PbUpdateBatch";
-  std::string batch;  // batch id (the ack key)
-  std::vector<PbBatchEntry> entries;
-  template <class Ar>
-  void fields(Ar& ar) {
-    ar(batch);
     ar(entries);
   }
+  const std::string& key() const { return entries.front().request_id; }
 };
 
 struct PbUpdateAck : wire::MessageBase<PbUpdateAck> {
@@ -90,13 +76,11 @@ class PassiveReplica : public ReplicaBase {
 
  private:
   void on_request(const ClientRequest& request);
+  void pump();
   void on_update(const PbUpdate& update);
-  void on_update_batch(const PbUpdateBatch& batch);
   void on_ack(sim::NodeId from, const PbUpdateAck& ack);
-  void maybe_reply(const std::string& request_id);
-  void maybe_reply_batch(const std::string& batch_id);
+  void maybe_reply(const std::string& update_key);
   void on_view(const gcs::View& view);
-  void pump_batch();
 
   gcs::FailureDetector fd_;
   gcs::ViewGroup vg_;
@@ -104,35 +88,26 @@ class PassiveReplica : public ReplicaBase {
   std::unique_ptr<util::Rng> exec_rng_;
   std::unique_ptr<db::LocalRandomChoices> choices_;
 
-  struct PendingReply {
-    std::int32_t client = 0;
-    std::string result;
-    std::set<sim::NodeId> awaiting;  // backups whose ack is outstanding
-    sim::Time ac_start = 0;
-  };
-  std::map<std::string, PendingReply> pending_;  // primary-side
-
-  // Batched fast path (env().batch_max_ops > 1).
-  struct BatchReply {
+  struct Answer {
     std::string request_id;
     std::int32_t client = 0;
     std::string result;
   };
-  struct PendingBatch {
-    std::vector<BatchReply> entries;
-    std::set<sim::NodeId> awaiting;  // backups whose batch ack is outstanding
+  struct PendingUpdate {
+    std::vector<Answer> answers;
+    std::set<sim::NodeId> awaiting;  // backups whose ack is outstanding
     sim::Time ac_start = 0;
     bool applied = false;  // own VS-delivery applied locally
   };
-  std::map<std::string, PendingBatch> pending_batches_;  // primary-side
-  std::uint64_t batch_seq_ = 0;
-  // Requests process one at a time at the primary: the next execution only
-  // starts after the previous update has been applied locally, so each
-  // transaction observes its predecessors (serializable primary order).
+  std::map<std::string, PendingUpdate> pending_;  // primary-side, by update key
+  // Groups execute one at a time at the primary: the next group only starts
+  // after the previous update has been applied locally, so each transaction
+  // observes its predecessors (serializable primary order). The group in
+  // flight is the first `in_flight_` requests of the queue; they stay queued
+  // (so retries are deduplicated) until then.
   std::deque<ClientRequest> queue_;
   std::set<std::string> queued_ids_;
-  bool busy_ = false;
-  void pump();
+  std::size_t in_flight_ = 0;
 };
 
 }  // namespace repli::core

@@ -103,13 +103,4 @@ void Reader::get_string_into(std::string& out) {
   pos_ += n;
 }
 
-std::string_view Reader::get_string_view() {
-  const std::uint64_t n = get_u64();
-  if (n > remaining()) throw WireError("Reader: truncated string");
-  const std::string_view v(reinterpret_cast<const char*>(data_.data() + pos_),
-                           static_cast<std::size_t>(n));
-  pos_ += n;
-  return v;
-}
-
 }  // namespace repli::wire

@@ -59,8 +59,6 @@ class Reader {
   /// Like get_string but assigns into `out`, reusing its capacity — the
   /// decode path for pooled messages whose string fields keep their buffers.
   void get_string_into(std::string& out);
-  /// Zero-copy: a view into the input bytes, valid only while they live.
-  std::string_view get_string_view();
 
   bool at_end() const { return pos_ == data_.size(); }
   std::size_t remaining() const { return data_.size() - pos_; }

@@ -21,7 +21,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "wire/flat.hh"
+#include "wire/codec.hh"
 #include "wire/pool.hh"
 #include "wire/visit.hh"
 
@@ -73,6 +73,12 @@ class Registry {
 /// behind the flat_decode_enabled() switch).
 template <typename T>
 concept HasFlatDecode = requires(T t, Reader& r) { t.decode_flat(r); };
+
+/// Process-wide switch for the decode_flat() paths (default on). Flipping
+/// it affects decodes from then on — the oracle cross-check in tests runs
+/// the same bytes through both paths.
+bool flat_decode_enabled();
+void set_flat_decode_enabled(bool on);
 
 template <typename Derived>
 class MessageBase : public Message {

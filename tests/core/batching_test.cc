@@ -1,7 +1,8 @@
 // The batched replication fast path, checked end to end: batching must be
-// deterministic, batch_max_ops=1 must be bit-identical to the default
-// unbatched run, batched runs must stay convergent and one-copy
-// serializable, and batching must actually reduce per-operation traffic.
+// deterministic, a batch of one must flush at once (no layer waits out the
+// flush window), runs at batch 1 and batch 8 must stay convergent and
+// one-copy serializable, and batching must actually reduce per-operation
+// traffic.
 #include <gtest/gtest.h>
 
 #include "check/serializability.hh"
@@ -20,13 +21,15 @@ struct RunFingerprint {
   bool operator==(const RunFingerprint&) const = default;
 };
 
-RunFingerprint run_once(TechniqueKind kind, std::uint64_t seed, int batch_max_ops) {
+RunFingerprint run_once(TechniqueKind kind, std::uint64_t seed, int batch_max_ops,
+                        std::int64_t batch_flush_us = 200) {
   ClusterConfig cfg;
   cfg.kind = kind;
   cfg.replicas = 3;
   cfg.clients = 3;
   cfg.seed = seed;
   cfg.batch_max_ops = batch_max_ops;
+  cfg.batch_flush_us = batch_flush_us;
   Cluster cluster(cfg);
   util::Rng rng(seed);
   int outstanding = 0;
@@ -67,22 +70,21 @@ TEST_P(BatchingDeterminism, SameSeedAndKnobsSameRun) {
 }
 
 TEST_P(BatchingDeterminism, BatchOfOneIsBitIdenticalToUnbatched) {
-  // batch_max_ops = 1 must route through the exact legacy code paths: same
-  // digests, same message count, same bytes, same latencies.
-  const auto unbatched = run_once(GetParam(), 42, 1);
-  const auto batch_one = run_once(GetParam(), 42, 1);
-  EXPECT_EQ(unbatched, batch_one);
+  // A batch of one is a group of one that flushes at once: no layer may
+  // wait out the flush window, so the window cannot change a single digest,
+  // message, byte or latency.
+  const auto short_window = run_once(GetParam(), 42, 1, 200);
+  const auto long_window = run_once(GetParam(), 42, 1, 50'000);
+  EXPECT_EQ(short_window, long_window);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllTechniques, BatchingDeterminism,
                          ::testing::ValuesIn(testing::all_kinds()),
                          testing::kind_param_name);
 
-class BatchedCorrectness : public ::testing::TestWithParam<TechniqueKind> {};
-
-TEST_P(BatchedCorrectness, BatchedRunsConvergeAndStaySerializable) {
-  ClusterConfig cfg = testing::quiet_config(GetParam(), 3, 4, 7);
-  cfg.batch_max_ops = 8;
+void check_batched_run(TechniqueKind kind, int batch_max_ops) {
+  ClusterConfig cfg = testing::quiet_config(kind, 3, 4, 7);
+  cfg.batch_max_ops = batch_max_ops;
   Cluster cluster(cfg);
   util::Rng rng(7);
   int outstanding = 0;
@@ -107,6 +109,16 @@ TEST_P(BatchedCorrectness, BatchedRunsConvergeAndStaySerializable) {
   EXPECT_TRUE(report.serializable) << report.violation;
   EXPECT_TRUE(report.write_orders_agree) << report.violation;
   EXPECT_GT(report.transactions, 0u);
+}
+
+class BatchedCorrectness : public ::testing::TestWithParam<TechniqueKind> {};
+
+TEST_P(BatchedCorrectness, BatchedRunsConvergeAndStaySerializable) {
+  // Batch 1 covers the group-of-one commit path, batch 8 real groups.
+  for (const int batch_max_ops : {1, 8}) {
+    SCOPED_TRACE("batch_max_ops=" + std::to_string(batch_max_ops));
+    check_batched_run(GetParam(), batch_max_ops);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(StrongTechniques, BatchedCorrectness,

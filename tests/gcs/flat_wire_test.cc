@@ -1,8 +1,6 @@
 // Flat-decode oracle tests: the visitor codec is the reference; the flat
-// paths (decode_flat() and the *View structs) must produce field-identical
-// results from the same bytes, and reject malformed input the same way.
-#include "wire/flat.hh"
-
+// decode_flat() paths must produce field-identical results from the same
+// bytes, and reject malformed input the same way.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -11,7 +9,6 @@
 #include "gcs/fd.hh"
 #include "gcs/link.hh"
 #include "wire/message.hh"
-#include "wire/visit.hh"
 
 namespace repli::gcs {
 namespace {
@@ -27,16 +24,6 @@ class FlatSwitch {
  private:
   bool prev_;
 };
-
-/// Payload-only bytes (what follows the type id), as fields() encodes them.
-template <typename T>
-std::vector<std::uint8_t> payload_bytes(const T& msg) {
-  wire::Writer w;
-  wire::Encoder enc(w);
-  const_cast<T&>(msg).fields(enc);
-  const auto s = w.span();
-  return {s.begin(), s.end()};
-}
 
 std::vector<std::string> sample_payloads() {
   return {
@@ -92,67 +79,23 @@ TEST(FlatWire, HeartbeatFlatAndVisitorDecodeAgree) {
   }
 }
 
-TEST(FlatWire, ViewsParseTheVisitorEncodedBytes) {
-  LinkData data;
-  data.channel = 9;
-  data.seq = 77;
-  data.payload = "opaque blob";
-  const auto data_bytes = payload_bytes(data);
-  const auto dv = wire::LinkDataView::parse(data_bytes);
-  EXPECT_EQ(dv.channel, data.channel);
-  EXPECT_EQ(dv.seq, data.seq);
-  EXPECT_EQ(dv.payload, data.payload);
-  // Zero-copy: the view aliases the input buffer.
-  EXPECT_GE(reinterpret_cast<const std::uint8_t*>(dv.payload.data()), data_bytes.data());
-  EXPECT_LE(reinterpret_cast<const std::uint8_t*>(dv.payload.data()) + dv.payload.size(),
-            data_bytes.data() + data_bytes.size());
-
-  LinkAck ack;
-  ack.channel = 2;
-  ack.seq = 555;
-  const auto av = wire::LinkAckView::parse(payload_bytes(ack));
-  EXPECT_EQ(av.channel, ack.channel);
-  EXPECT_EQ(av.seq, ack.seq);
-
-  Heartbeat hb;
-  hb.count = 31337;
-  const auto hv = wire::HeartbeatView::parse(payload_bytes(hb));
-  EXPECT_EQ(hv.count, hb.count);
-}
-
-TEST(FlatWire, ViewsRejectMalformedBytes) {
-  LinkData data;
-  data.channel = 1;
-  data.seq = 2;
-  data.payload = "abc";
-  auto bytes = payload_bytes(data);
-
-  // Trailing garbage.
-  auto extra = bytes;
-  extra.push_back(0);
-  EXPECT_THROW(wire::LinkDataView::parse(extra), wire::WireError);
-
-  // Every truncation point must be caught by bounds checks, not read past.
-  for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
-    const std::vector<std::uint8_t> trunc(bytes.begin(),
-                                          bytes.begin() + static_cast<std::ptrdiff_t>(cut));
-    EXPECT_THROW(wire::LinkDataView::parse(trunc), wire::WireError) << "cut at " << cut;
-  }
-
-  EXPECT_THROW(wire::LinkAckView::parse(std::vector<std::uint8_t>{}), wire::WireError);
-  EXPECT_THROW(wire::HeartbeatView::parse(std::vector<std::uint8_t>{}), wire::WireError);
-}
-
 TEST(FlatWire, FlatDecodeRejectsTruncatedMessage) {
   LinkData msg;
   msg.channel = 1;
   msg.seq = 2;
   msg.payload = "payload";
-  auto bytes = wire::encode_message(msg);
-  bytes.pop_back();
+  const auto bytes = wire::encode_message(msg);
+  auto extra = bytes;
+  extra.push_back(0);
   for (const bool flat : {true, false}) {
     FlatSwitch sw(flat);
-    EXPECT_THROW(wire::decode_message(bytes), wire::WireError);
+    EXPECT_THROW(wire::decode_message(extra), wire::WireError);
+    // Every truncation point must be caught by bounds checks, not read past.
+    for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
+      const std::vector<std::uint8_t> trunc(bytes.begin(),
+                                            bytes.begin() + static_cast<std::ptrdiff_t>(cut));
+      EXPECT_THROW(wire::decode_message(trunc), wire::WireError) << "cut at " << cut;
+    }
   }
 }
 

@@ -11,7 +11,7 @@
 
 #include "core/cluster.hh"
 #include "obs/export_chrome.hh"
-#include "wire/flat.hh"
+#include "wire/message.hh"
 
 namespace repli::core {
 namespace {

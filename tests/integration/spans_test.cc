@@ -34,11 +34,15 @@ TEST_P(SpanTrees, PhasePatternStillMatchesPaper) {
             info.paper_pattern)
       << info.name;
 
-  // Every phase event doubles as a core/ span.
-  auto& tracer = cluster.sim().tracer();
-  EXPECT_EQ(tracer.named("core/").size() -
-                tracer.named("core/ac.").size(),  // sub-phase spans ride extra
-            cluster.sim().trace().phases().size());
+  // Every phase event doubles as a span named for its phase (core/RE ..
+  // core/END); other core/ spans (sub-phases, group commits) ride extra.
+  std::size_t phase_spans = 0;
+  for (const auto phase : {sim::Phase::Request, sim::Phase::ServerCoord, sim::Phase::Execution,
+                           sim::Phase::AgreementCoord, sim::Phase::Response}) {
+    phase_spans +=
+        cluster.sim().tracer().named("core/" + std::string(sim::phase_abbrev(phase))).size();
+  }
+  EXPECT_EQ(phase_spans, cluster.sim().trace().phases().size());
 }
 
 TEST_P(SpanTrees, ExecutionSpansNestInsideCorePhases) {
