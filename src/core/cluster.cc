@@ -7,6 +7,7 @@
 #include "core/passive.hh"
 #include "core/semi_active.hh"
 #include "core/semi_passive.hh"
+#include "gcs/view.hh"
 #include "util/assert.hh"
 
 namespace repli::core {
@@ -141,7 +142,8 @@ Cluster::Cluster(ClusterConfig config)
 
   sim_->start_all();
   if (config_.monitor_interval > 0) {
-    sim_->schedule_after(config_.monitor_interval, [this] { monitor_tick(); });
+    sim_->schedule_after(config_.monitor_interval, [this] { monitor_tick(); },
+                         sim::Simulator::kNoOwner, sim::EventClass::Background);
   }
 }
 
@@ -173,7 +175,8 @@ void Cluster::sample_monitor() {
 
 void Cluster::monitor_tick() {
   sample_monitor();
-  sim_->schedule_after(config_.monitor_interval, [this] { monitor_tick(); });
+  sim_->schedule_after(config_.monitor_interval, [this] { monitor_tick(); },
+                       sim::Simulator::kNoOwner, sim::EventClass::Background);
 }
 
 void Cluster::crash_replica(int i) {
@@ -221,7 +224,28 @@ ClientReply Cluster::run_txn(int client_index, Transaction txn, sim::Time budget
   return *reply;
 }
 
-void Cluster::settle(sim::Time duration) { sim_->run_until(sim_->now() + duration); }
+void Cluster::settle(sim::Time duration) {
+  const sim::Time horizon = sim_->now() + duration;
+  sim_->run_until_quiet(horizon, quiet_window());
+  sim_->metrics().histogram("sim.settle.skipped_us")
+      .observe(static_cast<double>(horizon - sim_->now()));
+}
+
+sim::Time Cluster::quiet_window() const {
+  // A crash becomes foreground work only through this chain: the crashed
+  // node's last heartbeat lands one delivery late, the peer suspects it
+  // after fd.timeout of silence at its next tick (one interval, plus one
+  // more for the heartbeat just missed), and the membership poll acts on
+  // the suspicion within its interval. A heal's trust (next heartbeat plus
+  // one delivery) is strictly shorter. One delivery is bounded by the base
+  // latency, twenty exponential-jitter means and the exploration jitter.
+  const gcs::FdConfig fd;
+  const gcs::ViewGroupConfig view;
+  const sim::Time delivery = config_.net.base_latency +
+                             static_cast<sim::Time>(20 * config_.net.jitter_mean) +
+                             sim_->perturb_max_delay();
+  return fd.timeout + 2 * fd.interval + view.flush_check_interval + delivery;
+}
 
 std::vector<std::uint64_t> Cluster::storage_digests() const {
   std::vector<std::uint64_t> out;

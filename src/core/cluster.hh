@@ -57,9 +57,18 @@ class Cluster {
   ClientReply run_op(int client, db::Operation op, sim::Time budget = 30 * sim::kSec);
   ClientReply run_txn(int client, Transaction txn, sim::Time budget = 30 * sim::kSec);
 
-  /// Runs the simulation for `duration` more simulated time (propagation,
-  /// failover, reconciliation, ...).
+  /// Runs the simulation for up to `duration` more simulated time
+  /// (propagation, failover, reconciliation, ...), returning as soon as the
+  /// run is quiescent: no foreground event pending and none dispatched for
+  /// quiet_window(). The simulated time skipped is recorded in the
+  /// sim.settle.skipped_us histogram.
   void settle(sim::Time duration);
+
+  /// The quiet window settle() waits out: the longest chain by which a
+  /// background event (heartbeat, failure-detector tick, membership poll)
+  /// can still create foreground work. Derived from the failure-detector,
+  /// membership and network configs; never configured.
+  sim::Time quiet_window() const;
 
   /// True when all *live* replicas hold value-identical storage.
   bool converged() const;

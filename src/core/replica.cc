@@ -40,6 +40,10 @@ void ReplicaBase::exec_span(const db::Operation& op, sim::Time start, const std:
 
 void ReplicaBase::reply(sim::NodeId client, const std::string& request_id, bool ok,
                         std::string result) {
+  // A reply often leaves from a continuation of another transaction (an
+  // apply or ack that completes a whole group): send it under its own
+  // request's trace so its critical path reaches the client.
+  TraceResume resume{*this, request_id};
   auto msg = std::make_shared<ClientReply>();
   msg->request_id = request_id;
   msg->ok = ok;

@@ -70,7 +70,7 @@ class ReplicaBase : public gcs::ComponentHost {
   /// db.exec.op_us histogram.
   void exec_span(const db::Operation& op, sim::Time start, const std::string& request);
 
-  /// Sends a ClientReply.
+  /// Sends a ClientReply, inside `request_id`'s own causal trace.
   void reply(sim::NodeId client, const std::string& request_id, bool ok, std::string result);
 
   /// Reply cache for exactly-once semantics: returns true (and re-replies)

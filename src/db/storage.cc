@@ -23,6 +23,7 @@ Storage::Slot& Storage::slot_for(const Key& key) {
   if (!s.present) {
     s.present = true;
     ++live_count_;
+    sorted_valid_ = false;
   }
   return s;
 }
@@ -50,16 +51,18 @@ void Storage::force_put(const Key& key, Value value, std::uint64_t version,
   rec.writer_txn = std::move(writer_txn);
 }
 
-std::vector<util::Interner::Id> Storage::sorted_ids() const {
-  std::vector<util::Interner::Id> ids;
-  ids.reserve(live_count_);
+const std::vector<util::Interner::Id>& Storage::sorted_ids() const {
+  if (sorted_valid_) return sorted_;
+  sorted_.clear();
+  sorted_.reserve(live_count_);
   for (util::Interner::Id id = 0; id < slots_.size(); ++id) {
-    if (slots_[id].present) ids.push_back(id);
+    if (slots_[id].present) sorted_.push_back(id);
   }
-  std::sort(ids.begin(), ids.end(), [this](util::Interner::Id a, util::Interner::Id b) {
+  std::sort(sorted_.begin(), sorted_.end(), [this](util::Interner::Id a, util::Interner::Id b) {
     return key_names_.str(a) < key_names_.str(b);
   });
-  return ids;
+  sorted_valid_ = true;
+  return sorted_;
 }
 
 std::map<Key, Record> Storage::records() const {

@@ -39,7 +39,8 @@ void FailureDetector::tick() {
       for (const auto& fn : on_suspect_) fn(peer);
     }
   }
-  host_.set_timer(config_.interval, [this] { tick(); });
+  // Background: the tick is a liveness event, not work of its own.
+  host_.set_timer(config_.interval, [this] { tick(); }, sim::EventClass::Background);
 }
 
 bool FailureDetector::handle(sim::NodeId from, const wire::MessagePtr& msg) {

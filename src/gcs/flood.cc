@@ -31,10 +31,12 @@ void Flooder::accept(const FloodData& data) {
 }
 
 void Flooder::disseminate(const FloodData& data, sim::NodeId skip) {
+  // One encoding serves every destination of this relay.
+  const std::string blob = wire::to_blob(data);
   for (const auto m : group_.members()) {
     if (m == skip) continue;
     if (m == data.origin) continue;  // the origin has it by construction
-    link_.send_reliable(m, data);
+    link_.send_blob(m, blob);
   }
 }
 

@@ -10,15 +10,19 @@ ReliableLink::ReliableLink(sim::Process& host, std::uint32_t channel, LinkConfig
     : host_(host), channel_(channel), config_(config) {}
 
 void ReliableLink::send_reliable(sim::NodeId to, const wire::Message& msg) {
+  send_blob(to, wire::to_blob(msg));
+}
+
+void ReliableLink::send_blob(sim::NodeId to, std::string payload) {
   obs::ProfScope prof(obs::CostCenter::GcsLink);
   if (config_.batch_max_msgs <= 1) {
-    send_now(to, wire::to_blob(msg));
+    send_now(to, std::move(payload));
     return;
   }
   // Packing: gather payloads per destination for up to batch_window, then
   // ship them as one LinkPack (one seq / ack / retransmission unit).
   PackBuffer& buf = pack_[to];
-  buf.payloads.push_back(wire::to_blob(msg));
+  buf.payloads.push_back(std::move(payload));
   if (static_cast<int>(buf.payloads.size()) >= config_.batch_max_msgs) {
     flush_pack(to);
     return;

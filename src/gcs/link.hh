@@ -94,6 +94,9 @@ class ReliableLink : public Component {
 
   /// Sends `msg` to `to`; retransmits until acknowledged.
   void send_reliable(sim::NodeId to, const wire::Message& msg);
+  /// As send_reliable, for a message already encoded by wire::to_blob —
+  /// a fan-out encodes once for all its destinations.
+  void send_blob(sim::NodeId to, std::string payload);
 
   bool handle(sim::NodeId from, const wire::MessagePtr& msg) override;
 

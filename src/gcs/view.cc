@@ -108,7 +108,10 @@ void ViewGroup::check_membership() {
   // Self-healing flush initiation: whoever is the lowest trusted member of
   // the current view keeps (re)starting the flush while a suspected member
   // remains in the view. This survives coordinator crashes mid-flush.
-  host_.set_timer(config_.flush_check_interval, [this] { check_membership(); });
+  // The poll is a background event: it creates work only when a suspicion
+  // it observes calls for a flush.
+  host_.set_timer(config_.flush_check_interval, [this] { check_membership(); },
+                  sim::EventClass::Background);
 
   bool any_suspected = false;
   sim::NodeId lowest_trusted = sim::kNoNode;

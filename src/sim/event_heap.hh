@@ -26,42 +26,60 @@
 
 namespace repli::sim {
 
+/// An event's class. Background events are the self-re-arming liveness and
+/// observation events (failure-detector ticks and heartbeat deliveries,
+/// membership polls, monitor samples); every other event is foreground.
+/// A run whose pending events are all background is idle: only a chain
+/// through a background event (a suspicion, a trust) can create new work.
+enum class EventClass : std::uint8_t { Foreground, Background };
+
 /// Liveness window over densely increasing event ids: one byte per id
 /// between the oldest live id and the newest issued one. push() must see
 /// strictly increasing ids (the simulator's next_event_id_ counter).
 /// kill() and is_live() are O(1); the window's base advances past dead
-/// prefixes so memory tracks the live id *span*, not run length.
+/// prefixes so memory tracks the live id *span*, not run length. The byte
+/// also records the event's class, so the live foreground count stays exact
+/// through push, dispatch and cancel at no extra cost.
 class IdWindow {
  public:
   using Id = std::uint64_t;
 
-  void push(Id id) {
+  void push(Id id, EventClass cls = EventClass::Foreground) {
     util::ensure(id >= base_ + count_, "IdWindow: ids must increase");
     // Ids can skip forward (never happens today, but harmless): pad dead.
     while (base_ + count_ < id) append(kDead);
-    append(kLive);
+    const bool background = cls == EventClass::Background;
+    append(background ? kLiveBackground : kLiveForeground);
     ++live_;
+    if (!background) ++live_foreground_;
   }
 
   bool is_live(Id id) const {
     if (id < base_ || id >= base_ + count_) return false;
-    return ring_[index(id)] == kLive;
+    return ring_[index(id)] != kDead;
   }
 
-  /// Marks `id` dead (executed or cancelled). Caller checks is_live first.
-  void kill(Id id) {
+  /// Marks `id` dead (executed or cancelled) and returns the class it was
+  /// pushed with. Caller checks is_live first.
+  EventClass kill(Id id) {
     util::ensure(is_live(id), "IdWindow::kill: id not live");
-    ring_[index(id)] = kDead;
+    std::uint8_t& flag = ring_[index(id)];
+    const bool background = flag == kLiveBackground;
+    flag = kDead;
     --live_;
+    if (!background) --live_foreground_;
     advance();
+    return background ? EventClass::Background : EventClass::Foreground;
   }
 
   std::size_t live_count() const { return live_; }
+  std::size_t live_foreground() const { return live_foreground_; }
   std::size_t window_span() const { return count_; }
 
  private:
   static constexpr std::uint8_t kDead = 0;
-  static constexpr std::uint8_t kLive = 1;
+  static constexpr std::uint8_t kLiveForeground = 1;
+  static constexpr std::uint8_t kLiveBackground = 2;
 
   std::size_t index(Id id) const {
     return (head_ + static_cast<std::size_t>(id - base_)) % ring_.size();
@@ -96,6 +114,7 @@ class IdWindow {
   std::size_t count_ = 0;  // flags currently in the window
   Id base_ = 1;            // first id inside the window (event ids start at 1)
   std::size_t live_ = 0;
+  std::size_t live_foreground_ = 0;
 };
 
 /// The heap proper. TEvent must expose `time` and `id` members and be

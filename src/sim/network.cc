@@ -11,6 +11,14 @@
 #include "util/log.hh"
 
 namespace repli::sim {
+namespace {
+
+/// Failure-detector heartbeats are liveness traffic: exempt from frame
+/// coalescing (detection latency and the heartbeat-exclusion accounting
+/// stay exact) and delivered as background events.
+bool is_liveness_traffic(std::string_view type) { return type == "gcs.Heartbeat"; }
+
+}  // namespace
 
 Network::Network(Simulator& sim, NetworkConfig config) : sim_(sim), config_(config) {}
 
@@ -76,11 +84,10 @@ void Network::send(NodeId from, NodeId to, wire::MessagePtr msg) {
   ev.bytes = bytes.size();
 
   // Frame coalescing: buffer eligible cross-link messages per (from, to)
-  // and ship them as one physical frame. Heartbeats are exempt (failure
-  // detection latency; exact heartbeat-exclusion accounting), self-sends
-  // are already free.
-  const bool coalesce =
-      config_.coalesce_window > 0 && cross_link && ev.type != "gcs.Heartbeat";
+  // and ship them as one physical frame. Liveness traffic is exempt (see
+  // is_liveness_traffic), self-sends are already free.
+  const bool liveness = is_liveness_traffic(type);
+  const bool coalesce = config_.coalesce_window > 0 && cross_link && !liveness;
   if (coalesce) {
     // Loss and partitions apply per logical message at send time, exactly
     // like the per-message path (ARQ above retransmits individually).
@@ -189,7 +196,8 @@ void Network::send(NodeId from, NodeId to, wire::MessagePtr msg) {
   // captures must stay within SmallFn's inline buffer or every message
   // costs a heap allocation again.
   static_assert(sizeof(deliver) <= util::SmallFn::kInlineBytes);
-  sim_.schedule_after(delay, std::move(deliver));
+  sim_.schedule_after(delay, std::move(deliver), Simulator::kNoOwner,
+                      liveness ? EventClass::Background : EventClass::Foreground);
 }
 
 void Network::flush_frame(NodeId from, NodeId to) {

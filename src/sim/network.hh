@@ -10,6 +10,9 @@
 // on the wire becomes an obs::Flow on the simulator's tracer (coalesced
 // ones when their frame is flushed), and a message with no flow — a drop or
 // a self-send — becomes an entry in the Trace message log.
+//
+// A heartbeat's delivery is a background event (sim/event_heap.hh): it is
+// liveness traffic, not work, so it never keeps a quiescent run going.
 #pragma once
 
 #include <cstdint>

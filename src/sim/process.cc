@@ -17,11 +17,11 @@ void Process::send(NodeId to, wire::MessagePtr msg) {
   sim_.net().send(id_, to, std::move(msg));
 }
 
-Process::TimerId Process::set_timer(Time delay, util::SmallFn fn) {
+Process::TimerId Process::set_timer(Time delay, util::SmallFn fn, EventClass cls) {
   if (crashed_) return kNoTimer;
   // Owner-guarded: the simulator suppresses the handler if this node has
   // crashed by fire time, so no guard lambda (and no re-erasure) is needed.
-  return sim_.schedule_after(delay, std::move(fn), id_);
+  return sim_.schedule_after(delay, std::move(fn), id_, cls);
 }
 
 void Process::cancel_timer(TimerId id) { sim_.cancel(id); }

@@ -5,6 +5,7 @@
 
 #include <string>
 
+#include "sim/event_heap.hh"
 #include "sim/time.hh"
 #include "util/smallfn.hh"
 #include "wire/message.hh"
@@ -41,7 +42,8 @@ class Process {
   static constexpr TimerId kNoTimer = 0;
 
   /// One-shot timer; silently suppressed if this process crashes first.
-  TimerId set_timer(Time delay, util::SmallFn fn);
+  /// Liveness and observation timers pass EventClass::Background.
+  TimerId set_timer(Time delay, util::SmallFn fn, EventClass cls = EventClass::Foreground);
   void cancel_timer(TimerId id);
 
   /// Models CPU work: `done` runs after `cost` of busy time on this

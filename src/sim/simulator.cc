@@ -1,5 +1,7 @@
 #include "sim/simulator.hh"
 
+#include <algorithm>
+
 #include "obs/profile.hh"
 #include "sim/process.hh"
 #include "util/assert.hh"
@@ -24,17 +26,19 @@ Simulator::Simulator(std::uint64_t seed, NetworkConfig net_config)
 
 Simulator::~Simulator() { obs::TimeSource::instance().remove(time_token_); }
 
-Simulator::EventId Simulator::schedule_at(Time t, util::SmallFn fn, NodeId owner) {
+Simulator::EventId Simulator::schedule_at(Time t, util::SmallFn fn, NodeId owner,
+                                          EventClass cls) {
   util::ensure(t >= now_, "Simulator::schedule_at: scheduling into the past");
   const EventId id = next_event_id_++;
-  live_.push(id);
+  live_.push(id, cls);
   queue_.push(Event{t, id, owner, std::move(fn), obs::current_context()});
   return id;
 }
 
-Simulator::EventId Simulator::schedule_after(Time delay, util::SmallFn fn, NodeId owner) {
+Simulator::EventId Simulator::schedule_after(Time delay, util::SmallFn fn, NodeId owner,
+                                             EventClass cls) {
   util::ensure(delay >= 0, "Simulator::schedule_after: negative delay");
-  return schedule_at(now_ + delay, std::move(fn), owner);
+  return schedule_at(now_ + delay, std::move(fn), owner, cls);
 }
 
 void Simulator::cancel(EventId id) {
@@ -130,7 +134,7 @@ void Simulator::dispatch(Event& ev) {
   constexpr std::uint64_t kFnvPrime = 1099511628211ull;
   schedule_digest_ = (schedule_digest_ ^ static_cast<std::uint64_t>(ev.time)) * kFnvPrime;
   schedule_digest_ = (schedule_digest_ ^ ev.id) * kFnvPrime;
-  live_.kill(ev.id);
+  if (live_.kill(ev.id) == EventClass::Foreground) last_foreground_ = ev.time;
   obs::ProfScope prof(obs::CostCenter::SimDispatch);
   obs::ContextScope scope(ev.ctx);
   // Owner-guarded events (timers, cpu slices) go silent once their node
@@ -182,9 +186,24 @@ void Simulator::crash(NodeId id) {
 bool Simulator::crashed(NodeId id) const { return process(id).crashed(); }
 
 std::size_t Simulator::run_until(Time t_end, std::size_t max_events) {
+  return run_horizon(t_end, std::nullopt, max_events);
+}
+
+std::size_t Simulator::run_until_quiet(Time t_end, Time quiet, std::size_t max_events) {
+  util::ensure(quiet >= 0, "Simulator::run_until_quiet: negative quiet window");
+  return run_horizon(t_end, quiet, max_events);
+}
+
+std::size_t Simulator::run_horizon(Time t_end, std::optional<Time> quiet,
+                                   std::size_t max_events) {
+  const Time opened = now_;
   std::size_t executed = 0;
   Event ev;
   while (!queue_.empty() && queue_.min().time <= t_end) {
+    if (quiet.has_value() && live_.live_foreground() == 0 &&
+        now_ - std::max(opened, last_foreground_) >= *quiet) {
+      return executed;  // quiescent: only background events remain
+    }
     if (!pop_next(ev)) break;
     if (ev.time > t_end) {
       // The live minimum can sit past t_end behind a dead entry that was

@@ -11,10 +11,17 @@
 // entries are reclaimed on pop or compacted in bulk when they outnumber
 // live ones. Pop order is byte-identical to the std::priority_queue this
 // replaced (fuzz-tested).
+//
+// Every event has a class (sim/event_heap.hh): background for the
+// self-re-arming liveness and observation events, foreground for the rest.
+// run_until_quiet() stops once no foreground event is pending and none has
+// dispatched for a quiet window — the idle tail a fixed horizon would
+// otherwise simulate heartbeat by heartbeat.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "obs/context.hh"
@@ -71,9 +78,12 @@ class Simulator {
   /// skipped (but the event still dispatches) when that node has crashed
   /// by fire time — the crash-stop guard for timers and cpu slices,
   /// hoisted here so callers don't wrap `fn` in a guard lambda (a SmallFn
-  /// never fits inside another SmallFn's inline buffer).
-  EventId schedule_at(Time t, util::SmallFn fn, NodeId owner = kNoOwner);
-  EventId schedule_after(Time delay, util::SmallFn fn, NodeId owner = kNoOwner);
+  /// never fits inside another SmallFn's inline buffer). `cls` is the
+  /// event's class; only liveness and observation events pass Background.
+  EventId schedule_at(Time t, util::SmallFn fn, NodeId owner = kNoOwner,
+                      EventClass cls = EventClass::Foreground);
+  EventId schedule_after(Time delay, util::SmallFn fn, NodeId owner = kNoOwner,
+                         EventClass cls = EventClass::Foreground);
 
   /// Cancels a scheduled event. Safe for any id: an already-executed,
   /// already-cancelled, or never-issued id is an O(1) no-op (stale timer
@@ -107,12 +117,22 @@ class Simulator {
   /// (runaway-protocol guard).
   std::size_t run_until(Time t_end, std::size_t max_events = 50'000'000);
 
+  /// Like run_until, but returns early once the run is quiescent: no
+  /// foreground event is pending and none has dispatched for `quiet` — the
+  /// window counting from the later of the last foreground dispatch and
+  /// this call (whatever the caller did just before, such as crashing a
+  /// node or healing a partition, gets a full window to show its effects).
+  /// On an early return the clock stays at the last dispatched event.
+  std::size_t run_until_quiet(Time t_end, Time quiet, std::size_t max_events = 50'000'000);
+
   /// Runs until the event queue is empty.
   std::size_t run(std::size_t max_events = 50'000'000);
 
   /// Live events currently queued — cancelled-but-unreclaimed entries are
   /// excluded, so the `queue.events` gauge reports true queue depth.
   std::size_t pending_events() const { return live_.live_count(); }
+  /// Live foreground events currently queued (exact: cancels count at once).
+  std::size_t pending_foreground() const { return live_.live_foreground(); }
 
   /// Events dispatched so far (the run's logical step counter).
   std::uint64_t events_dispatched() const { return dispatched_; }
@@ -127,6 +147,10 @@ class Simulator {
   /// [0, max_extra_delay]. 0 (and no stream consumption) when perturbation
   /// is off or the jitter bound is 0. Called by Network per delivery.
   Time perturb_extra_delay();
+  /// Upper bound of perturb_extra_delay() (0 when jitter is off).
+  Time perturb_max_delay() const {
+    return perturb_ == nullptr ? 0 : perturb_->config.max_extra_delay;
+  }
 
   /// Tie-break decisions recorded so far (empty unless perturbing with
   /// tie_break; only genuine ties — 2+ ready events — are recorded).
@@ -171,12 +195,16 @@ class Simulator {
   bool pop_next(Event& ev);
   /// The unperturbed part of pop_next: lowest (time, id) live event.
   bool pop_live(Event& ev);
-  /// Checked dispatch shared by run() and run_until(): asserts time never
+  /// Checked dispatch shared by every run loop: asserts time never
   /// rewinds, advances the clock, and runs the handler in its context.
   void dispatch(Event& ev);
+  /// The loop behind run_until and run_until_quiet (no quiet window: run
+  /// to the horizon).
+  std::size_t run_horizon(Time t_end, std::optional<Time> quiet, std::size_t max_events);
   void maybe_compact();
 
   Time now_ = 0;
+  Time last_foreground_ = 0;  // time of the last foreground dispatch
   std::uint64_t dispatched_ = 0;
   std::uint64_t schedule_digest_ = 14695981039346656037ull;  // FNV-1a basis
   std::unique_ptr<Perturb> perturb_;

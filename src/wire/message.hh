@@ -18,6 +18,7 @@
 #include <memory>
 #include <span>
 #include <string_view>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -170,9 +171,15 @@ void to_blob_into(const Message& msg, std::string& out);
 MessagePtr from_blob(std::string_view blob);
 
 /// Convenience downcast; returns nullptr when the runtime type differs.
+/// Every target is a concrete MessageBase type, so comparing the type id
+/// (unique per name: the registry rejects collisions) decides the cast
+/// without RTTI — components probe several casts per delivered message.
 template <typename T>
 std::shared_ptr<const T> message_cast(const MessagePtr& msg) {
-  return std::dynamic_pointer_cast<const T>(msg);
+  static_assert(std::is_base_of_v<MessageBase<T>, T>,
+                "message_cast: the target must be a concrete message type");
+  if (msg == nullptr || msg->type_id() != T::kTypeId) return nullptr;
+  return std::static_pointer_cast<const T>(msg);
 }
 
 }  // namespace repli::wire

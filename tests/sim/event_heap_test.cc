@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <queue>
 #include <vector>
 
@@ -131,6 +132,53 @@ TEST(IdWindow, RejectsNonIncreasingIds) {
   w.push(5);
   EXPECT_THROW(w.push(5), util::InvariantViolation);
   EXPECT_THROW(w.push(3), util::InvariantViolation);
+}
+
+TEST(IdWindow, CountsForegroundThroughPushKillAndCancel) {
+  IdWindow w;
+  w.push(1, EventClass::Foreground);
+  w.push(2, EventClass::Background);
+  w.push(3, EventClass::Foreground);
+  w.push(4, EventClass::Background);
+  EXPECT_EQ(w.live_count(), 4u);
+  EXPECT_EQ(w.live_foreground(), 2u);
+  EXPECT_EQ(w.kill(2), EventClass::Background);  // a cancelled background event
+  EXPECT_EQ(w.live_foreground(), 2u);
+  EXPECT_EQ(w.kill(3), EventClass::Foreground);
+  EXPECT_EQ(w.live_foreground(), 1u);
+  EXPECT_EQ(w.kill(1), EventClass::Foreground);
+  EXPECT_EQ(w.live_foreground(), 0u);
+  EXPECT_EQ(w.live_count(), 1u);  // the background event 4 is still live
+  EXPECT_TRUE(w.is_live(4));
+}
+
+// The foreground count must equal a reference set's under any interleaving
+// of pushes, kills (dispatch or cancel) and window growth.
+TEST(IdWindow, ForegroundCountMatchesReferenceSetUnderFuzz) {
+  util::Rng rng(2024);
+  IdWindow w;
+  std::map<IdWindow::Id, EventClass> live;  // the reference
+  IdWindow::Id next = 1;
+  for (int step = 0; step < 50000; ++step) {
+    if (live.empty() || rng.bernoulli(0.55)) {
+      const auto cls = rng.bernoulli(0.4) ? EventClass::Background : EventClass::Foreground;
+      w.push(next, cls);
+      live.emplace(next, cls);
+      ++next;
+    } else {
+      // Kill a random live id: old ones (like a long timer) as well as fresh.
+      auto it = live.lower_bound(static_cast<IdWindow::Id>(rng.uniform(1, next - 1)));
+      if (it == live.end()) it = live.begin();
+      ASSERT_TRUE(w.is_live(it->first));
+      ASSERT_EQ(w.kill(it->first), it->second);
+      live.erase(it);
+    }
+    ASSERT_EQ(w.live_count(), live.size()) << "step " << step;
+    if (step % 64 != 0) continue;
+    const auto fg = static_cast<std::size_t>(std::count_if(
+        live.begin(), live.end(), [](const auto& e) { return e.second == EventClass::Foreground; }));
+    ASSERT_EQ(w.live_foreground(), fg) << "step " << step;
+  }
 }
 
 // --- Simulator event-lifecycle regressions -------------------------------

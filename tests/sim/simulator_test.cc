@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <vector>
+
 #include "sim/process.hh"
 #include "tests/sim/sim_test_util.hh"
 #include "util/assert.hh"
@@ -72,6 +75,100 @@ TEST(Simulator, RunUntilStopsAtBoundaryAndAdvancesClock) {
   sim.run_until(400);
   EXPECT_EQ(ran, 2);
   EXPECT_EQ(sim.now(), 400);
+}
+
+// --- run_until_quiet ------------------------------------------------------
+
+/// A background ticker re-arming every `period`, like a failure detector.
+struct Ticker {
+  Simulator& sim;
+  Time period;
+  int ticks = 0;
+  void arm() {
+    sim.schedule_after(period, [this] {
+      ++ticks;
+      arm();
+    }, Simulator::kNoOwner, EventClass::Background);
+  }
+};
+
+TEST(Simulator, RunUntilQuietStopsQuietWindowAfterLastForegroundDispatch) {
+  Simulator sim(1);
+  Ticker ticker{sim, 10};
+  ticker.arm();
+  bool fg_ran = false;
+  sim.schedule_at(1'000, [&] { fg_ran = true; });
+  sim.run_until_quiet(1'000'000, 500);
+  EXPECT_TRUE(fg_ran);
+  // Stops at the first background event at or past 1000 + 500, not at the
+  // horizon, and the clock stays there.
+  EXPECT_GE(sim.now(), 1'500);
+  EXPECT_LT(sim.now(), 1'510);
+  EXPECT_EQ(sim.pending_foreground(), 0u);
+  EXPECT_GT(sim.pending_events(), 0u);  // the ticker is still armed
+}
+
+TEST(Simulator, RunUntilQuietKeepsRunningForAFarForegroundTimer) {
+  Simulator sim(1);
+  Ticker ticker{sim, 10};
+  ticker.arm();
+  bool fired = false;
+  sim.schedule_at(200'000, [&] { fired = true; });  // far past any quiet window
+  sim.run_until_quiet(1'000'000, 500);
+  EXPECT_TRUE(fired) << "a pending foreground timer must keep the run going";
+  EXPECT_GE(sim.now(), 200'500);
+  EXPECT_LT(sim.now(), 200'510);
+}
+
+TEST(Simulator, RunUntilQuietCancelledForegroundTimerDoesNotHoldTheRun) {
+  Simulator sim(1);
+  Ticker ticker{sim, 10};
+  ticker.arm();
+  const auto id = sim.schedule_at(200'000, [] {});
+  sim.cancel(id);  // counted out at once, not when its heap entry surfaces
+  EXPECT_EQ(sim.pending_foreground(), 0u);
+  sim.run_until_quiet(1'000'000, 500);
+  EXPECT_LT(sim.now(), 1'000);
+}
+
+TEST(Simulator, RunUntilQuietWindowOpensNoEarlierThanTheCall) {
+  // The caller's own action just before the call (a crash, a heal) gets a
+  // full quiet window even when the last foreground event is long past.
+  Simulator sim(1);
+  Ticker ticker{sim, 10};
+  ticker.arm();
+  sim.schedule_at(100, [] {});
+  sim.run_until(50'000);
+  sim.run_until_quiet(1'000'000, 500);
+  EXPECT_GE(sim.now(), 50'500);
+  EXPECT_LT(sim.now(), 50'510);
+}
+
+TEST(Simulator, RunUntilAfterRunUntilQuietContinuesWithoutRewind) {
+  Simulator sim(1);
+  Ticker ticker{sim, 10};
+  ticker.arm();
+  sim.schedule_at(100, [] {});
+  sim.run_until_quiet(1'000'000, 500);
+  const Time stopped = sim.now();
+  const int ticks_at_stop = ticker.ticks;
+  ASSERT_LT(stopped, 1'000'000);
+  std::vector<Time> seen;
+  sim.schedule_after(20, [&] { seen.push_back(sim.now()); });
+  sim.run_until(stopped + 1'000);
+  EXPECT_EQ(seen, (std::vector<Time>{stopped + 20}));
+  EXPECT_EQ(sim.now(), stopped + 1'000);
+  EXPECT_EQ(ticker.ticks - ticks_at_stop, 100);  // the background ticker resumed in step
+}
+
+TEST(Simulator, RunUntilQuietWithoutQuiescenceBehavesLikeRunUntil) {
+  // A foreground event every 100 us never lets the run go quiet: the call
+  // must run to the horizon and advance the clock to it, like run_until.
+  Simulator sim(1);
+  std::function<void()> loop = [&] { sim.schedule_after(100, loop); };
+  sim.schedule_at(0, loop);
+  sim.run_until_quiet(10'050, 500);
+  EXPECT_EQ(sim.now(), 10'050);
 }
 
 TEST(Simulator, EventBudgetGuardsRunaway) {

@@ -125,6 +125,16 @@ TEST(Message, MessageCastToWrongTypeIsNull) {
   EXPECT_EQ(message_cast<OtherMsg>(back)->v, 5);
 }
 
+TEST(Message, MessageCastOfNullIsNullAndSharesOwnership) {
+  EXPECT_EQ(message_cast<OtherMsg>(MessagePtr{}), nullptr);
+  auto original = std::make_shared<OtherMsg>();
+  original->v = 9;
+  const MessagePtr erased = original;
+  const auto typed = message_cast<OtherMsg>(erased);
+  EXPECT_EQ(typed.get(), original.get());  // the same object, no copy
+  EXPECT_EQ(original.use_count(), 3);
+}
+
 TEST(Message, UnknownTypeIdRejected) {
   Writer w;
   w.put_u32(0xFFFFFFFFu);  // no such registration (with overwhelming odds)

@@ -1,6 +1,8 @@
 #include "tools/explore/cli.hh"
 
 #include <charconv>
+#include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <iostream>
@@ -203,17 +205,25 @@ int cmd_run(const std::map<std::string, std::string>& flags) {
 
   bool any_violation = false;
   bool io_failure = false;
-  std::cout << "| technique | trials | events | faults | violations | artifact |\n"
-            << "|---|---|---|---|---|---|\n";
+  // Sweep throughput (wall seconds, trials/s) goes to stdout only: the
+  // EXPLORE artifact stays a deterministic function of its seeds.
+  std::cout << "| technique | trials | events | faults | violations | wall s | trials/s | artifact |\n"
+            << "|---|---|---|---|---|---|---|---|\n";
   for (const auto kind : kinds) {
     explore::ExploreConfig config = base;
     config.kind = kind;
+    const auto t0 = std::chrono::steady_clock::now();
     const auto result = explore::explore(config);
+    const double wall_s =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
     const auto path = explore::save_explore(result);
     if (path.empty()) io_failure = true;
+    char timing[64];
+    std::snprintf(timing, sizeof timing, "%.2f | %.1f", wall_s,
+                  wall_s > 0 ? config.trials / wall_s : 0.0);
     std::cout << "| " << core::technique_name(kind) << " | " << config.trials << " | "
               << result.events_total << " | " << result.faults_injected_total << " | "
-              << result.violations.size() << " | "
+              << result.violations.size() << " | " << timing << " | "
               << (path.empty() ? "(write failed)" : path) << " |\n";
     for (const auto& v : result.violations) {
       any_violation = true;
