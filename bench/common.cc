@@ -417,12 +417,12 @@ ProbeResult probe_single_update(Cluster& cluster) {
   const auto t0 = cluster.sim().now();
   const auto reply = cluster.run_op(0, core::op_put("item-x", "update"), 60 * sim::kSec);
   ProbeResult probe;
-  const auto requests = cluster.sim().trace().requests();
+  const auto requests = sim::requests(cluster.sim().tracer());
   if (requests.empty()) return probe;
   probe.request_id = requests.front();
   cluster.settle(2 * sim::kSec);  // let lazy AC land in the trace
   probe.measured_pattern =
-      sim::pattern_to_string(cluster.sim().trace().pattern(probe.request_id));
+      sim::pattern_to_string(sim::pattern(cluster.sim().tracer(), probe.request_id));
   if (!cluster.history().ops().empty()) {
     const auto& rec = cluster.history().ops().front();
     probe.latency_us = static_cast<double>(rec.response - rec.invoke);
@@ -435,39 +435,9 @@ ProbeResult probe_single_update(Cluster& cluster) {
 }
 
 void print_timeline(Cluster& cluster, const std::string& request_id, std::ostream& os) {
-  const auto events = cluster.sim().trace().phases_for(request_id);
-  if (events.empty()) {
-    os << "  (no phase events recorded)\n";
-    return;
-  }
-  sim::Time t_min = events.front().start;
-  sim::Time t_max = 0;
-  for (const auto& ev : events) {
-    t_min = std::min(t_min, ev.start);
-    t_max = std::max(t_max, ev.end);
-  }
-  const double span = std::max<double>(1.0, static_cast<double>(t_max - t_min));
-  constexpr int kCols = 60;
-
-  std::map<sim::NodeId, std::string> rows;
-  for (const auto& ev : events) {
-    auto& row = rows.try_emplace(ev.node, std::string(kCols + 1, '.')).first->second;
-    const int a = static_cast<int>(static_cast<double>(ev.start - t_min) / span * kCols);
-    const int b =
-        std::max(a, static_cast<int>(static_cast<double>(ev.end - t_min) / span * kCols));
-    const auto abbrev = sim::phase_abbrev(ev.phase);
-    for (int i = a; i <= b && i <= kCols; ++i) {
-      row[static_cast<std::size_t>(i)] =
-          abbrev[static_cast<std::size_t>((i - a) % static_cast<int>(abbrev.size()))];
-    }
-  }
-  os << "  timeline (" << (t_max - t_min) << "us total, request " << request_id << ")\n";
-  for (const auto& [node, row] : rows) {
-    const auto& name = cluster.sim().process(node).name();
-    os << "    " << std::left << std::setw(18) << name << " |" << row << "|\n";
-  }
-  os << "    legend: RE request  SC server-coordination  EX execution  "
-        "AC agreement-coordination  END response\n";
+  sim::write_timeline(
+      cluster.sim().tracer(), request_id,
+      [&cluster](sim::NodeId node) { return cluster.sim().process(node).name(); }, os);
 }
 
 void print_message_mix(Cluster& cluster, std::ostream& os) {

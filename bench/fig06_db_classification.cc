@@ -23,11 +23,11 @@ bool probe_eager(TechniqueKind kind) {
   core::Cluster cluster(cfg);
   cluster.run_op(0, core::op_put("k", "v"), 60 * sim::kSec);
   cluster.settle(2 * sim::kSec);
-  const auto requests = cluster.sim().trace().requests();
+  const auto requests = sim::requests(cluster.sim().tracer());
   if (requests.empty()) return false;
   sim::Time response_at = -1;
   sim::Time first_ac = -1;
-  for (const auto& ev : cluster.sim().trace().phases_for(requests.front())) {
+  for (const auto& ev : sim::phases_for(cluster.sim().tracer(), requests.front())) {
     if (ev.phase == sim::Phase::Response) response_at = ev.start;
     if (ev.phase == sim::Phase::AgreementCoord && first_ac < 0) first_ac = ev.start;
   }

@@ -57,12 +57,12 @@ inline int figure_multi_op(core::TechniqueKind kind, const std::string& figure,
                               core::op_add("x", 5)};
   const auto reply = cluster.run_txn(0, txn, 60 * sim::kSec);
   cluster.settle(2 * sim::kSec);
-  const auto requests = cluster.sim().trace().requests();
+  const auto requests = sim::requests(cluster.sim().tracer());
   const auto request_id = requests.empty() ? std::string{} : requests.front();
-  const auto pattern = sim::pattern_to_string(cluster.sim().trace().pattern(request_id));
+  const auto pattern = sim::pattern_to_string(sim::pattern(cluster.sim().tracer(), request_id));
 
   // The per-op loop: count how often each phase occurs on the serving replica.
-  const auto events = cluster.sim().trace().phases_for(request_id);
+  const auto events = sim::phases_for(cluster.sim().tracer(), request_id);
   sim::NodeId server = sim::kNoNode;
   std::map<sim::Phase, std::size_t> at_server;
   for (const auto& ev : events) {

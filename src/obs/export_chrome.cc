@@ -1,9 +1,13 @@
 #include "obs/export_chrome.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <fstream>
+#include <limits>
+#include <map>
 #include <set>
 
+#include "obs/context.hh"
 #include "obs/json.hh"
 #include "util/log.hh"
 
@@ -26,6 +30,31 @@ void write_args(JsonWriter& w, const Span& span) {
   if (span.trace != 0) w.field("trace", static_cast<std::int64_t>(span.trace));
   for (const auto& [key, value] : span.attrs) w.field(key, value);
   w.end_object();
+}
+
+/// Largest integer a JSON number (a double) holds exactly.
+constexpr std::int64_t kMaxExact = std::int64_t{1} << 53;
+constexpr std::int64_t kMinNode = std::numeric_limits<NodeId>::min();
+constexpr std::int64_t kMaxNode = std::numeric_limits<NodeId>::max();
+
+/// Reads integer member `key` of `obj` (nullptr: no such object) into `out`.
+/// False when the member is not an integer in [lo, hi], or is absent and
+/// `required`; an absent optional member leaves `out` untouched.
+bool read_int(const JsonValue* obj, std::string_view key, std::int64_t lo, std::int64_t hi,
+              bool required, std::int64_t& out) {
+  const JsonValue* v = obj != nullptr ? obj->find(key) : nullptr;
+  if (v == nullptr) return !required;
+  if (!v->is(JsonValue::Type::Number)) return false;
+  const double x = v->number;
+  if (!(x >= static_cast<double>(lo) && x <= static_cast<double>(hi)) || std::floor(x) != x) {
+    return false;
+  }
+  out = static_cast<std::int64_t>(x);
+  return true;
+}
+
+std::string string_of(const JsonValue* v) {
+  return v != nullptr && v->is(JsonValue::Type::String) ? v->str : "";
 }
 
 }  // namespace
@@ -120,6 +149,79 @@ bool write_chrome_trace_file(const Tracer& tracer, const std::string& path) {
   write_chrome_trace(tracer, os);
   os << '\n';
   return os.good();
+}
+
+std::optional<ChromeTrace> read_chrome_trace(std::string_view text) {
+  const auto doc = json_parse(text);
+  if (!doc.has_value()) return std::nullopt;
+  const JsonValue* events = doc->find("traceEvents");
+  if (events == nullptr || !events->is(JsonValue::Type::Array)) return std::nullopt;
+  std::optional<ChromeTrace> out(std::in_place);
+  std::map<std::int64_t, Flow> pending;  // flow starts awaiting their finish
+  for (const JsonValue& ev : events->array) {
+    if (!ev.is(JsonValue::Type::Object)) return std::nullopt;
+    const std::string ph = string_of(ev.find("ph"));
+    if (ph != "X" && ph != "i" && ph != "s" && ph != "f") continue;  // "M" metadata &c.
+    const JsonValue* args = ev.find("args");
+    std::int64_t node = 0;
+    std::int64_t ts = 0;
+    std::int64_t trace = 0;
+    if (!read_int(&ev, "tid", kMinNode, kMaxNode, true, node) ||
+        !read_int(&ev, "ts", 0, kMaxExact, true, ts) ||
+        !read_int(args, "trace", 0, kMaxExact, false, trace)) {
+      return std::nullopt;
+    }
+    std::string name = string_of(ev.find("name"));
+
+    if (ph == "X" || ph == "i") {
+      std::int64_t dur = 0;
+      if (ph == "X" && !read_int(&ev, "dur", 0, kMaxExact, true, dur)) return std::nullopt;
+      std::string request;
+      Attrs attrs;
+      if (args != nullptr) {
+        for (const auto& [key, value] : args->object) {
+          if (key == "request") {
+            request = string_of(&value);
+          } else if (key != "trace" && value.is(JsonValue::Type::String)) {
+            attrs.emplace_back(key, value.str);
+          }
+        }
+      }
+      const ContextScope scope(TraceContext{.trace_id = static_cast<std::uint64_t>(trace)});
+      if (ph == "X") {
+        out->tracer.record(static_cast<NodeId>(node), std::move(name), ts, ts + dur,
+                           std::move(request), std::move(attrs));
+      } else {
+        out->tracer.instant(static_cast<NodeId>(node), std::move(name), ts, std::move(request),
+                            std::move(attrs));
+      }
+      continue;
+    }
+
+    std::int64_t id = 0;
+    std::int64_t lamport = 0;
+    if (!read_int(&ev, "id", 0, kMaxExact, true, id) ||
+        !read_int(args, "lamport", 0, kMaxExact, false, lamport)) {
+      return std::nullopt;
+    }
+    if (ph == "s") {
+      pending[id] = Flow{.trace = static_cast<std::uint64_t>(trace),
+                         .from = static_cast<NodeId>(node),
+                         .sent = ts,
+                         .lamport_send = lamport,
+                         .type = *out->names.insert(std::move(name)).first};
+      continue;
+    }
+    const auto it = pending.find(id);
+    if (it == pending.end()) continue;  // finish without start: drop
+    Flow flow = it->second;
+    pending.erase(it);
+    flow.to = static_cast<NodeId>(node);
+    flow.recv = ts;
+    flow.lamport_recv = lamport;
+    out->tracer.flow(flow);
+  }
+  return out;
 }
 
 }  // namespace repli::obs

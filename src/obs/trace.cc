@@ -32,19 +32,22 @@ void Tracer::unregister_open(NodeId node, SpanId id) {
   util::fail("Tracer: closing a span that is not open");
 }
 
-SpanId Tracer::begin(NodeId node, std::string name, Time start, std::string request) {
-  Span span;
+SpanId Tracer::push(Span span) {
   span.id = static_cast<SpanId>(spans_.size() + 1);
-  span.node = node;
   span.trace = current_context().trace_id;
-  span.name = std::move(name);
-  span.request = std::move(request);
-  span.start = start;
-  span.end = start;
-  span.open = true;
-  latest_ = std::max(latest_, start);
+  latest_ = std::max(latest_, span.end);  // end >= start
   resolved_ = false;
-  const SpanId id = spans_.emplace_back(std::move(span)).id;
+  return spans_.emplace_back(std::move(span)).id;
+}
+
+SpanId Tracer::begin(NodeId node, std::string name, Time start, std::string request) {
+  const SpanId id = push(Span{.node = node,
+                              .name = std::move(name),
+                              .request = std::move(request),
+                              .start = start,
+                              .end = start,
+                              .open = true,
+                              .attrs = {}});
   open_stack(node).push_back(id);
   return id;
 }
@@ -62,27 +65,27 @@ void Tracer::end(SpanId id, Time end_time) {
 SpanId Tracer::record(NodeId node, std::string name, Time start, Time end, std::string request,
                       Attrs attrs) {
   util::ensure(end >= start, "Tracer::record: end before start");
-  const SpanId id = begin(node, std::move(name), start, std::move(request));
-  Span& span = span_at(id);
-  span.end = end;
-  span.open = false;
-  span.attrs = std::move(attrs);
-  latest_ = std::max(latest_, end);
-  open_stack(node).pop_back();  // begin() just pushed this id
-  return id;
+  return push(Span{.node = node,
+                   .name = std::move(name),
+                   .request = std::move(request),
+                   .start = start,
+                   .end = end,
+                   .attrs = std::move(attrs)});
 }
 
 SpanId Tracer::instant(NodeId node, std::string name, Time at, std::string request, Attrs attrs) {
-  const SpanId id = record(node, std::move(name), at, at, std::move(request), std::move(attrs));
-  span_at(id).kind = SpanKind::Instant;
-  return id;
+  return push(Span{.node = node,
+                   .name = std::move(name),
+                   .request = std::move(request),
+                   .start = at,
+                   .end = at,
+                   .kind = SpanKind::Instant,
+                   .attrs = std::move(attrs)});
 }
 
 void Tracer::attr(SpanId id, std::string key, std::string value) {
   span_at(id).attrs.emplace_back(std::move(key), std::move(value));
 }
-
-void Tracer::set_parent(SpanId id, SpanId parent) { span_at(id).explicit_parent = parent; }
 
 std::uint64_t Tracer::flow(Flow f) {
   f.id = static_cast<std::uint64_t>(flows_.size() + 1);
@@ -149,13 +152,6 @@ void Tracer::resolve() const {
       stack.push_back(span);
     }
   }
-
-  // Explicit parents override containment.
-  for (const auto& span : spans_) {
-    if (span.explicit_parent != kNoSpan) {
-      parents_[static_cast<std::size_t>(span.id - 1)] = span.explicit_parent;
-    }
-  }
   resolved_ = true;
 }
 
@@ -183,9 +179,8 @@ std::vector<SpanId> Tracer::children_of(SpanId id) const {
 bool Tracer::has_ancestor_named(SpanId id, std::string_view name_prefix) const {
   resolve();
   SpanId cur = parent_of(id);
-  // Parent chains are acyclic by construction (containment is a partial
-  // order; explicit parents could form a cycle, so bound the walk).
-  for (std::size_t hops = 0; cur != kNoSpan && hops <= spans_.size(); ++hops) {
+  // Parent chains are acyclic: containment is a partial order.
+  while (cur != kNoSpan) {
     const Span* span = find(cur);
     if (span->name.compare(0, name_prefix.size(), name_prefix) == 0) return true;
     cur = parents_[static_cast<std::size_t>(cur - 1)];

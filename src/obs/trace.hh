@@ -14,7 +14,8 @@
 // spans were recorded in. Ties (identical intervals, common when no
 // simulated time passes inside one event handler) resolve to the
 // earlier-recorded span as the parent, so record the semantic parent first.
-// An explicitly set parent overrides containment.
+// Containment is the only parent rule, so a trace read back from its
+// export (obs::read_chrome_trace) resolves to exactly the same tree.
 #pragma once
 
 #include <cstdint>
@@ -38,7 +39,6 @@ enum class SpanKind { Interval, Instant };
 
 struct Span {
   SpanId id = kNoSpan;
-  SpanId explicit_parent = kNoSpan;  // kNoSpan: resolve by containment
   NodeId node = -1;
   std::uint64_t trace = 0;  // causal trace id (0: outside any trace)
   std::string name;     // layered, e.g. "core/EX", "gcs/consensus.round"
@@ -71,7 +71,8 @@ struct Flow {
 };
 
 /// Append-only record stores: ids index them (record i has id i + 1), and
-/// a record's address is stable for the tracer's lifetime (until clear()).
+/// a record's address is stable for the tracer's lifetime (until clear()),
+/// moves included.
 using SpanStore = util::ChunkedStore<Span>;
 using FlowStore = util::ChunkedStore<Flow>;
 
@@ -91,7 +92,6 @@ class Tracer {
                  Attrs attrs = {});
 
   void attr(SpanId id, std::string key, std::string value);
-  void set_parent(SpanId id, SpanId parent);
 
   /// Allocates a fresh causal trace id (1, 2, ...). Spans recorded while a
   /// context carrying the id is current are stamped with it.
@@ -128,6 +128,8 @@ class Tracer {
 
  private:
   Span& span_at(SpanId id);
+  /// Appends `span` with the next id and the current context's trace id.
+  SpanId push(Span span);
   void resolve() const;
   std::vector<SpanId>& open_stack(NodeId node);
   void unregister_open(NodeId node, SpanId id);

@@ -104,7 +104,7 @@ void Network::send(NodeId from, NodeId to, wire::MessagePtr msg) {
     FrameEntry entry;
     entry.wctx = wctx;
     entry.src_span = src_span;
-    entry.msg = config_.serialize ? wire::decode_framed(bytes).msg : msg;
+    entry.msg = wire::decode_framed(bytes).msg;
     entry.type = ev.type;
     entry.bytes = bytes.size();
     entry.enqueued = sim_.now();
@@ -136,20 +136,10 @@ void Network::send(NodeId from, NodeId to, wire::MessagePtr msg) {
     return;
   }
 
-  Time delay = delivery_delay(from, to, bytes.size());
-  if (config_.fifo_links && cross_link) {
-    const auto key = std::make_pair(from, to);
-    Time& last = last_delivery_[key];
-    const Time at = std::max(sim_.now() + delay, last + 1);
-    delay = at - sim_.now();
-    last = at;
-  }
+  const Time delay = delivery_delay(from, to, bytes.size());
 
   // Deliver a decoded copy so receivers can never alias sender state.
-  wire::MessagePtr delivered = msg;
-  if (config_.serialize) {
-    delivered = wire::decode_framed(bytes).msg;
-  }
+  wire::MessagePtr delivered = wire::decode_framed(bytes).msg;
 
   ev.delivered = sim_.now() + delay;
 
@@ -217,14 +207,7 @@ void Network::flush_frame(NodeId from, NodeId to) {
   sim_.metrics().incr("net.coalesce.frames");
   sim_.metrics().incr("net.coalesce.msgs", static_cast<std::int64_t>(entries.size()));
 
-  Time delay = delivery_delay(from, to, frame_bytes);
-  if (config_.fifo_links) {
-    const auto key = std::make_pair(from, to);
-    Time& last = last_delivery_[key];
-    const Time at = std::max(sim_.now() + delay, last + 1);
-    delay = at - sim_.now();
-    last = at;
-  }
+  const Time delay = delivery_delay(from, to, frame_bytes);
   const Time arrival = sim_.now() + delay;
 
   for (FrameEntry& e : entries) {

@@ -1,8 +1,9 @@
 // Simulated point-to-point network.
 //
 // Latency = base + Exp(jitter_mean) + bytes/bandwidth; messages can be
-// dropped randomly or by a partition predicate; link FIFO-ness is
-// configurable (off by default: the asynchronous model of the paper).
+// dropped randomly or by a partition predicate; links do not preserve send
+// order (the asynchronous model of the paper; gcs::FifoChannel restores it
+// where a protocol needs it).
 // Every send really encodes the message to bytes and every delivery decodes
 // a fresh object through the wire registry.
 //
@@ -36,8 +37,6 @@ struct NetworkConfig {
   Time jitter_mean = 50 * kUsec;     // mean of exponential jitter
   double bytes_per_usec = 100.0;     // bandwidth (transmission delay = size/bw)
   double drop_probability = 0.0;     // iid per message
-  bool fifo_links = false;           // enforce per-(from,to) ordering
-  bool serialize = true;             // encode/decode through the wire layer
   /// Frame coalescing: with coalesce_window > 0, cross-link messages to the
   /// same destination are gathered for up to the window (or until
   /// coalesce_max_msgs) and shipped as ONE physical frame — messages_sent()
@@ -91,7 +90,7 @@ class Network {
   struct FrameEntry {
     wire::WireContext wctx;
     std::uint64_t src_span = 0;
-    wire::MessagePtr msg;  // decoded copy (or the original when !serialize)
+    wire::MessagePtr msg;  // decoded copy
     std::string_view type;
     std::size_t bytes = 0;
     Time enqueued = 0;
@@ -110,7 +109,6 @@ class Network {
   Simulator& sim_;
   NetworkConfig config_;
   std::function<bool(NodeId, NodeId)> blocked_;
-  std::map<std::pair<NodeId, NodeId>, Time> last_delivery_;  // for fifo_links
   std::map<std::pair<NodeId, NodeId>, FrameBuffer> frames_;  // coalescing buffers
   std::map<std::pair<NodeId, NodeId>, std::int64_t> inflight_;  // scheduled, undelivered
   std::int64_t inflight_total_ = 0;

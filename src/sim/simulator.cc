@@ -19,7 +19,6 @@ constexpr std::size_t kCompactFloor = 64;
 
 Simulator::Simulator(std::uint64_t seed, NetworkConfig net_config)
     : rng_(seed), net_(*this, net_config) {
-  trace_.bind_spans(&tracer_);
   obs::install_log_time_prefix();
   time_token_ = obs::TimeSource::instance().push([this] { return now_; });
 }

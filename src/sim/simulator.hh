@@ -216,7 +216,7 @@ class Simulator {
   util::Rng rng_;
   obs::Registry metrics_;
   obs::Tracer tracer_;
-  Trace trace_;
+  Trace trace_{tracer_};
   Network net_;
   obs::LamportClocks lamports_;
   obs::TimeSource::Token time_token_ = obs::TimeSource::kNoToken;

@@ -1,20 +1,19 @@
-// Run traces: the functional-model phase timeline (the paper's RE/SC/EX/AC/
-// END phases, Fig. 1) plus a log of the messages that have no flow (drops
-// and self-sends; every other message is recorded once, as a flow on the
-// tracer). Figure benches render these directly; Fig. 15/16 are derived
-// from `pattern()`.
+// Run traces: the functional-model phases of the paper (RE/SC/EX/AC/END,
+// Fig. 1) and a log of the messages that have no flow (drops and
+// self-sends; every other message is recorded once, as a flow on the
+// tracer).
 //
-// The span tracer is the single source of truth for phase events: `phase()`
-// records a "core/<abbrev>" span (on the bound tracer — the Simulator binds
-// its own — or an owned fallback for standalone use) and `phases()` &c. are
-// derived from those spans, so the phase timeline and the lower-layer spans
-// (gcs/, db/) can never disagree.
+// The span tracer is the single source of truth for phase events:
+// `Trace::phase()` records a "core/<abbrev>" span, and the free functions
+// below (`phases`, `pattern`, `write_timeline`, ...) derive everything from
+// those spans. They take any obs::Tracer, so a live run and a trace read
+// back from its Chrome export (obs::read_chrome_trace) go through the same
+// code. Fig. 15/16 are derived from `pattern()`.
 #pragma once
 
 #include <functional>
-#include <map>
-#include <memory>
 #include <optional>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -55,11 +54,11 @@ struct MessageEvent {
   bool dropped = false;
 };
 
+/// Phase recording, the phase hook, and the drop/self-send message log.
 class Trace {
  public:
-  /// Phase spans land on `tracer` (nullptr unbinds; an owned fallback
-  /// tracer is then used). Not owned.
-  void bind_spans(obs::Tracer* tracer) { tracer_ = tracer; }
+  /// Phase spans land on `tracer`, which must outlive this Trace.
+  explicit Trace(obs::Tracer& tracer) : tracer_(tracer) {}
 
   /// Observer called on every recorded phase span — the protocol-phase
   /// boundary stream the exploration driver injects faults at. The hook
@@ -76,37 +75,35 @@ class Trace {
   obs::SpanId phase(std::string request, NodeId node, Phase phase, Time start, Time end);
   void message(const MessageEvent& ev);
 
-  /// Phase events, derived from the tracer's core/RE..core/END spans in
-  /// recording order.
-  std::vector<PhaseEvent> phases() const;
   /// Dropped messages and self-sends, in send order. Delivered cross-node
   /// messages are not here: read them from the tracer's flows.
   const std::vector<MessageEvent>& messages() const { return messages_; }
 
-  /// Phase events of one request, ordered by (start, node).
-  std::vector<PhaseEvent> phases_for(const std::string& request) const;
-
-  /// Canonical phase pattern of a request: phases ordered by first start
-  /// time, consecutive duplicates merged — e.g. {RE, SC, EX, END} for
-  /// active replication. This is what Figures 15 and 16 tabulate.
-  std::vector<Phase> pattern(const std::string& request) const;
-
-  /// All distinct request ids seen, in first-appearance order.
-  std::vector<std::string> requests() const;
-
-  /// Clears the message log and, when using the owned fallback tracer, its
-  /// spans. Spans on a bound tracer belong to its owner and are kept.
-  void clear();
-
  private:
-  obs::Tracer& sink();
-  const obs::Tracer* source() const;
-
+  obs::Tracer& tracer_;
   std::vector<MessageEvent> messages_;
   PhaseHook phase_hook_;
-  obs::Tracer* tracer_ = nullptr;
-  std::unique_ptr<obs::Tracer> own_;  // standalone Trace (no bound tracer)
 };
+
+/// Phase events, derived from the tracer's core/RE..core/END spans in
+/// recording order.
+std::vector<PhaseEvent> phases(const obs::Tracer& tracer);
+
+/// Phase events of one request, ordered by (start, node).
+std::vector<PhaseEvent> phases_for(const obs::Tracer& tracer, const std::string& request);
+
+/// Canonical phase pattern of a request: phases ordered by first start
+/// time, consecutive duplicates merged — e.g. {RE, SC, EX, END} for
+/// active replication. This is what Figures 15 and 16 tabulate.
+std::vector<Phase> pattern(const obs::Tracer& tracer, const std::string& request);
+
+/// All distinct request ids of phase spans, in first-appearance order.
+std::vector<std::string> requests(const obs::Tracer& tracer);
+
+/// ASCII phase diagram of one request (paper-figure style): one row per
+/// node, labelled by `node_label`, phases scaled onto 60 columns.
+void write_timeline(const obs::Tracer& tracer, const std::string& request,
+                    const std::function<std::string(NodeId)>& node_label, std::ostream& os);
 
 /// Maps a paper abbreviation back to the phase (nullopt for other strings).
 std::optional<Phase> phase_from_abbrev(std::string_view abbrev);

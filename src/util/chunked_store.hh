@@ -8,8 +8,10 @@
 // capacity unused afterwards). An empty store owns no memory at all.
 //
 // Indexing is a block-table load plus an offset; iteration walks block by
-// block. The tracer keeps its spans and flows here: both are append-only
-// for the life of a run and reach millions of records on long ones.
+// block. Moving a store hands its blocks over, so element addresses survive
+// the move too. The tracer keeps its spans and flows here: both are
+// append-only for the life of a run and reach millions of records on long
+// ones.
 #pragma once
 
 #include <cstddef>
@@ -67,6 +69,16 @@ class ChunkedStore {
   ChunkedStore() = default;
   ChunkedStore(const ChunkedStore&) = delete;
   ChunkedStore& operator=(const ChunkedStore&) = delete;
+  ChunkedStore(ChunkedStore&& o) noexcept
+      : blocks_(std::exchange(o.blocks_, {})), size_(std::exchange(o.size_, 0)) {}
+  ChunkedStore& operator=(ChunkedStore&& o) noexcept {
+    if (this != &o) {
+      clear();
+      blocks_ = std::exchange(o.blocks_, {});
+      size_ = std::exchange(o.size_, 0);
+    }
+    return *this;
+  }
   ~ChunkedStore() { clear(); }
 
   std::size_t size() const { return size_; }

@@ -19,9 +19,9 @@ TEST_P(PhasePatterns, ObservedPatternMatchesPaper) {
   // Let post-reply coordination (lazy AC) land in the trace.
   cluster.settle(2 * sim::kSec);
 
-  const auto requests = cluster.sim().trace().requests();
+  const auto requests = sim::requests(cluster.sim().tracer());
   ASSERT_FALSE(requests.empty());
-  const auto pattern = cluster.sim().trace().pattern(requests.front());
+  const auto pattern = sim::pattern(cluster.sim().tracer(), requests.front());
   EXPECT_EQ(sim::pattern_to_string(pattern), info.paper_pattern)
       << info.name << " diverges from the paper's " << info.figure;
 }
@@ -32,8 +32,8 @@ TEST_P(PhasePatterns, EagerMeansAgreementBeforeResponse) {
   cluster.run_op(0, op_put("k", "v"));
   cluster.settle(2 * sim::kSec);
 
-  const auto requests = cluster.sim().trace().requests();
-  const auto events = cluster.sim().trace().phases_for(requests.front());
+  const auto requests = sim::requests(cluster.sim().tracer());
+  const auto events = sim::phases_for(cluster.sim().tracer(), requests.front());
   sim::Time response_at = -1;
   sim::Time first_ac = -1;
   for (const auto& ev : events) {
@@ -60,8 +60,8 @@ TEST(PhasePatterns, StrongTechniquesCoordinateBeforeResponding) {
     Cluster cluster(testing::quiet_config(kind));
     const auto reply = cluster.run_op(0, op_put("k", "v"));
     ASSERT_TRUE(reply.ok) << technique_name(kind);
-    const auto requests = cluster.sim().trace().requests();
-    const auto pattern = cluster.sim().trace().pattern(requests.front());
+    const auto requests = sim::requests(cluster.sim().tracer());
+    const auto pattern = sim::pattern(cluster.sim().tracer(), requests.front());
     bool coord_before_end = false;
     for (const auto p : pattern) {
       if (p == sim::Phase::Response) break;

@@ -10,6 +10,7 @@
 
 #include "core/cluster.hh"
 #include "obs/export_chrome.hh"
+#include "sim/trace.hh"
 #include "tests/core/core_test_util.hh"
 #include "tools/report/report.hh"
 
@@ -30,14 +31,14 @@ TEST(CausalTrace, OneRequestIsOneConnectedTraceAcrossNodes) {
   cluster.settle(2 * sim::kSec);
 
   const auto trace = exported_trace(cluster, "active-1");
-  const auto requests = tools::trace_requests(trace);
+  const auto requests = sim::requests(trace.tracer);
   ASSERT_FALSE(requests.empty());
   const auto& request = requests.front();
 
   // Every phase span of the request carries one non-zero trace id.
   std::uint64_t trace_id = 0;
-  std::set<std::int64_t> phase_nodes;
-  for (const auto& span : trace.spans) {
+  std::set<obs::NodeId> phase_nodes;
+  for (const auto& span : trace.tracer.spans()) {
     if (span.request != request || span.name.rfind("core/", 0) != 0) continue;
     ASSERT_NE(span.trace, 0u) << span.name << " on node " << span.node
                               << " lost the causal context";
@@ -52,9 +53,9 @@ TEST(CausalTrace, OneRequestIsOneConnectedTraceAcrossNodes) {
 
   // Flow events carry the same trace id across >= 3 nodes, with Lamport
   // send-before-receive order preserved by the exporter round-trip.
-  std::set<std::int64_t> flow_nodes;
+  std::set<obs::NodeId> flow_nodes;
   std::size_t tagged_flows = 0;
-  for (const auto& flow : trace.flows) {
+  for (const auto& flow : trace.tracer.flows()) {
     if (flow.trace != trace_id) continue;
     ++tagged_flows;
     flow_nodes.insert(flow.from);
@@ -77,9 +78,9 @@ TEST(CausalTrace, ConcurrentRequestsStayInDistinctTraces) {
 
   const auto trace = exported_trace(cluster, "active-1");
   std::set<std::uint64_t> ids;
-  for (const auto& request : tools::trace_requests(trace)) {
+  for (const auto& request : sim::requests(trace.tracer)) {
     std::uint64_t trace_id = 0;
-    for (const auto& span : trace.spans) {
+    for (const auto& span : trace.tracer.spans()) {
       if (span.request == request && span.trace != 0) trace_id = span.trace;
     }
     EXPECT_NE(trace_id, 0u) << request;
@@ -93,13 +94,14 @@ TEST(CausalTrace, ReportReproducesFig2ActivePattern) {
   ASSERT_TRUE(cluster.run_op(0, op_put("item-x", "update")).ok);
   cluster.settle(2 * sim::kSec);
 
-  const auto trace = exported_trace(cluster, "active-1");
-  const auto requests = tools::trace_requests(trace);
+  auto trace = exported_trace(cluster, "active-1");
+  const auto requests = sim::requests(trace.tracer);
   ASSERT_FALSE(requests.empty());
-  EXPECT_EQ(tools::trace_pattern(trace, requests.front()), "RE SC EX END");
+  EXPECT_EQ(sim::pattern_to_string(sim::pattern(trace.tracer, requests.front())),
+            "RE SC EX END");
 
   tools::ReportInputs inputs;
-  inputs.traces.push_back(trace);
+  inputs.traces.push_back(std::move(trace));
   std::ostringstream report;
   tools::write_report(inputs, report);
   EXPECT_NE(report.str().find("measured pattern `RE SC EX END`"), std::string::npos);
@@ -111,13 +113,14 @@ TEST(CausalTrace, ReportReproducesFig7EagerPrimaryPattern) {
   ASSERT_TRUE(cluster.run_op(0, op_put("item-x", "update")).ok);
   cluster.settle(2 * sim::kSec);
 
-  const auto trace = exported_trace(cluster, "eager-primary-copy-1");
-  const auto requests = tools::trace_requests(trace);
+  auto trace = exported_trace(cluster, "eager-primary-copy-1");
+  const auto requests = sim::requests(trace.tracer);
   ASSERT_FALSE(requests.empty());
-  EXPECT_EQ(tools::trace_pattern(trace, requests.front()), "RE EX AC END");
+  EXPECT_EQ(sim::pattern_to_string(sim::pattern(trace.tracer, requests.front())),
+            "RE EX AC END");
 
   tools::ReportInputs inputs;
-  inputs.traces.push_back(trace);
+  inputs.traces.push_back(std::move(trace));
   std::ostringstream report;
   tools::write_report(inputs, report);
   EXPECT_NE(report.str().find("measured pattern `RE EX AC END`"), std::string::npos);

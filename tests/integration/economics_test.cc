@@ -93,7 +93,7 @@ TEST(Economics, ActiveReplicationBurnsCpuEverywhere) {
     // apply cost apply; we use commits as a proxy: every replica that
     // recorded a commit did work).
     double exec_spans = 0;
-    for (const auto& ev : cluster.sim().trace().phases()) {
+    for (const auto& ev : sim::phases(cluster.sim().tracer())) {
       if (ev.phase == sim::Phase::Execution) exec_spans += 1;
     }
     return exec_spans;

@@ -58,7 +58,7 @@ TEST_P(FlowIntegrity, EverySendHasAMatchingReceive) {
   obs::write_chrome_trace(cluster.sim().tracer(), os);
   const auto parsed = tools::parse_chrome_trace(os.str(), "flow-integrity");
   ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(parsed->flows.size(), flows.size());
+  EXPECT_EQ(parsed->tracer.flows().size(), flows.size());
 }
 
 INSTANTIATE_TEST_SUITE_P(AllTechniques, FlowIntegrity,

@@ -1,5 +1,5 @@
 // The observability layer end to end: a workload's span tree must (a) keep
-// reproducing the paper's Fig 16 phase patterns through Trace::pattern(),
+// reproducing the paper's Fig 16 phase patterns through sim::pattern(),
 // (b) nest lower-layer spans (gcs/, db/) inside the core/ phases that pay
 // for them — at least three layers deep for the consensus- and WAL-backed
 // techniques — and (c) export as Chrome trace JSON that parses and carries
@@ -28,9 +28,9 @@ TEST_P(SpanTrees, PhasePatternStillMatchesPaper) {
   ASSERT_TRUE(reply.ok) << reply.result;
   cluster.settle(2 * sim::kSec);
 
-  const auto requests = cluster.sim().trace().requests();
+  const auto requests = sim::requests(cluster.sim().tracer());
   ASSERT_FALSE(requests.empty());
-  EXPECT_EQ(sim::pattern_to_string(cluster.sim().trace().pattern(requests.front())),
+  EXPECT_EQ(sim::pattern_to_string(sim::pattern(cluster.sim().tracer(), requests.front())),
             info.paper_pattern)
       << info.name;
 
@@ -42,7 +42,7 @@ TEST_P(SpanTrees, PhasePatternStillMatchesPaper) {
     phase_spans +=
         cluster.sim().tracer().named("core/" + std::string(sim::phase_abbrev(phase))).size();
   }
-  EXPECT_EQ(phase_spans, cluster.sim().trace().phases().size());
+  EXPECT_EQ(phase_spans, sim::phases(cluster.sim().tracer()).size());
 }
 
 TEST_P(SpanTrees, ExecutionSpansNestInsideCorePhases) {

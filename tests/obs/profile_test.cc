@@ -142,6 +142,20 @@ TEST(WriteFolded, InstantsAndZeroSelfStacksAreDropped) {
   EXPECT_EQ(os.str(), "node1;covered;filler 50\n");
 }
 
+TEST(WriteFolded, SiblingsDoNotNest) {
+  // Two back-to-back spans on one node: [0,10) and [10,20). The second
+  // starts exactly when the first ends; containment (pop enclosers ending
+  // *before* my end) keeps them siblings.
+  Tracer tracer;
+  tracer.record(0, "a", 0, 10);
+  tracer.record(0, "b", 10, 20);
+  std::ostringstream os;
+  write_folded(tracer, os);
+  EXPECT_EQ(os.str(),
+            "node0;a 10\n"
+            "node0;b 10\n");
+}
+
 TEST(WriteFolded, NodesGetSeparateStackRoots) {
   Tracer tracer;
   tracer.record(0, "work", 0, 10);

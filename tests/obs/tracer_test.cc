@@ -63,16 +63,6 @@ TEST(Tracer, ZeroWidthSpanAtIntervalEndNests) {
   EXPECT_EQ(t.parent_of(flush), outer);
 }
 
-TEST(Tracer, ExplicitParentOverridesContainment) {
-  Tracer t;
-  const auto a = t.record(0, "core/EX", 0, 1000);
-  const auto b = t.record(0, "core/AC", 2000, 3000);
-  const auto child = t.record(0, "db/exec.op", 100, 200);
-  EXPECT_EQ(t.parent_of(child), a);
-  t.set_parent(child, b);
-  EXPECT_EQ(t.parent_of(child), b);
-}
-
 TEST(Tracer, InstantsNestButNeverParent) {
   Tracer t;
   const auto outer = t.record(0, "core/SC", 100, 500);

@@ -149,21 +149,6 @@ TEST(Network, NonFifoLinksCanReorder) {
   EXPECT_TRUE(reordered);
 }
 
-TEST(Network, FifoLinksPreserveSendOrder) {
-  auto cfg = quiet();
-  cfg.jitter_mean = 1000;
-  cfg.fifo_links = true;
-  Simulator sim(5, cfg);
-  auto& a = sim.spawn<Recorder>();
-  auto& b = sim.spawn<Recorder>();
-  for (int i = 0; i < 100; ++i) a.send_ping(b.id(), i);
-  sim.run();
-  ASSERT_EQ(b.deliveries.size(), 100u);
-  for (std::size_t i = 0; i < b.deliveries.size(); ++i) {
-    EXPECT_EQ(b.deliveries[i].seq, static_cast<std::int64_t>(i));
-  }
-}
-
 TEST(Network, AccountingCountsMessagesAndBytes) {
   Simulator sim(1, quiet());
   auto& a = sim.spawn<Recorder>();

@@ -1,7 +1,8 @@
 // The perf-regression gate and the flame subcommand: canned artifacts in,
 // exit codes and folded stacks out. The flame golden test pins the folded
 // format (stack lines, sorting, instant handling) against a hand-checked
-// fixture so the tool and obs::write_folded cannot drift apart silently.
+// fixture, read back through obs::read_chrome_trace and folded by
+// obs::write_folded.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -293,20 +294,6 @@ TEST_F(GateCli, FlameRejectsMalformedTraces) {
   const auto trace_path = dir_ / "TRACE_bad.json";
   write_file(trace_path, "{not json");
   EXPECT_EQ(run_report({"flame", trace_path.string()}), 1);
-}
-
-TEST(WriteFoldedFromTrace, SiblingsDoNotNest) {
-  // Two back-to-back spans on one node: [0,10) and [10,20). The second
-  // starts exactly when the first ends; the tracer's rule (pop enclosers
-  // ending *before* my end) keeps them siblings.
-  TraceData trace;
-  trace.spans.push_back({0, 0, "a", "", 0, 10, false});
-  trace.spans.push_back({0, 0, "b", "", 10, 10, false});
-  std::ostringstream os;
-  write_folded_from_trace(trace, os);
-  EXPECT_EQ(os.str(),
-            "node0;a 10\n"
-            "node0;b 10\n");
 }
 
 TEST(ParseProfJson, ReadsNameShaAndCenters) {

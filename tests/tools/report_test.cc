@@ -130,6 +130,38 @@ TEST_F(ReportEndToEnd, TruncatedArtifactsYieldExitFourEverywhere) {
   EXPECT_EQ(run_report({"waterfall", (dir_ / "CRIT_cut-1.json").string()}), 4);
 }
 
+// A trace whose only span carries `span_fields` (ts, ph, dur) — malformed
+// for each value below. The reader must refuse it before the span reaches
+// Tracer::record, and both CLI modes must report it as malformed.
+std::string one_span_trace(const std::string& span_fields) {
+  return R"({"traceEvents":[{"name":"core/EX","cat":"core","pid":0,"tid":0,)" + span_fields +
+         "}]}";
+}
+
+TEST_F(ReportEndToEnd, NegativeDurationIsMalformed) {
+  const auto text = one_span_trace(R"("ts":5,"ph":"X","dur":-3)");
+  EXPECT_FALSE(parse_chrome_trace(text).has_value());
+  std::ofstream(dir_ / "TRACE_bad-1.json") << text;
+  EXPECT_EQ(run_report({"-o", (dir_ / "REPORT.md").string(), dir_.string()}), 4);
+  EXPECT_EQ(run_report({"flame", (dir_ / "TRACE_bad-1.json").string()}), 1);
+}
+
+TEST_F(ReportEndToEnd, NegativeTimestampIsMalformed) {
+  const auto text = one_span_trace(R"("ts":-5,"ph":"X","dur":3)");
+  EXPECT_FALSE(parse_chrome_trace(text).has_value());
+  std::ofstream(dir_ / "TRACE_bad-1.json") << text;
+  EXPECT_EQ(run_report({"-o", (dir_ / "REPORT.md").string(), dir_.string()}), 4);
+  EXPECT_EQ(run_report({"flame", (dir_ / "TRACE_bad-1.json").string()}), 1);
+}
+
+TEST_F(ReportEndToEnd, FractionalTimestampIsMalformed) {
+  const auto text = one_span_trace(R"("ts":2.5,"ph":"i","s":"t")");
+  EXPECT_FALSE(parse_chrome_trace(text).has_value());
+  std::ofstream(dir_ / "TRACE_bad-1.json") << text;
+  EXPECT_EQ(run_report({"-o", (dir_ / "REPORT.md").string(), dir_.string()}), 4);
+  EXPECT_EQ(run_report({"flame", (dir_ / "TRACE_bad-1.json").string()}), 1);
+}
+
 TEST_F(ReportEndToEnd, WaterfallNeedsCritInputs) {
   EXPECT_EQ(run_report({"waterfall", dir_.string()}), 2);  // nothing to render
   {
@@ -153,30 +185,6 @@ TEST_F(ReportEndToEnd, WaterfallNeedsCritInputs) {
   EXPECT_NE(buf.str().find("c0-0"), std::string::npos) << "slowest-txn path missing";
 }
 
-TEST(ReportParsers, TracePatternOrdersPhasesByFirstStart) {
-  TraceData trace;
-  trace.tag = "active-1";
-  const auto span = [](std::int64_t node, std::string name, double ts, double dur) {
-    TraceSpan s;
-    s.node = node;
-    s.name = std::move(name);
-    s.request = "r1";
-    s.trace = 7;
-    s.ts = ts;
-    s.dur = dur;
-    return s;
-  };
-  trace.spans.push_back(span(3, "core/RE", 0, 10));
-  trace.spans.push_back(span(0, "core/SC", 10, 30));
-  trace.spans.push_back(span(1, "core/EX", 50, 20));
-  trace.spans.push_back(span(0, "core/EX", 45, 20));  // earliest EX wins
-  trace.spans.push_back(span(0, "core/ac.ship", 60, 5));  // sub-phase: not a phase
-  trace.spans.push_back(span(3, "core/END", 80, 1));
-  EXPECT_EQ(trace_pattern(trace, "r1"), "RE SC EX END");
-  EXPECT_EQ(trace_requests(trace), std::vector<std::string>{"r1"});
-  EXPECT_EQ(trace_nodes(trace, "r1"), (std::vector<std::int64_t>{0, 1, 3}));
-}
-
 TEST(ReportParsers, ChromeTraceRoundTripMatchesFlowHalves) {
   const std::string text = R"({"displayTimeUnit":"ms","traceEvents":[
     {"name":"process_name","ph":"M","pid":0,"tid":0,"args":{"name":"replikit"}},
@@ -191,12 +199,18 @@ TEST(ReportParsers, ChromeTraceRoundTripMatchesFlowHalves) {
   ]})";
   const auto trace = parse_chrome_trace(text, "t");
   ASSERT_TRUE(trace.has_value());
-  ASSERT_EQ(trace->spans.size(), 1u);
-  EXPECT_EQ(trace->spans.front().trace, 4u);
-  ASSERT_EQ(trace->flows.size(), 1u) << "orphan flow finish must be dropped";
-  EXPECT_EQ(trace->flows.front().from, 0);
-  EXPECT_EQ(trace->flows.front().to, 1);
-  EXPECT_EQ(trace->flows.front().trace, 4u);
+  EXPECT_EQ(trace->tag, "t");
+  ASSERT_EQ(trace->tracer.size(), 1u);
+  EXPECT_EQ(trace->tracer.spans()[0].trace, 4u);
+  EXPECT_EQ(trace->tracer.spans()[0].request, "r1");
+  ASSERT_EQ(trace->tracer.flows().size(), 1u) << "orphan flow finish must be dropped";
+  const auto& flow = trace->tracer.flows()[0];
+  EXPECT_EQ(flow.from, 0);
+  EXPECT_EQ(flow.to, 1);
+  EXPECT_EQ(flow.trace, 4u);
+  EXPECT_EQ(flow.type, "w.Msg");
+  EXPECT_EQ(flow.lamport_send, 1);
+  EXPECT_EQ(flow.lamport_recv, 2);
 
   EXPECT_FALSE(parse_chrome_trace("{}").has_value());
   EXPECT_FALSE(parse_chrome_trace("[1,2]").has_value());

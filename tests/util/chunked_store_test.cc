@@ -85,6 +85,27 @@ TEST(ChunkedStore, GrowthNeverMovesStoredElements) {
   EXPECT_EQ(Tracked::destroyed, 100);  // the destructor destroys every element
 }
 
+TEST(ChunkedStore, MovingHandsOverBlocksWithoutRelocating) {
+  Tracked::reset();
+  {
+    ChunkedStore<Tracked, 8 * sizeof(Tracked)> store;
+    for (int i = 0; i < 20; ++i) store.emplace_back(i);
+    const Tracked* first = &store[0];
+    ChunkedStore<Tracked, 8 * sizeof(Tracked)> moved(std::move(store));
+    EXPECT_EQ(&moved[0], first);
+    EXPECT_EQ(moved.size(), 20u);
+    EXPECT_EQ(store.blocks(), 0u);  // NOLINT(bugprone-use-after-move)
+    ChunkedStore<Tracked, 8 * sizeof(Tracked)> assigned;
+    assigned.emplace_back(-1);
+    assigned = std::move(moved);
+    EXPECT_EQ(&assigned[0], first);
+    EXPECT_EQ(assigned[19].value, 19);
+    EXPECT_EQ(Tracked::copies + Tracked::moves, 0);
+    EXPECT_EQ(Tracked::destroyed, 1);  // only the overwritten element
+  }
+  EXPECT_EQ(Tracked::destroyed, 21);
+}
+
 TEST(ChunkedStore, OversizedElementsGetABlockEach) {
   using Big = std::array<char, 256>;
   ChunkedStore<Big, 64> store;

@@ -12,6 +12,8 @@
 #include <sstream>
 
 #include "core/technique.hh"
+#include "obs/export_chrome.hh"
+#include "obs/profile.hh"
 #include "sim/trace.hh"
 
 namespace repli::tools {
@@ -31,35 +33,6 @@ double num_or(const JsonValue* v, double def = 0) {
 std::string label_of(const JsonValue& line, std::string_view key) {
   const auto* labels = line.find("labels");
   return labels != nullptr ? str_or(labels->find(key)) : "";
-}
-
-/// Spans named "core/<abbrev>" are the functional-model phase events.
-struct PhaseSpan {
-  std::int64_t node = -1;
-  sim::Phase phase{};
-  double start = 0;
-  double end = 0;
-};
-
-std::optional<sim::Phase> span_phase(const TraceSpan& span) {
-  constexpr std::string_view kPrefix = "core/";
-  if (span.name.rfind(kPrefix, 0) != 0) return std::nullopt;
-  return sim::phase_from_abbrev(std::string_view(span.name).substr(kPrefix.size()));
-}
-
-std::vector<PhaseSpan> phase_spans(const TraceData& trace, const std::string& request) {
-  std::vector<PhaseSpan> out;
-  for (const auto& span : trace.spans) {
-    if (span.request != request) continue;
-    const auto phase = span_phase(span);
-    if (!phase.has_value()) continue;
-    out.push_back(PhaseSpan{span.node, *phase, span.ts, span.ts + span.dur});
-  }
-  std::stable_sort(out.begin(), out.end(), [](const PhaseSpan& a, const PhaseSpan& b) {
-    if (a.start != b.start) return a.start < b.start;
-    return a.node < b.node;
-  });
-  return out;
 }
 
 /// Bench trace tags are "<technique-name-sanitized>-<seq>"; map back to the
@@ -116,48 +89,9 @@ std::optional<std::string> read_file(const std::filesystem::path& path) {
 }  // namespace
 
 std::optional<TraceData> parse_chrome_trace(std::string_view text, std::string tag) {
-  const auto doc = obs::json_parse(text);
-  if (!doc.has_value()) return std::nullopt;
-  const auto* events = doc->find("traceEvents");
-  if (events == nullptr || !events->is(JsonValue::Type::Array)) return std::nullopt;
-  TraceData out;
-  out.tag = std::move(tag);
-  std::map<std::int64_t, TraceFlow> pending;  // flow starts awaiting their finish
-  for (const auto& ev : events->array) {
-    if (!ev.is(JsonValue::Type::Object)) return std::nullopt;
-    const std::string ph = str_or(ev.find("ph"));
-    const auto* args = ev.find("args");
-    if (ph == "X" || ph == "i") {
-      TraceSpan span;
-      span.node = static_cast<std::int64_t>(num_or(ev.find("tid"), -1));
-      span.name = str_or(ev.find("name"));
-      span.ts = num_or(ev.find("ts"));
-      span.dur = num_or(ev.find("dur"));
-      span.instant = ph == "i";
-      if (args != nullptr) {
-        span.request = str_or(args->find("request"));
-        span.trace = static_cast<std::uint64_t>(num_or(args->find("trace")));
-      }
-      out.spans.push_back(std::move(span));
-    } else if (ph == "s") {
-      TraceFlow flow;
-      flow.id = static_cast<std::int64_t>(num_or(ev.find("id"), -1));
-      flow.name = str_or(ev.find("name"));
-      flow.from = static_cast<std::int64_t>(num_or(ev.find("tid"), -1));
-      flow.sent = num_or(ev.find("ts"));
-      if (args != nullptr) flow.trace = static_cast<std::uint64_t>(num_or(args->find("trace")));
-      pending[flow.id] = flow;
-    } else if (ph == "f") {
-      const auto it = pending.find(static_cast<std::int64_t>(num_or(ev.find("id"), -1)));
-      if (it == pending.end()) continue;  // finish without start: drop
-      it->second.to = static_cast<std::int64_t>(num_or(ev.find("tid"), -1));
-      it->second.recv = num_or(ev.find("ts"));
-      out.flows.push_back(it->second);
-      pending.erase(it);
-    }
-    // "M" metadata and anything else: ignored.
-  }
-  return out;
+  auto read = obs::read_chrome_trace(text);
+  if (!read.has_value()) return std::nullopt;
+  return TraceData{std::move(tag), std::move(read->tracer), std::move(read->names)};
 }
 
 std::optional<StatsData> parse_stats_ndjson(std::string_view text, std::string tag) {
@@ -222,80 +156,6 @@ std::optional<CritData> parse_crit_json(std::string_view text, std::string name)
   return out;
 }
 
-std::vector<std::string> trace_requests(const TraceData& trace) {
-  std::vector<std::string> out;
-  for (const auto& span : trace.spans) {
-    if (span.request.empty() || !span_phase(span).has_value()) continue;
-    if (std::find(out.begin(), out.end(), span.request) == out.end()) {
-      out.push_back(span.request);
-    }
-  }
-  return out;
-}
-
-std::string trace_pattern(const TraceData& trace, const std::string& request) {
-  // Same rule as sim::Trace::pattern: phases ordered by the earliest time
-  // any node entered them, concurrent same-phase occurrences merged.
-  std::map<sim::Phase, double> first_start;
-  for (const auto& ev : phase_spans(trace, request)) {
-    const auto [it, inserted] = first_start.emplace(ev.phase, ev.start);
-    if (!inserted) it->second = std::min(it->second, ev.start);
-  }
-  std::vector<std::pair<double, sim::Phase>> ordered;
-  ordered.reserve(first_start.size());
-  for (const auto& [phase, t] : first_start) ordered.emplace_back(t, phase);
-  std::sort(ordered.begin(), ordered.end(), [](const auto& a, const auto& b) {
-    if (a.first != b.first) return a.first < b.first;
-    return static_cast<int>(a.second) < static_cast<int>(b.second);
-  });
-  std::vector<sim::Phase> pattern;
-  pattern.reserve(ordered.size());
-  for (const auto& [t, phase] : ordered) pattern.push_back(phase);
-  return sim::pattern_to_string(pattern);
-}
-
-std::vector<std::int64_t> trace_nodes(const TraceData& trace, const std::string& request) {
-  std::set<std::int64_t> nodes;
-  for (const auto& ev : phase_spans(trace, request)) nodes.insert(ev.node);
-  return {nodes.begin(), nodes.end()};
-}
-
-void write_ascii_timeline(const TraceData& trace, const std::string& request,
-                          std::ostream& os) {
-  const auto events = phase_spans(trace, request);
-  if (events.empty()) {
-    os << "  (no phase events recorded)\n";
-    return;
-  }
-  double t_min = events.front().start;
-  double t_max = t_min;
-  for (const auto& ev : events) {
-    t_min = std::min(t_min, ev.start);
-    t_max = std::max(t_max, ev.end);
-  }
-  const double span = std::max(1.0, t_max - t_min);
-  constexpr int kCols = 60;
-
-  std::map<std::int64_t, std::string> rows;
-  for (const auto& ev : events) {
-    auto& row = rows.try_emplace(ev.node, std::string(kCols + 1, '.')).first->second;
-    const int a = static_cast<int>((ev.start - t_min) / span * kCols);
-    const int b = std::max(a, static_cast<int>((ev.end - t_min) / span * kCols));
-    const auto abbrev = sim::phase_abbrev(ev.phase);
-    for (int i = a; i <= b && i <= kCols; ++i) {
-      row[static_cast<std::size_t>(i)] =
-          abbrev[static_cast<std::size_t>((i - a) % static_cast<int>(abbrev.size()))];
-    }
-  }
-  os << "  timeline (" << fmt(t_max - t_min, 0) << "us total, request " << request << ")\n";
-  for (const auto& [node, row] : rows) {
-    os << "    " << std::left << std::setw(18) << ("node " + std::to_string(node)) << " |"
-       << row << "|\n";
-  }
-  os << "    legend: RE request  SC server-coordination  EX execution  "
-        "AC agreement-coordination  END response\n";
-}
-
 namespace {
 
 void write_trace_section(const TraceData& trace, std::ostream& os) {
@@ -308,11 +168,11 @@ void write_trace_section(const TraceData& trace, std::ostream& os) {
 
   // Causal-trace summary: distinct trace ids, and how many tie >= 3 nodes
   // together (the cross-node causality the wire context exists for).
-  std::map<std::uint64_t, std::set<std::int64_t>> trace_node_sets;
-  for (const auto& span : trace.spans) {
+  std::map<std::uint64_t, std::set<obs::NodeId>> trace_node_sets;
+  for (const auto& span : trace.tracer.spans()) {
     if (span.trace != 0) trace_node_sets[span.trace].insert(span.node);
   }
-  for (const auto& flow : trace.flows) {
+  for (const auto& flow : trace.tracer.flows()) {
     if (flow.trace != 0) {
       trace_node_sets[flow.trace].insert(flow.from);
       trace_node_sets[flow.trace].insert(flow.to);
@@ -322,8 +182,9 @@ void write_trace_section(const TraceData& trace, std::ostream& os) {
   for (const auto& [id, nodes] : trace_node_sets) {
     if (nodes.size() >= 3) ++wide;
   }
-  const auto requests = trace_requests(trace);
-  os << "- requests traced: " << requests.size() << ", message flows: " << trace.flows.size()
+  const auto requests = sim::requests(trace.tracer);
+  os << "- requests traced: " << requests.size()
+     << ", message flows: " << trace.tracer.flows().size()
      << ", causal traces: " << trace_node_sets.size() << " (" << wide
      << " spanning >= 3 nodes)\n";
 
@@ -339,7 +200,7 @@ void write_trace_section(const TraceData& trace, std::ostream& os) {
   patterns.reserve(requests.size());
   std::map<std::string, std::size_t> census;
   for (const auto& r : requests) {
-    patterns.push_back(trace_pattern(trace, r));
+    patterns.push_back(sim::pattern_to_string(sim::pattern(trace.tracer, r)));
     ++census[patterns.back()];
   }
   os << "- measured patterns: ";
@@ -366,7 +227,9 @@ void write_trace_section(const TraceData& trace, std::ostream& os) {
                                            : " — DIFFERS from the paper figure");
   }
   os << "\n\n```\n";
-  write_ascii_timeline(trace, request, os);
+  sim::write_timeline(
+      trace.tracer, request,
+      [](sim::NodeId node) { return "node " + std::to_string(node); }, os);
   os << "```\n\n";
 }
 
@@ -788,73 +651,6 @@ void write_prof_section(const std::vector<ProfData>& profs, std::ostream& os) {
     os << "\n";
   }
 }
-
-}  // namespace
-
-void write_folded_from_trace(const TraceData& trace, std::ostream& os) {
-  const auto& spans = trace.spans;
-
-  // Containment resolution, replicating obs::Tracer::resolve on the
-  // exported spans: per node, sort by (start asc, end desc, file order asc)
-  // and sweep with an enclosing-span stack. The exporter emits spans in
-  // (start, id) order, so file order stands in for span id on ties.
-  constexpr std::size_t kNoParent = static_cast<std::size_t>(-1);
-  std::vector<std::size_t> parent(spans.size(), kNoParent);
-  std::map<std::int64_t, std::vector<std::size_t>> by_node;
-  for (std::size_t i = 0; i < spans.size(); ++i) by_node[spans[i].node].push_back(i);
-  for (auto& [node, list] : by_node) {
-    std::sort(list.begin(), list.end(), [&spans](std::size_t a, std::size_t b) {
-      if (spans[a].ts != spans[b].ts) return spans[a].ts < spans[b].ts;
-      const double ea = spans[a].ts + spans[a].dur;
-      const double eb = spans[b].ts + spans[b].dur;
-      if (ea != eb) return ea > eb;
-      return a < b;
-    });
-    std::vector<std::size_t> stack;
-    for (const std::size_t idx : list) {
-      const double end = spans[idx].ts + spans[idx].dur;
-      while (!stack.empty() &&
-             spans[stack.back()].ts + spans[stack.back()].dur < end) {
-        stack.pop_back();
-      }
-      while (!stack.empty() && spans[stack.back()].instant) stack.pop_back();
-      if (!stack.empty()) parent[idx] = stack.back();
-      stack.push_back(idx);
-    }
-  }
-
-  // Self-time = duration minus direct children's durations, clamped at zero.
-  std::vector<double> self(spans.size());
-  for (std::size_t i = 0; i < spans.size(); ++i) {
-    self[i] = spans[i].instant ? 0 : spans[i].dur;
-  }
-  for (std::size_t i = 0; i < spans.size(); ++i) {
-    if (spans[i].instant || parent[i] == kNoParent) continue;
-    self[parent[i]] -= spans[i].dur;
-  }
-
-  std::map<std::string, std::int64_t> folded;
-  std::vector<std::string_view> frames;
-  for (std::size_t i = 0; i < spans.size(); ++i) {
-    if (spans[i].instant) continue;
-    frames.clear();
-    for (std::size_t cur = i; cur != kNoParent; cur = parent[cur]) {
-      frames.push_back(spans[cur].name);
-    }
-    std::string stack = "node" + std::to_string(spans[i].node);
-    for (auto it = frames.rbegin(); it != frames.rend(); ++it) {
-      stack += ';';
-      stack += *it;
-    }
-    folded[stack] += std::max<std::int64_t>(static_cast<std::int64_t>(self[i]), 0);
-  }
-  for (const auto& [stack, us] : folded) {
-    if (us <= 0) continue;
-    os << stack << ' ' << us << '\n';
-  }
-}
-
-namespace {
 
 // -- perf-regression gate ----------------------------------------------------
 
@@ -1352,7 +1148,7 @@ int flame_main(const std::string& out_path, const std::vector<std::filesystem::p
     return 1;
   }
   std::ostringstream folded;
-  write_folded_from_trace(*trace, folded);
+  obs::write_folded(trace->tracer, folded);
   return write_output(out_path, folded.str()) ? 0 : 1;
 }
 

@@ -1,45 +1,33 @@
 // replikit-report: turns one run's observability artifacts — Chrome trace
 // JSON (TRACE_*.json), NDJSON metrics (STATS_*.ndjson), and bench reports
 // (BENCH_*.json) — into a markdown report: measured ASCII phase diagrams
-// per technique (regenerated from spans, validating the figure pipeline),
-// health tables (staleness, divergence, aborts, failover), and a cross-run
-// comparison when several bench reports are given.
+// per technique, health tables (staleness, divergence, aborts, failover),
+// and a cross-run comparison when several bench reports are given.
+//
+// Traces are read back into an obs::Tracer (obs::read_chrome_trace), so the
+// phase patterns, timelines and flame stacks come from the same code a live
+// run uses (sim::pattern, sim::write_timeline, obs::write_folded): the
+// report validates the figure pipeline from measurement, with no second
+// derivation to drift.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <ostream>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "obs/json.hh"
+#include "obs/trace.hh"
 
 namespace repli::tools {
 
-struct TraceSpan {
-  std::int64_t node = -1;
-  std::uint64_t trace = 0;  // causal trace id (0 when absent)
-  std::string name;
-  std::string request;
-  double ts = 0;
-  double dur = 0;
-  bool instant = false;
-};
-
-struct TraceFlow {
-  std::int64_t id = 0;
-  std::uint64_t trace = 0;
-  std::string name;
-  std::int64_t from = -1;
-  std::int64_t to = -1;
-  double sent = 0;
-  double recv = 0;
-};
-
 struct TraceData {
   std::string tag;  // TRACE_<tag>.json
-  std::vector<TraceSpan> spans;
-  std::vector<TraceFlow> flows;  // matched s/f pairs
+  obs::Tracer tracer;
+  std::set<std::string, std::less<>> names;  // flow type names the flows view
 };
 
 /// One parsed STATS_*.ndjson line (counter/gauge/histogram as JSON).
@@ -70,7 +58,7 @@ struct CritData {
   obs::JsonValue doc;
 };
 
-/// Parses Chrome trace_event JSON (the exporter's format). Nullopt on
+/// Reads a Chrome trace through obs::read_chrome_trace. Nullopt on
 /// malformed input; unmatched flow halves are dropped.
 std::optional<TraceData> parse_chrome_trace(std::string_view text, std::string tag = "");
 
@@ -81,20 +69,6 @@ std::optional<BenchData> parse_bench_json(std::string_view text, std::string nam
 std::optional<ProfData> parse_prof_json(std::string_view text, std::string name = "");
 
 std::optional<CritData> parse_crit_json(std::string_view text, std::string name = "");
-
-/// Request ids appearing in core/ phase spans, in first-appearance order.
-std::vector<std::string> trace_requests(const TraceData& trace);
-
-/// Measured phase pattern of `request` (e.g. "RE SC EX END"): phases
-/// ordered by the earliest time any node entered them — the same rule
-/// sim::Trace::pattern applies, but recomputed from the exported artifact.
-std::string trace_pattern(const TraceData& trace, const std::string& request);
-
-/// Nodes touched by `request`'s phase spans.
-std::vector<std::int64_t> trace_nodes(const TraceData& trace, const std::string& request);
-
-/// ASCII phase diagram of one request (paper-figure style).
-void write_ascii_timeline(const TraceData& trace, const std::string& request, std::ostream& os);
 
 struct ReportInputs {
   std::vector<TraceData> traces;
@@ -113,13 +87,6 @@ void write_report(const ReportInputs& inputs, std::ostream& os);
 /// comparison when several artifacts are given. Output is deterministic for
 /// deterministic inputs (golden-file tested).
 void write_waterfall(const std::vector<CritData>& crits, std::ostream& os);
-
-/// Recomputes folded flamegraph stacks ("node<N>;root;...;leaf <self-us>",
-/// lexicographically sorted, instants and zero-self stacks dropped) from a
-/// parsed Chrome trace, applying the tracer's containment rule to the
-/// exported spans. Matches obs::write_folded for traces without explicit
-/// parent overrides (the export does not carry those).
-void write_folded_from_trace(const TraceData& trace, std::ostream& os);
 
 /// One gate violation found by check_against_baseline.
 struct CheckIssue {
