@@ -44,7 +44,7 @@ void ActiveReplica::on_request(const ClientRequest& request) {
 
   const db::Operation op = request.ops.front();
   const auto exec_start = now();
-  cpu_execute(env().exec_cost, [this, request, op, exec_start] {
+  cpu_execute(kExecCost, [this, request, op, exec_start] {
     const auto outcome =
         db::execute_and_commit(registry(), op, storage_, *choices_, request.request_id);
     phase(request.request_id, sim::Phase::Execution, exec_start, now());

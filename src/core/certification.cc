@@ -20,7 +20,7 @@ CertificationReplica::CertificationReplica(sim::NodeId id, sim::Simulator& sim, 
     // Certification must observe every previously-delivered transaction's
     // writes, so the check+apply runs as one unit on the CPU queue, which
     // preserves delivery order.
-    cpu_execute(this->env().apply_cost, [this, cert] { on_delivered(*cert); });
+    cpu_execute(kApplyCost, [this, cert] { on_delivered(*cert); });
   });
 }
 
@@ -37,7 +37,7 @@ void CertificationReplica::on_request(const ClientRequest& request) {
     // [KA98] local reads: no broadcast, no certification — answer from the
     // local copy's committed state.
     const auto exec_start = now();
-    cpu_execute(env().exec_cost * static_cast<sim::Time>(request.ops.size()),
+    cpu_execute(kExecCost * static_cast<sim::Time>(request.ops.size()),
                 [this, request, exec_start] {
       db::TxnExec txn(request.request_id, storage_);
       db::SeededChoices choices(wire::fnv1a(request.request_id));
@@ -61,7 +61,7 @@ void CertificationReplica::on_request(const ClientRequest& request) {
 
 void CertificationReplica::execute_and_broadcast(const ClientRequest& request, int attempt) {
   const auto exec_start = now();
-  cpu_execute(env().exec_cost * static_cast<sim::Time>(request.ops.size()),
+  cpu_execute(kExecCost * static_cast<sim::Time>(request.ops.size()),
               [this, request, attempt, exec_start] {
     if (!driving_.contains(request.request_id)) return;  // resolved meanwhile
     // Optimistic execution on shadow copies (no coordination yet).

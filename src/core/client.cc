@@ -45,8 +45,8 @@ void Client::submit(Transaction txn, DoneFn done) {
   // Each submit roots a fresh causal trace: the RE span and every message
   // sent while dispatching (and everything they transitively cause on the
   // replicas) carries this trace id.
-  obs::ContextScope scope(
-      obs::TraceContext{sim().tracer().new_trace_id(), obs::kNoSpan, 0});
+  obs::ContextScope scope(sim().tracer(),
+                          obs::TraceContext{sim().tracer().new_trace_id(), obs::kNoSpan, 0});
   sim().trace().phase(request_id, id(), sim::Phase::Request, now(), now());
   dispatch(it->second);
 }

@@ -33,8 +33,6 @@ Cluster::Cluster(ClusterConfig config)
   env.registry = &registry_;
   env.history = config_.record_history ? &history_ : nullptr;
   env.monitor = &monitor_;
-  env.exec_cost = config_.costs.exec_cost;
-  env.apply_cost = config_.costs.apply_cost;
   env.batch_max_ops = config_.batch_max_ops;
   env.batch_flush = config_.batch_flush_us * sim::kUsec;
 

@@ -12,18 +12,12 @@ namespace repli::core {
 
 enum class AbcastImpl;  // defined in core/active.hh
 
-struct ClusterCosts {
-  sim::Time exec_cost = 100 * sim::kUsec;
-  sim::Time apply_cost = 20 * sim::kUsec;
-};
-
 struct ClusterConfig {
   TechniqueKind kind = TechniqueKind::Active;
   int replicas = 3;
   int clients = 1;
   std::uint64_t seed = 1;
   sim::NetworkConfig net;
-  ClusterCosts costs;
   bool record_history = true;
   // Health-monitor sampling period (staleness + divergence digests over all
   // live replicas); 0 disables periodic sampling (events still flow).

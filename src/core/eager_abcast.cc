@@ -48,7 +48,7 @@ void EagerAbcastReplica::on_optimistic(const EaForward& fwd) {
   const ClientRequest request = fwd.request;
   if (seen_.contains(request.request_id) || tentative_.contains(request.request_id)) return;
   tentative_.emplace(request.request_id, Tentative{});
-  cpu_execute(env().exec_cost, [this, request] {
+  cpu_execute(kExecCost, [this, request] {
     // Note: the final delivery may already have *arrived* — that is fine,
     // its commit task sits behind this one on the CPU queue and will pick
     // the tentative result up. Only a finished transaction (entry erased)
@@ -124,10 +124,10 @@ void EagerAbcastReplica::on_delivered(const EaForward& fwd) {
   };
 
   if (!predicted_hit) {
-    cpu_execute(env().exec_cost, execute_now);
+    cpu_execute(kExecCost, execute_now);
     return;
   }
-  cpu_execute(env().apply_cost, [this, request, validates, commit, execute_now] {
+  cpu_execute(kApplyCost, [this, request, validates, commit, execute_now] {
     const auto it = tentative_.find(request.request_id);
     if (it != tentative_.end() && validates(it->second)) {
       ++hits_;
@@ -138,7 +138,7 @@ void EagerAbcastReplica::on_delivered(const EaForward& fwd) {
     }
     // Mis-speculation: redo in place. Committing must stay in delivery
     // order, so the redo cannot be re-queued behind later transactions;
-    // the (rare) miss is therefore undercharged by exec_cost - apply_cost
+    // the (rare) miss is therefore undercharged by kExecCost - kApplyCost
     // of simulated CPU — an accepted approximation.
     execute_now();
   });

@@ -259,7 +259,7 @@ void EagerLockingReplica::on_lock_reply(sim::NodeId from, const LkReply& reply) 
 
 void EagerLockingReplica::local_exec(sim::NodeId delegate, const LkExec& exec) {
   const auto exec_start = now();
-  cpu_execute(env().exec_cost, [this, delegate, exec, exec_start] {
+  cpu_execute(kExecCost, [this, delegate, exec, exec_start] {
     const auto it = parts_.find(exec.txn);
     if (it == parts_.end() || it->second.attempt != exec.attempt) return;  // aborted
     db::SeededChoices choices(wire::fnv1a(exec.txn) + exec.op_index);
@@ -411,7 +411,7 @@ void EagerLockingReplica::local_outcome(const std::string& txn_id, bool commit) 
   auto part = std::make_shared<Part>(std::move(it->second));
   parts_.erase(it);
   const auto apply_start = now();
-  cpu_execute(env().apply_cost, [this, txn_id, part, apply_start] {
+  cpu_execute(kApplyCost, [this, txn_id, part, apply_start] {
     const auto seq = part->exec->commit_into(storage_);
     if (!part->exec->writes().empty()) {
       record_commit(txn_id, part->exec->writes(), part->exec->read_versions(), seq);

@@ -204,7 +204,7 @@ void EagerPrimaryReplica::run_group_step(const std::string& group_id) {
   // Each group member executes under its own causal trace (the continuation
   // captures the ambient context at schedule time).
   TraceResume resume{*this, request.request_id};
-  cpu_execute(env().exec_cost * static_cast<sim::Time>(request.ops.size()),
+  cpu_execute(kExecCost * static_cast<sim::Time>(request.ops.size()),
               [this, group_id, request, exec_start] {
     const auto it = active_groups_.find(group_id);
     if (it == active_groups_.end()) return;  // dropped meanwhile
@@ -304,7 +304,7 @@ void EagerPrimaryReplica::run_next_op(const std::string& txn_id) {
   }
   const db::Operation op = txn.request.ops[txn.next_op];
   const auto exec_start = now();
-  cpu_execute(env().exec_cost, [this, txn_id, op, exec_start] {
+  cpu_execute(kExecCost, [this, txn_id, op, exec_start] {
     const auto it = active_.find(txn_id);
     if (it == active_.end()) return;  // aborted meanwhile
     Txn& txn = it->second;
@@ -406,7 +406,7 @@ void EagerPrimaryReplica::apply_commit(const std::string& txn_id, bool commit) {
       return;
     }
     const auto apply_start = now();
-    cpu_execute(env().apply_cost, [this, txn_id, entries, apply_start] {
+    cpu_execute(kApplyCost, [this, txn_id, entries, apply_start] {
       for (const auto& e : entries) {
         wal_.begin(e.txn);
         for (const auto& [key, value] : e.writes) wal_.write(e.txn, key, value);
@@ -434,7 +434,7 @@ void EagerPrimaryReplica::apply_commit(const std::string& txn_id, bool commit) {
     return;
   }
   const auto apply_start = now();
-  cpu_execute(env().apply_cost, [this, txn_id, staged, apply_start] {
+  cpu_execute(kApplyCost, [this, txn_id, staged, apply_start] {
     // Write-ahead: log the transaction before touching storage.
     wal_.begin(txn_id);
     for (const auto& [key, value] : staged.writes) wal_.write(txn_id, key, value);

@@ -35,7 +35,7 @@ void LazyEverywhereReplica::on_unhandled(sim::NodeId /*from*/, wire::MessagePtr 
 void LazyEverywhereReplica::on_request(const ClientRequest& request) {
   if (replay_cached_reply(request.client, request.request_id)) return;
   const auto exec_start = now();
-  cpu_execute(env().exec_cost * static_cast<sim::Time>(request.ops.size()),
+  cpu_execute(kExecCost * static_cast<sim::Time>(request.ops.size()),
               [this, request, exec_start] {
     db::TxnExec txn(request.request_id, storage_);
     db::SeededChoices choices(wire::fnv1a(request.request_id));

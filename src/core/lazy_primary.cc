@@ -36,7 +36,7 @@ void LazyPrimaryReplica::on_request(const ClientRequest& request) {
     return;
   }
   const auto exec_start = now();
-  cpu_execute(env().exec_cost * static_cast<sim::Time>(request.ops.size()),
+  cpu_execute(kExecCost * static_cast<sim::Time>(request.ops.size()),
               [this, request, exec_start] {
     // Execute the whole transaction locally (for lazy replication it makes
     // no difference whether it has one or many operations, §5.3).
@@ -78,7 +78,7 @@ void LazyPrimaryReplica::on_request(const ClientRequest& request) {
 
 void LazyPrimaryReplica::on_update(const LzUpdate& update) {
   const auto apply_start = now();
-  cpu_execute(env().apply_cost, [this, update, apply_start] {
+  cpu_execute(kApplyCost, [this, update, apply_start] {
     const auto seq = storage_.next_commit_seq();
     for (const auto& [key, value] : update.writes) {
       storage_.put(key, value, seq, update.txn);

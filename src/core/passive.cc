@@ -74,7 +74,7 @@ void PassiveReplica::pump() {
   // group; resume the first request's own causal trace before scheduling.
   TraceResume resume{*this, queue_.front().request_id};
   const auto exec_start = now();
-  cpu_execute(env().exec_cost * static_cast<sim::Time>(in_flight_), [this, exec_start] {
+  cpu_execute(kExecCost * static_cast<sim::Time>(in_flight_), [this, exec_start] {
     if (!is_primary()) {  // demoted while executing (rare; clients retry)
       in_flight_ = 0;
       return;
@@ -127,7 +127,7 @@ void PassiveReplica::pump() {
 
 void PassiveReplica::on_update(const PbUpdate& update) {
   const auto apply_start = now();
-  cpu_execute(env().apply_cost, [this, update, apply_start] {
+  cpu_execute(kApplyCost, [this, update, apply_start] {
     for (const auto& entry : update.entries) {
       if (has_cached_reply(entry.request_id)) continue;  // already applied here
       const auto seq = storage_.next_commit_seq();

@@ -70,7 +70,7 @@ std::optional<std::pair<bool, std::string>> ReplicaBase::cached_reply(
 }
 
 void ReplicaBase::note_request_trace(const std::string& request_id) {
-  const auto trace = obs::current_context().trace_id;
+  const auto trace = tracer().context().trace_id;
   if (trace != 0) request_traces_[request_id] = trace;
 }
 

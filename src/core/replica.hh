@@ -20,13 +20,16 @@
 
 namespace repli::core {
 
+// The CPU cost model: simulated time to execute one operation, and to apply
+// one writeset.
+constexpr sim::Time kExecCost = 100 * sim::kUsec;
+constexpr sim::Time kApplyCost = 20 * sim::kUsec;
+
 struct ReplicaEnv {
   gcs::Group group;                            // all replica node ids
   const db::ProcRegistry* registry = nullptr;  // shared, outlives replicas
   History* history = nullptr;                  // shared recorder (may be null)
   obs::HealthMonitor* monitor = nullptr;       // shared health monitor (may be null)
-  sim::Time exec_cost = 100 * sim::kUsec;      // CPU time to execute an operation
-  sim::Time apply_cost = 20 * sim::kUsec;      // CPU time to apply a writeset
   // Batching knobs, threaded from ClusterConfig: max ops per batch (group
   // commit / writeset batch / abcast envelope) and the flush window. 1 = off.
   int batch_max_ops = 1;
@@ -101,8 +104,9 @@ class ReplicaBase : public gcs::ComponentHost {
    public:
     TraceResume(ReplicaBase& replica, const std::string& request_id) {
       const auto trace = replica.request_trace(request_id);
-      if (trace != 0 && trace != obs::current_context().trace_id) {
-        scope_.emplace(obs::TraceContext{trace, obs::kNoSpan, 0});
+      obs::Tracer& tracer = replica.tracer();
+      if (trace != 0 && trace != tracer.context().trace_id) {
+        scope_.emplace(tracer, obs::TraceContext{trace, obs::kNoSpan, 0});
       }
     }
 

@@ -52,7 +52,7 @@ void SemiActiveReplica::pump() {
     busy_ = true;
     const auto exec_start = now();
     const auto choices = it->second;
-    cpu_execute(env().exec_cost, [this, choices, exec_start] {
+    cpu_execute(kExecCost, [this, choices, exec_start] {
       db::ReplayChoices replay(choices);
       phase(queue_.front().request_id, sim::Phase::Execution, exec_start, now());
       exec_span(queue_.front().ops.front(), exec_start, queue_.front().request_id);
@@ -67,7 +67,7 @@ void SemiActiveReplica::pump() {
     // actual commit happens in execute_head below.
     busy_ = true;
     const auto exec_start = now();
-    cpu_execute(env().exec_cost, [this, exec_start] {
+    cpu_execute(kExecCost, [this, exec_start] {
       if (!is_leader()) {  // demoted while queued: let the new leader decide
         busy_ = false;
         pump();

@@ -66,7 +66,7 @@ bool load_fail(std::string* error, std::string message) {
 }  // namespace
 
 std::string hex_u64(std::uint64_t v) {
-  static const char* digits = "0123456789abcdef";
+  static constexpr char digits[] = "0123456789abcdef";
   std::string out = "0x0000000000000000";
   for (int i = 0; i < 16; ++i) {
     out[static_cast<std::size_t>(17 - i)] = digits[(v >> (4 * i)) & 0xF];

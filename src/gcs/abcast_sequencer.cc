@@ -48,13 +48,13 @@ void SequencerAbcast::on_flood(wire::MessagePtr msg) {
     const MsgId id{data->origin, data->lseq};
     const bool fresh = payloads_.emplace(id, data->payload).second;
     if (fresh) {
+      auto& tracer = host_.sim().tracer();
       // Remember the causal trace the payload arrived under: try_deliver
       // drains in gseq order, so this payload may be delivered later, from
       // an event belonging to a different broadcast's trace.
-      trace_of_[id] = obs::current_context().trace_id;
+      trace_of_[id] = tracer.context().trace_id;
       // Payload seen; the span stays open until its global order is known
       // and it is delivered — the width is the ordering latency.
-      auto& tracer = host_.sim().tracer();
       const obs::SpanId span = tracer.begin(host_.id(), "gcs/abcast.order", host_.now());
       tracer.attr(span, "origin", std::to_string(id.first));
       tracer.attr(span, "lseq", std::to_string(id.second));
@@ -165,7 +165,9 @@ void SequencerAbcast::try_deliver() {
     // broadcast's event happened to unblock the queue.
     std::optional<obs::ContextScope> scope;
     if (const auto tit = trace_of_.find(id); tit != trace_of_.end()) {
-      if (tit->second != 0) scope.emplace(obs::TraceContext{tit->second, obs::kNoSpan, 0});
+      if (tit->second != 0) {
+        scope.emplace(host_.sim().tracer(), obs::TraceContext{tit->second, obs::kNoSpan, 0});
+      }
       trace_of_.erase(tit);
     }
     if (const auto sit = order_spans_.find(id); sit != order_spans_.end()) {

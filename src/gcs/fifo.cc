@@ -3,6 +3,7 @@
 #include <optional>
 
 #include "obs/context.hh"
+#include "sim/simulator.hh"
 
 namespace repli::gcs {
 
@@ -13,7 +14,8 @@ FifoChannel::FifoChannel(sim::Process& host, std::uint32_t channel, LinkConfig l
     if (!data) return;
     Incoming& in = in_[from];
     if (data->seq < in.next) return;  // stale duplicate
-    in.buffer.emplace(data->seq, Stashed{data->payload, obs::current_context().trace_id});
+    in.buffer.emplace(data->seq,
+                      Stashed{data->payload, host_.sim().tracer().context().trace_id});
     pump(from);
   });
 }
@@ -35,8 +37,9 @@ void FifoChannel::pump(sim::NodeId from) {
     // A head-of-line-blocked message is released by a *later* message's
     // event; deliver it inside its own causal trace, not the unblocker's.
     std::optional<obs::ContextScope> scope;
-    if (stashed.trace != 0 && stashed.trace != obs::current_context().trace_id) {
-      scope.emplace(obs::TraceContext{stashed.trace, obs::kNoSpan, 0});
+    obs::Tracer& tracer = host_.sim().tracer();
+    if (stashed.trace != 0 && stashed.trace != tracer.context().trace_id) {
+      scope.emplace(tracer, obs::TraceContext{stashed.trace, obs::kNoSpan, 0});
     }
     if (deliver_) deliver_(from, wire::from_blob(stashed.payload));
   }

@@ -6,16 +6,6 @@
 
 namespace repli::obs {
 
-namespace {
-TraceContext g_current;  // single-threaded simulator: a global is the scope
-}  // namespace
-
-const TraceContext& current_context() { return g_current; }
-
-ContextScope::ContextScope(TraceContext ctx) : saved_(g_current) { g_current = ctx; }
-
-ContextScope::~ContextScope() { g_current = saved_; }
-
 std::int64_t& LamportClocks::slot(NodeId node) {
   util::ensure(node >= 0, "LamportClocks: negative node id");
   if (static_cast<std::size_t>(node) >= clocks_.size()) {

@@ -1,12 +1,12 @@
-// Ambient trace context and per-node Lamport clocks.
+// Ambient trace context scopes and per-node Lamport clocks.
 //
-// The simulator is single-threaded, so "the context of the currently
-// executing event" is a plain global: Simulator captures it when an event
-// is scheduled and restores it (via ContextScope) around the event's
-// execution, which covers timers, cpu_execute continuations, and network
-// deliveries alike. Network::send stamps the ambient context onto the wire
-// frame; delivery opens a scope carrying the merged Lamport clock, so one
-// client request yields one connected trace across every replica it
+// The context of the currently executing event belongs to the run: it lives
+// in the run's obs::Tracer (Tracer::context()). Simulator captures it when
+// an event is scheduled and restores it (via ContextScope) around the
+// event's execution, which covers timers, cpu_execute continuations, and
+// network deliveries alike. Network::send stamps the ambient context onto
+// the wire frame; delivery opens a scope carrying the merged Lamport clock,
+// so one client request yields one connected trace across every replica it
 // touches.
 #pragma once
 
@@ -17,28 +17,20 @@
 
 namespace repli::obs {
 
-struct TraceContext {
-  std::uint64_t trace_id = 0;   // 0: no active trace
-  SpanId parent_span = kNoSpan; // causal parent span (sender side)
-  std::int64_t lamport = 0;     // logical clock of the originating node
-
-  bool valid() const { return trace_id != 0; }
-};
-
-/// Context of the event currently executing (zero outside any scope).
-const TraceContext& current_context();
-
-/// RAII: installs `ctx` as the current context, restores the previous one
-/// on destruction. Scopes nest.
+/// RAII: installs `ctx` as `tracer`'s ambient context, restores the previous
+/// one on destruction. Scopes nest.
 class ContextScope {
  public:
-  explicit ContextScope(TraceContext ctx);
-  ~ContextScope();
+  ContextScope(Tracer& tracer, TraceContext ctx) : tracer_(tracer), saved_(tracer.context_) {
+    tracer.context_ = ctx;
+  }
+  ~ContextScope() { tracer_.context_ = saved_; }
 
   ContextScope(const ContextScope&) = delete;
   ContextScope& operator=(const ContextScope&) = delete;
 
  private:
+  Tracer& tracer_;
   TraceContext saved_;
 };
 

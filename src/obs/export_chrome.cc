@@ -187,7 +187,8 @@ std::optional<ChromeTrace> read_chrome_trace(std::string_view text) {
           }
         }
       }
-      const ContextScope scope(TraceContext{.trace_id = static_cast<std::uint64_t>(trace)});
+      const ContextScope scope(out->tracer,
+                               TraceContext{.trace_id = static_cast<std::uint64_t>(trace)});
       if (ph == "X") {
         out->tracer.record(static_cast<NodeId>(node), std::move(name), ts, ts + dur,
                            std::move(request), std::move(attrs));

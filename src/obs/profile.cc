@@ -46,7 +46,7 @@ std::string_view cost_center_name(CostCenter c) {
 }
 
 Profiler& Profiler::global() {
-  static Profiler p;
+  thread_local Profiler p;
   return p;
 }
 

@@ -17,7 +17,7 @@
 // Profiling is strictly read-only with respect to the simulation: it never
 // touches simulated time, the RNG, the tracer, or the metrics registry, so
 // runs are bit-identical with profiling on or off (a tested guarantee).
-// When the global profiler is disabled (the default) a ProfScope is one
+// When the thread's profiler is disabled (the default) a ProfScope is one
 // branch; heap counting is two thread-local increments per allocation.
 #pragma once
 
@@ -67,8 +67,9 @@ std::uint64_t thread_alloc_bytes();
 
 class Profiler {
  public:
-  /// The process-global profiler (the simulator is single-threaded; one
-  /// accumulator per process matches one PROF artifact per bench run).
+  /// The calling thread's profiler. A run executes on one thread, so its
+  /// cost lands in that thread's profiler, as its allocations land in that
+  /// thread's counters.
   static Profiler& global();
 
   void enable() { enabled_ = true; }
@@ -104,7 +105,7 @@ class Profiler {
   std::vector<Frame> stack_;
 };
 
-/// RAII cost-center scope. No-op (one branch) when the global profiler is
+/// RAII cost-center scope. No-op (one branch) when the thread's profiler is
 /// disabled, so instrumentation can stay in hot paths unconditionally.
 class ProfScope {
  public:

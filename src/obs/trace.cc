@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <map>
 
-#include "obs/context.hh"
 #include "util/assert.hh"
 
 namespace repli::obs {
@@ -34,7 +33,7 @@ void Tracer::unregister_open(NodeId node, SpanId id) {
 
 SpanId Tracer::push(Span span) {
   span.id = static_cast<SpanId>(spans_.size() + 1);
-  span.trace = current_context().trace_id;
+  span.trace = context_.trace_id;
   latest_ = std::max(latest_, span.end);  // end >= start
   resolved_ = false;
   return spans_.emplace_back(std::move(span)).id;

@@ -70,6 +70,16 @@ struct Flow {
   std::string_view type;
 };
 
+/// The causal context of the event now executing: the trace it belongs to,
+/// the sender-side parent span and the Lamport clock it arrived with.
+struct TraceContext {
+  std::uint64_t trace_id = 0;   // 0: no active trace
+  SpanId parent_span = kNoSpan; // causal parent span (sender side)
+  std::int64_t lamport = 0;     // logical clock of the originating node
+
+  bool valid() const { return trace_id != 0; }
+};
+
 /// Append-only record stores: ids index them (record i has id i + 1), and
 /// a record's address is stable for the tracer's lifetime (until clear()),
 /// moves included.
@@ -96,6 +106,11 @@ class Tracer {
   /// Allocates a fresh causal trace id (1, 2, ...). Spans recorded while a
   /// context carrying the id is current are stamped with it.
   std::uint64_t new_trace_id() { return ++last_trace_id_; }
+
+  /// The ambient context of the run that owns this tracer (zero outside any
+  /// ContextScope). Each run has its own, so runs on different threads never
+  /// see each other's context.
+  const TraceContext& context() const { return context_; }
 
   /// Records a message edge; assigns and returns its id.
   std::uint64_t flow(Flow f);
@@ -127,6 +142,8 @@ class Tracer {
   void clear();
 
  private:
+  friend class ContextScope;
+
   Span& span_at(SpanId id);
   /// Appends `span` with the next id and the current context's trace id.
   SpanId push(Span span);
@@ -142,6 +159,7 @@ class Tracer {
   std::vector<std::vector<SpanId>> open_;
   FlowStore flows_;  // flows_[i].id == i + 1
   std::uint64_t last_trace_id_ = 0;
+  TraceContext context_;
   Time latest_ = 0;
   mutable std::vector<SpanId> parents_;  // parallel to spans_
   mutable bool resolved_ = false;

@@ -59,7 +59,7 @@ void Network::send(NodeId from, NodeId to, wire::MessagePtr msg) {
   // context, parent span = the innermost span open on the sender, Lamport
   // clock ticked per cross-node send.
   wire::WireContext wctx;
-  const obs::TraceContext& cur = obs::current_context();
+  const obs::TraceContext& cur = sim_.tracer().context();
   wctx.trace_id = cur.trace_id;
   const obs::SpanId src_span = sim_.tracer().innermost_open(from);
   wctx.parent_span = src_span != obs::kNoSpan ? src_span : cur.parent_span;
@@ -175,7 +175,7 @@ void Network::send(NodeId from, NodeId to, wire::MessagePtr msg) {
     if (from != to) {
       const std::int64_t merged = sim_.lamports().merge(to, wctx.lamport);
       if (flow_id != 0) sim_.tracer().flow_recv_lamport(flow_id, merged);
-      obs::ContextScope scope(obs::TraceContext{
+      obs::ContextScope scope(sim_.tracer(), obs::TraceContext{
           wctx.trace_id, static_cast<obs::SpanId>(wctx.parent_span), merged});
       sim_.process(to).on_message(from, delivered);
     } else {
@@ -235,7 +235,7 @@ void Network::flush_frame(NodeId from, NodeId to) {
     for (const FrameEntry& e : entries) {
       const std::int64_t merged = sim_.lamports().merge(to, e.wctx.lamport);
       if (e.flow_id != 0) sim_.tracer().flow_recv_lamport(e.flow_id, merged);
-      obs::ContextScope scope(obs::TraceContext{
+      obs::ContextScope scope(sim_.tracer(), obs::TraceContext{
           e.wctx.trace_id, static_cast<obs::SpanId>(e.wctx.parent_span), merged});
       sim_.process(to).on_message(from, e.msg);
     }

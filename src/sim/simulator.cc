@@ -18,19 +18,16 @@ constexpr std::size_t kCompactFloor = 64;
 }  // namespace
 
 Simulator::Simulator(std::uint64_t seed, NetworkConfig net_config)
-    : rng_(seed), net_(*this, net_config) {
-  obs::install_log_time_prefix();
-  time_token_ = obs::TimeSource::instance().push([this] { return now_; });
-}
+    : rng_(seed), net_(*this, net_config) {}
 
-Simulator::~Simulator() { obs::TimeSource::instance().remove(time_token_); }
+Simulator::~Simulator() = default;
 
 Simulator::EventId Simulator::schedule_at(Time t, util::SmallFn fn, NodeId owner,
                                           EventClass cls) {
   util::ensure(t >= now_, "Simulator::schedule_at: scheduling into the past");
   const EventId id = next_event_id_++;
   live_.push(id, cls);
-  queue_.push(Event{t, id, owner, std::move(fn), obs::current_context()});
+  queue_.push(Event{t, id, owner, std::move(fn), tracer_.context()});
   return id;
 }
 
@@ -135,7 +132,7 @@ void Simulator::dispatch(Event& ev) {
   schedule_digest_ = (schedule_digest_ ^ ev.id) * kFnvPrime;
   if (live_.kill(ev.id) == EventClass::Foreground) last_foreground_ = ev.time;
   obs::ProfScope prof(obs::CostCenter::SimDispatch);
-  obs::ContextScope scope(ev.ctx);
+  obs::ContextScope scope(tracer_, ev.ctx);
   // Owner-guarded events (timers, cpu slices) go silent once their node
   // crashes; the event itself still dispatches and counts.
   if (ev.owner == kNoOwner || !processes_[static_cast<std::size_t>(ev.owner)]->crashed()) {

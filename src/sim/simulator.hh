@@ -4,6 +4,8 @@
 // are ordered by (time, insertion sequence) and all randomness flows from
 // one seeded Rng. Processes are actors owned by the simulator; crashing a
 // process silences its timers and its network traffic (crash-stop model).
+// A simulator owns all of its run's mutable state and stays on the thread
+// that built it, so independent simulators may run on different threads.
 //
 // The event queue is a 4-ary min-heap with lazy deletion (sim/event_heap.hh):
 // cancel() flips a liveness flag in O(1) — validated against the id window,
@@ -26,12 +28,12 @@
 
 #include "obs/context.hh"
 #include "obs/metrics.hh"
-#include "obs/time.hh"
 #include "obs/trace.hh"
 #include "sim/event_heap.hh"
 #include "sim/network.hh"
 #include "sim/time.hh"
 #include "sim/trace.hh"
+#include "util/log.hh"
 #include "util/rng.hh"
 #include "util/smallfn.hh"
 
@@ -219,7 +221,7 @@ class Simulator {
   Trace trace_{tracer_};
   Network net_;
   obs::LamportClocks lamports_;
-  obs::TimeSource::Token time_token_ = obs::TimeSource::kNoToken;
+  util::LogClock log_clock_{now_};  // stamps this thread's log lines with now_
 };
 
 }  // namespace repli::sim

@@ -1,9 +1,10 @@
-// Minimal leveled logger. The simulator installs a time-prefix hook so log
-// lines carry simulated time. Logging defaults to Off so tests stay quiet;
-// benches and examples turn it on per run.
+// Minimal leveled logger. Each Simulator stamps the lines logged on its
+// thread with its simulated time (LogClock). Logging defaults to Off so
+// tests stay quiet; benches and examples turn it on per run.
 #pragma once
 
-#include <functional>
+#include <atomic>
+#include <cstdint>
 #include <sstream>
 #include <string>
 
@@ -15,19 +16,35 @@ class Logger {
  public:
   static Logger& instance();
 
-  void set_level(LogLevel level) { level_ = level; }
-  LogLevel level() const { return level_; }
+  /// Process-wide; set it once, before any run starts.
+  void set_level(LogLevel level) { level_.store(level); }
+  LogLevel level() const { return level_.load(); }
 
-  /// Hook producing a prefix for each line (the simulator sets this to emit
-  /// simulated timestamps). May be empty.
-  void set_prefix_hook(std::function<std::string()> hook) { prefix_ = std::move(hook); }
-
+  /// Writes one line to stderr, prefixed with "[t=<now>us] " when the
+  /// calling thread has a live LogClock.
   void write(LogLevel level, const std::string& msg);
 
  private:
   Logger() = default;
-  LogLevel level_ = LogLevel::Off;
-  std::function<std::string()> prefix_;
+  std::atomic<LogLevel> level_{LogLevel::Off};
+};
+
+/// A simulated clock that stamps the calling thread's log lines. Clocks nest
+/// per thread: lines carry the innermost clock still alive, and clocks may
+/// be destroyed in any order. A clock must be destroyed on the thread that
+/// made it.
+class LogClock {
+ public:
+  explicit LogClock(const std::int64_t& now);
+  ~LogClock();
+
+  LogClock(const LogClock&) = delete;
+  LogClock& operator=(const LogClock&) = delete;
+
+ private:
+  friend class Logger;
+  const std::int64_t* now_;
+  LogClock* outer_;  // the next clock out, toward the oldest
 };
 
 namespace detail {

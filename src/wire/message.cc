@@ -32,20 +32,15 @@ MessagePtr Registry::decode(TypeId id, Reader& r) const {
 
 namespace {
 
-bool g_flat_decode_enabled = true;
-
 // Scratch writer for the blob encoders: capacity persists across calls, so
-// envelope building stops allocating once warmed up. Single-threaded by
-// design (the simulator is); thread_local keeps tools and tests honest.
+// envelope building stops allocating once warmed up. One per thread, so runs
+// on different threads never share it.
 Writer& blob_scratch() {
   thread_local Writer w;
   return w;
 }
 
 }  // namespace
-
-bool flat_decode_enabled() { return g_flat_decode_enabled; }
-void set_flat_decode_enabled(bool on) { g_flat_decode_enabled = on; }
 
 void encode_message_into(Writer& w, const Message& msg) {
   obs::ProfScope prof(obs::CostCenter::WireEncode);

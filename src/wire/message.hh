@@ -10,7 +10,8 @@
 //       std::int64_t epoch = 0;
 //       template <class Ar> void fields(Ar& ar) { ar(epoch); }
 //     };
-// Registration with the decode registry is automatic on first encode.
+// Each message type registers its decoder during static initialization, so
+// the registry is immutable once main() starts and any thread may decode.
 #pragma once
 
 #include <cstdint>
@@ -56,6 +57,7 @@ class Registry {
   static Registry& instance();
 
   /// Registers a decoder; throws on TypeId collision between distinct names.
+  /// Every MessageBase type calls this during static initialization.
   void add(TypeId id, std::string_view name, DecodeFn fn);
   bool contains(TypeId id) const { return decoders_.contains(id); }
   MessagePtr decode(TypeId id, Reader& r) const;
@@ -70,54 +72,55 @@ class Registry {
 
 /// A message type may define `void decode_flat(Reader&)` — a hand-rolled
 /// field-by-field read of the SAME byte layout fields() encodes. When
-/// present it becomes the default decode path (the visitor stays as oracle
-/// behind the flat_decode_enabled() switch).
+/// present it is the type's decode path; the visitor decode stays as the
+/// tests' oracle (decode_with_visitor).
 template <typename T>
 concept HasFlatDecode = requires(T t, Reader& r) { t.decode_flat(r); };
-
-/// Process-wide switch for the decode_flat() paths (default on). Flipping
-/// it affects decodes from then on — the oracle cross-check in tests runs
-/// the same bytes through both paths.
-bool flat_decode_enabled();
-void set_flat_decode_enabled(bool on);
 
 template <typename Derived>
 class MessageBase : public Message {
  public:
   static constexpr TypeId kTypeId = fnv1a(Derived::kTypeName);
 
-  TypeId type_id() const final { return kTypeId; }
+  TypeId type_id() const final {
+    (void)&registered_;  // odr-use: instantiates the registration below
+    return kTypeId;
+  }
   std::string_view type_name() const final { return Derived::kTypeName; }
 
   void encode_into(Writer& w) const final {
-    ensure_registered();
     Encoder enc(w);
     const_cast<Derived&>(static_cast<const Derived&>(*this)).fields(enc);
   }
 
-  /// Registers the decoder for Derived. Called automatically on first
-  /// encode; tests that decode hand-crafted bytes call it directly.
+ private:
   /// Decoded objects come from MessagePool (zero steady-state allocation);
   /// every field is assigned by decode, so recycling cannot leak state.
-  static void ensure_registered() {
-    static const bool done = [] {
-      Registry::instance().add(kTypeId, Derived::kTypeName, [](Reader& r) -> MessagePtr {
-        std::shared_ptr<Derived> m = MessagePool<Derived>::acquire();
-        if constexpr (HasFlatDecode<Derived>) {
-          if (flat_decode_enabled()) {
-            m->decode_flat(r);
-            return m;
-          }
-        }
-        Decoder dec(r);
-        m->fields(dec);
-        return m;
-      });
-      return true;
-    }();
-    (void)done;
+  static MessagePtr decode(Reader& r) {
+    std::shared_ptr<Derived> m = MessagePool<Derived>::acquire();
+    if constexpr (HasFlatDecode<Derived>) {
+      m->decode_flat(r);
+    } else {
+      Decoder dec(r);
+      m->fields(dec);
+    }
+    return m;
   }
+
+  // Registers Derived's decoder during static initialization.
+  static inline const bool registered_ =
+      (Registry::instance().add(kTypeId, Derived::kTypeName, &decode), true);
 };
+
+/// Test oracle: decodes a T from `r` through the fields() visitor, even when
+/// T has a decode_flat().
+template <typename T>
+std::shared_ptr<T> decode_with_visitor(Reader& r) {
+  auto m = std::make_shared<T>();
+  Decoder dec(r);
+  m->fields(dec);
+  return m;
+}
 
 /// Frames `msg` as [type id][payload] bytes.
 std::vector<std::uint8_t> encode_message(const Message& msg);

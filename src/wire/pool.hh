@@ -10,9 +10,11 @@
 //    freelist, so the control block is recycled too.
 //
 // Steady state is therefore zero heap allocations per decode. The deleter
-// recycles instead of destroying; objects live for the process (they are
-// reachable from the freelist, so this is a cache, not a leak). The
-// simulator is single-threaded by design — the freelists are not locked.
+// recycles instead of destroying. Every freelist belongs to one thread: a
+// message goes back to the list of the thread that releases it (the thread
+// running its Simulator), so the lists need no lock. A thread's lists are
+// freed when it exits; a release after that (a shared_ptr dropped during
+// static destruction) frees the object directly.
 #pragma once
 
 #include <memory>
@@ -22,10 +24,55 @@ namespace repli::wire {
 
 namespace detail {
 
+/// The calling thread's freelist of `T*`; `Dispose` frees an entry for good.
+template <typename T, void (*Dispose)(T*)>
+class ThreadFreelist {
+ public:
+  /// A recycled entry, or nullptr when the list is empty.
+  static T* pop() {
+    std::vector<T*>* list = items();
+    if (list == nullptr || list->empty()) return nullptr;
+    T* p = list->back();
+    list->pop_back();
+    return p;
+  }
+
+  static void push(T* p) {
+    if (std::vector<T*>* list = items()) {
+      list->push_back(p);
+    } else {
+      Dispose(p);
+    }
+  }
+
+ private:
+  struct Owner {
+    std::vector<T*> list;
+    ~Owner() {
+      for (T* p : list) Dispose(p);
+      gone_ = true;
+    }
+  };
+
+  /// nullptr once this thread's list has been freed.
+  static std::vector<T*>* items() {
+    if (gone_) return nullptr;
+    thread_local Owner owner;
+    return &owner.list;
+  }
+
+  // Trivially destructible, so it stays readable after the Owner is gone.
+  static inline thread_local bool gone_ = false;
+};
+
+template <typename T>
+void free_storage(T* p) {
+  ::operator delete(p);
+}
+
 /// Minimal allocator whose storage comes from a per-(type, size) freelist.
 /// shared_ptr rebinds it to its internal control-block type, so each
-/// control-block shape gets its own list. Never frees: blocks shuttle
-/// between live shared_ptrs and the freelist.
+/// control-block shape gets its own list.
 template <typename T>
 struct PoolAlloc {
   using value_type = T;
@@ -36,11 +83,8 @@ struct PoolAlloc {
 
   T* allocate(std::size_t n) {
     if (n != 1) return static_cast<T*>(::operator new(n * sizeof(T)));
-    auto& fl = freelist();
-    if (fl.empty()) return static_cast<T*>(::operator new(sizeof(T)));
-    T* p = static_cast<T*>(fl.back());
-    fl.pop_back();
-    return p;
+    if (T* p = Blocks::pop()) return p;
+    return static_cast<T*>(::operator new(sizeof(T)));
   }
 
   void deallocate(T* p, std::size_t n) {
@@ -48,7 +92,7 @@ struct PoolAlloc {
       ::operator delete(p);
       return;
     }
-    freelist().push_back(p);
+    Blocks::push(p);
   }
 
   template <typename U>
@@ -57,12 +101,7 @@ struct PoolAlloc {
   }
 
  private:
-  static std::vector<void*>& freelist() {
-    // Leaked singleton: immune to static-destruction-order races with
-    // late-destroyed shared_ptrs.
-    static auto* fl = new std::vector<void*>();
-    return *fl;
-  }
+  using Blocks = ThreadFreelist<T, &free_storage<T>>;
 };
 
 }  // namespace detail
@@ -72,28 +111,18 @@ class MessagePool {
  public:
   /// A Derived whose deleter recycles it here; steady-state allocation-free.
   static std::shared_ptr<Derived> acquire() {
-    auto& fl = freelist();
-    Derived* obj;
-    if (fl.empty()) {
-      obj = new Derived();
-    } else {
-      obj = fl.back();
-      fl.pop_back();
-    }
+    Derived* obj = Objects::pop();
+    if (obj == nullptr) obj = new Derived();
     return std::shared_ptr<Derived>(obj, Recycler{}, detail::PoolAlloc<Derived>{});
   }
 
-  static std::size_t idle_count() { return freelist().size(); }
-
  private:
-  struct Recycler {
-    void operator()(Derived* p) const { freelist().push_back(p); }
-  };
+  static void destroy(Derived* p) { delete p; }
+  using Objects = detail::ThreadFreelist<Derived, &MessagePool::destroy>;
 
-  static std::vector<Derived*>& freelist() {
-    static auto* fl = new std::vector<Derived*>();
-    return *fl;
-  }
+  struct Recycler {
+    void operator()(Derived* p) const { Objects::push(p); }
+  };
 };
 
 }  // namespace repli::wire

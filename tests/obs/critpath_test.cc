@@ -30,7 +30,7 @@ std::uint64_t add_flow(Tracer& t, std::uint64_t trace, NodeId from, NodeId to, T
 /// with a deliberate 20us instrumentation hole on node 0 before the reply.
 void record_txn(Tracer& t) {
   const auto trace = t.new_trace_id();
-  ContextScope scope{TraceContext{trace, kNoSpan, 0}};
+  ContextScope scope{t, TraceContext{trace, kNoSpan, 0}};
   t.record(9, "core/RE", 0, 10, "r1");
   add_flow(t, trace, 9, 0, 10, 60, 1);        // request
   t.record(0, "db/exec.op", 60, 160, "r1");
@@ -92,7 +92,7 @@ TEST(CritPath, FailedTransactionsStayOutOfTheSummary) {
   record_txn(t);
   {
     const auto trace = t.new_trace_id();
-    ContextScope scope{TraceContext{trace, kNoSpan, 0}};
+    ContextScope scope{t, TraceContext{trace, kNoSpan, 0}};
     t.record(8, "core/RE", 0, 10, "r2");
     const auto end_span = t.record(8, "core/END", 5000, 5001, "r2");
     t.attr(end_span, "ok", "0");  // client timeout
@@ -123,7 +123,7 @@ TEST(CritPath, FailedTransactionsStayOutOfTheSummary) {
 TEST(CritPath, DroppedFlowsAreNeverFollowed) {
   Tracer t;
   const auto trace = t.new_trace_id();
-  ContextScope scope{TraceContext{trace, kNoSpan, 0}};
+  ContextScope scope{t, TraceContext{trace, kNoSpan, 0}};
   t.record(9, "core/RE", 0, 10, "r1");
   // The message never got a delivery lamport (dropped in flight): the walk
   // must not hop it, leaving the whole server time unattributed instead of

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <future>
 #include <map>
 #include <optional>
+#include <thread>
 #include <vector>
 
 #include "util/rng.hh"
@@ -157,8 +159,6 @@ TEST(Message, TruncatedPayloadRejected) {
 }
 
 TEST(Message, HugeVectorLengthPrefixRejectedWithoutAllocating) {
-  OtherMsg::ensure_registered();
-  TestMsg::ensure_registered();
   // Craft a TestMsg payload whose items-vector claims 2^40 entries.
   Writer w;
   w.put_u32(TestMsg::kTypeId);
@@ -170,6 +170,67 @@ TEST(Message, HugeVectorLengthPrefixRejectedWithoutAllocating) {
   w.put_i64(0);             // color
   w.put_u64(1ull << 40);    // items length — absurd
   EXPECT_THROW(decode_message(w.bytes()), WireError);
+}
+
+// Constructed here and nowhere else, and never encoded.
+struct UnsentMsg : MessageBase<UnsentMsg> {
+  static constexpr const char* kTypeName = "test.UnsentMsg";
+  std::int64_t v = 0;
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(v);
+  }
+};
+
+TEST(Message, DecodersAreRegisteredBeforeMain) {
+  EXPECT_TRUE(Registry::instance().contains(UnsentMsg::kTypeId));
+  Writer w;
+  w.put_u32(UnsentMsg::kTypeId);
+  w.put_i64(-7);
+  const auto typed = message_cast<UnsentMsg>(decode_message(w.bytes()));
+  ASSERT_NE(typed, nullptr);
+  EXPECT_EQ(typed->v, -7);
+  const UnsentMsg never_sent;
+  EXPECT_EQ(never_sent.type_id(), UnsentMsg::kTypeId);
+}
+
+TEST(Message, RegistryRejectsTypeIdCollisions) {
+  const auto fn = [](Reader&) -> MessagePtr { return nullptr; };
+  EXPECT_THROW(Registry::instance().add(TestMsg::kTypeId, "test.Impostor", fn), std::exception);
+  EXPECT_THROW(Registry::instance().add(kContextFrameId, "test.Impostor", fn), std::exception);
+  // Re-registering the same name is benign.
+  EXPECT_NO_THROW(Registry::instance().add(TestMsg::kTypeId, TestMsg::kTypeName, fn));
+  EXPECT_EQ(message_cast<TestMsg>(decode_message(encode_message(TestMsg{})))->small, 0);
+}
+
+// A decoded message goes back to the pool of the thread that releases it.
+TEST(MessagePool, EachThreadRecyclesIntoItsOwnPool) {
+  const auto bytes = encode_message(OtherMsg{});
+  std::promise<const Message*> recycled;
+  std::promise<void> main_decoded;
+  std::thread worker([&] {
+    const Message* first = decode_message(bytes).get();  // released at once
+    MessagePtr second = decode_message(bytes);
+    EXPECT_EQ(second.get(), first);  // recycled from this thread's pool
+    second.reset();                  // and back into it
+    recycled.set_value(first);
+    main_decoded.get_future().wait();  // keep this thread's pool alive
+  });
+  const Message* in_worker_pool = recycled.get_future().get();
+  const MessagePtr mine = decode_message(bytes);
+  EXPECT_NE(mine.get(), in_worker_pool);
+  main_decoded.set_value();
+  worker.join();
+}
+
+// Released during static destruction, after this thread's pool is gone
+// (a push into the freed pool is a use-after-free under AddressSanitizer).
+TEST(MessagePool, ReleaseDuringStaticDestructionIsSafe) {
+  static MessagePtr kept;
+  const auto bytes = encode_message(OtherMsg{});
+  decode_message(bytes);  // recycled, so this thread's pool has storage
+  kept = decode_message(bytes);
+  ASSERT_NE(kept, nullptr);
 }
 
 TEST(Message, RandomizedRoundTrips) {
