@@ -1,6 +1,5 @@
 #include "core/active.hh"
 
-#include "core/batching.hh"
 #include "core/channels.hh"
 #include "sim/simulator.hh"
 #include "util/assert.hh"
@@ -13,11 +12,11 @@ ActiveReplica::ActiveReplica(sim::NodeId id, sim::Simulator& sim, ReplicaEnv env
       fd_(*this, group(), gcs::FdConfig{}) {
   add_component(fd_);
   if (impl == AbcastImpl::Sequencer) {
-    abcast_ = std::make_unique<gcs::SequencerAbcast>(*this, group(), fd_, kAbcastChannel,
-                                                     sequencer_config_of(this->env()));
+    abcast_ = std::make_unique<gcs::SequencerAbcast>(
+        *this, group(), fd_, kAbcastChannel, gcs::SequencerConfig{.batch = this->env().batch});
   } else {
-    abcast_ = std::make_unique<gcs::ConsensusAbcast>(*this, group(), fd_, kAbcastChannel,
-                                                     consensus_config_of(this->env()));
+    abcast_ = std::make_unique<gcs::ConsensusAbcast>(
+        *this, group(), fd_, kAbcastChannel, gcs::ConsensusConfig{.batch = this->env().batch});
   }
   add_component(*abcast_);
   // Replica-local randomness: nondeterministic procedures will diverge.

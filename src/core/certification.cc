@@ -1,6 +1,5 @@
 #include "core/certification.hh"
 
-#include "core/batching.hh"
 #include "core/channels.hh"
 #include "sim/simulator.hh"
 
@@ -10,7 +9,7 @@ CertificationReplica::CertificationReplica(sim::NodeId id, sim::Simulator& sim, 
                                            CertificationConfig config)
     : ReplicaBase(id, sim, "certification-" + std::to_string(id), std::move(env)),
       fd_(*this, group(), gcs::FdConfig{}),
-      abcast_(*this, group(), fd_, kAbcastChannel, sequencer_config_of(this->env())),
+      abcast_(*this, group(), fd_, kAbcastChannel, {.batch = this->env().batch}),
       config_(config) {
   add_component(fd_);
   add_component(abcast_);

@@ -17,10 +17,9 @@ Cluster::Cluster(ClusterConfig config)
   util::ensure(config_.replicas >= 1, "Cluster: need at least one replica");
   util::ensure(config_.clients >= 1, "Cluster: need at least one client");
   util::ensure(config_.batch_max_ops >= 1, "Cluster: batch_max_ops must be >= 1");
-  if (config_.batch_max_ops > 1 && config_.net.coalesce_window == 0) {
-    // Batching implies frame coalescing unless the caller pinned a window.
-    config_.net.coalesce_window = config_.batch_flush_us * sim::kUsec;
-  }
+  const sim::BatchPolicy batch{config_.batch_max_ops, config_.batch_flush_us * sim::kUsec};
+  // Batching implies frame coalescing over the same window.
+  config_.net.coalesce_window = batch.batching() ? batch.window : 0;
   sim_ = std::make_unique<sim::Simulator>(config_.seed, config_.net);
   monitor_.bind(&sim_->tracer(), &sim_->metrics());
 
@@ -33,8 +32,7 @@ Cluster::Cluster(ClusterConfig config)
   env.registry = &registry_;
   env.history = config_.record_history ? &history_ : nullptr;
   env.monitor = &monitor_;
-  env.batch_max_ops = config_.batch_max_ops;
-  env.batch_flush = config_.batch_flush_us * sim::kUsec;
+  env.batch = batch;
 
   for (int i = 0; i < config_.replicas; ++i) {
     switch (config_.kind) {

@@ -36,13 +36,14 @@ struct ClusterConfig {
   sim::Time client_retry_timeout = 500 * sim::kMsec;
   int client_max_attempts = 8;
 
-  // Batching fast path. batch_max_ops > 1 turns on every batching layer:
-  // abcast submission batching + ordering batching (gcs), link payload
-  // packing, group commit / writeset batching in the techniques, and
-  // physical frame coalescing in the network (coalesce_window defaults to
-  // batch_flush_us when unset). At batch_max_ops == 1 (the default) a batch
-  // of one is a group of one that commits at once; the gcs layers and the
-  // network take their direct, unbatched path.
+  // Batching fast path. The two knobs form one sim::BatchPolicy that the
+  // cluster threads down to every batching layer: abcast submission and
+  // ordering batches (gcs), link payload packing, group commit / writeset
+  // batching in the techniques, and physical frame coalescing in the
+  // network (net.coalesce_window is set to batch_flush_us when
+  // batch_max_ops > 1, and to 0 otherwise). At batch_max_ops == 1 (the
+  // default) a batch of one is a group of one that commits at once; the gcs
+  // layers and the network take their direct, unbatched path.
   int batch_max_ops = 1;
   std::int64_t batch_flush_us = 200;  // flush window for every batching layer
 };

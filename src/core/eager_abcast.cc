@@ -1,6 +1,5 @@
 #include "core/eager_abcast.hh"
 
-#include "core/batching.hh"
 #include "core/channels.hh"
 #include "sim/simulator.hh"
 #include "util/assert.hh"
@@ -11,7 +10,7 @@ EagerAbcastReplica::EagerAbcastReplica(sim::NodeId id, sim::Simulator& sim, Repl
                                        EagerAbcastConfig config)
     : ReplicaBase(id, sim, "eager-abcast-" + std::to_string(id), std::move(env)),
       fd_(*this, group(), gcs::FdConfig{}),
-      abcast_(*this, group(), fd_, kAbcastChannel, sequencer_config_of(this->env())),
+      abcast_(*this, group(), fd_, kAbcastChannel, {.batch = this->env().batch}),
       config_(config) {
   add_component(fd_);
   add_component(abcast_);

@@ -21,7 +21,10 @@ EagerLockingReplica::EagerLockingReplica(sim::NodeId id, sim::Simulator& sim, Re
         lock_config.wait_die = true;  // distributed deadlock prevention
         return lock_config;
       }()),
-      config_(config) {
+      config_(config),
+      commit_batcher_(this->env().batch, *this, [this](std::vector<LkGroupEntry> members) {
+        flush_commit_group(std::move(members));
+      }) {
   add_component(fd_);
   add_component(link_);
   add_component(tpc_);
@@ -361,26 +364,15 @@ void EagerLockingReplica::start_commit(const std::string& txn_id) {
   }
   // Group commit: commit-ready write transactions wait (bounded by the flush
   // window) to share one 2PC round; a batch of one flushes at once.
-  commit_buffer_.push_back(std::move(member));
-  if (static_cast<int>(commit_buffer_.size()) >= std::max(1, env().batch_max_ops)) {
-    flush_commit_group();
-    return;
-  }
-  if (commit_buffer_.size() == 1) {
-    const std::uint64_t epoch = commit_epoch_;
-    set_timer(env().batch_flush, [this, epoch] {
-      if (epoch == commit_epoch_ && !commit_buffer_.empty()) flush_commit_group();
-    });
-  }
+  commit_batcher_.add(std::move(member));
 }
 
-void EagerLockingReplica::flush_commit_group() {
-  ++commit_epoch_;
+void EagerLockingReplica::flush_commit_group(std::vector<LkGroupEntry> members) {
   std::vector<sim::NodeId> participants;
   for (const auto m : group().members()) {
     if (!fd_.suspects(m)) participants.push_back(m);
   }
-  commit_group(std::exchange(commit_buffer_, {}), participants);
+  commit_group(std::move(members), participants);
 }
 
 void EagerLockingReplica::commit_group(std::vector<LkGroupEntry> members,

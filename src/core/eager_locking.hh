@@ -111,7 +111,7 @@ struct LkGroupEntry {
 };
 
 /// The 2PC prepare payload: the delegate commits its commit-ready
-/// transactions in groups of up to batch_max_ops through ONE 2PC round,
+/// transactions in groups of up to batch.max through ONE 2PC round,
 /// whose id is the first member's txn id (a group of one commits under its
 /// own id). Each participant votes yes iff it holds every member's locks
 /// and staged execution.
@@ -171,7 +171,7 @@ class EagerLockingReplica : public ReplicaBase {
   void on_exec_done(sim::NodeId from, const LkExecDone& done);
   void abort_and_retry(const std::string& txn_id);
   void start_commit(const std::string& txn_id);
-  void flush_commit_group();
+  void flush_commit_group(std::vector<LkGroupEntry> members);
   void commit_group(std::vector<LkGroupEntry> members,
                     const std::vector<sim::NodeId>& participants);
 
@@ -198,9 +198,8 @@ class EagerLockingReplica : public ReplicaBase {
   std::int64_t lock_aborts_ = 0;
 
   // Group commit: commit-ready write transactions gather here until the
-  // group holds batch_max_ops of them or the flush window expires.
-  std::vector<LkGroupEntry> commit_buffer_;
-  std::uint64_t commit_epoch_ = 0;  // invalidates stale flush timers
+  // group holds batch.max of them or the flush window expires.
+  sim::Batcher<LkGroupEntry> commit_batcher_;
   // Both sides: group id -> member txns, recorded at prepare so the 2PC
   // outcome can be fanned out per member.
   std::map<std::string, std::vector<std::string>> commit_groups_;

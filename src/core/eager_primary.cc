@@ -142,7 +142,7 @@ void EagerPrimaryReplica::close_queue_wait(const std::string& request_id) {
 void EagerPrimaryReplica::pump() {
   if (busy_ || queue_.empty() || !is_primary()) return;
   busy_ = true;
-  if (env().batch_max_ops > 1) {
+  if (env().batch.batching()) {
     start_group();
     return;
   }
@@ -170,11 +170,11 @@ void EagerPrimaryReplica::pump() {
 
 void EagerPrimaryReplica::start_group() {
   // Natural batching: take whatever has queued up while the pump was busy,
-  // capped at batch_max_ops. No gather timer — an idle primary still starts
+  // capped at batch.max. No gather timer — an idle primary still starts
   // a lone request immediately (latency never waits on the batch filling).
   GroupTxn grp;
   grp.id = "grp@" + std::to_string(id()) + "." + std::to_string(++accept_seq_);
-  const auto limit = static_cast<std::size_t>(env().batch_max_ops);
+  const auto limit = static_cast<std::size_t>(env().batch.max);
   while (!queue_.empty() && grp.requests.size() < limit) {
     grp.requests.push_back(queue_.front());
     queue_.pop_front();

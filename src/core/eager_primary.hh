@@ -145,7 +145,7 @@ class EagerPrimaryReplica : public ReplicaBase {
     sim::Time ac_start = 0;
   };
 
-  // Group commit (env().batch_max_ops > 1): requests drained from the queue
+  // Group commit (env().batch.batching()): requests drained from the queue
   // are executed serially against a scratch copy of storage, then committed
   // together with one 2PC round (EpGroupChange as the prepare payload).
   struct GroupTxn {

@@ -1,6 +1,5 @@
 #include "core/lazy_everywhere.hh"
 
-#include "core/batching.hh"
 #include "core/channels.hh"
 #include "sim/simulator.hh"
 
@@ -10,8 +9,8 @@ LazyEverywhereReplica::LazyEverywhereReplica(sim::NodeId id, sim::Simulator& sim
                                              LazyConfig config)
     : ReplicaBase(id, sim, "lazy-everywhere-" + std::to_string(id), std::move(env)),
       fd_(*this, group(), gcs::FdConfig{}),
-      abcast_(*this, group(), fd_, kAbcastChannel, sequencer_config_of(this->env())),
-      flood_(*this, group(), kRequestChannel, batched_link_of(this->env())),
+      abcast_(*this, group(), fd_, kAbcastChannel, {.batch = this->env().batch}),
+      flood_(*this, group(), kRequestChannel, {}, this->env().batch),
       config_(config) {
   add_component(fd_);
   add_component(abcast_);

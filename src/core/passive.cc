@@ -66,10 +66,10 @@ void PassiveReplica::pump() {
   if (in_flight_ > 0 || queue_.empty()) return;
   if (!is_primary()) return;  // demoted: clients will be redirected on retry
   // Natural batching: the group is whatever queued up while the previous
-  // one was in flight, capped at batch_max_ops (a batch of one is a group
-  // of one).
+  // one was in flight, capped at batch.max (a batch of one is a group of
+  // one).
   in_flight_ = std::min(queue_.size(),
-                        static_cast<std::size_t>(std::max(1, env().batch_max_ops)));
+                        static_cast<std::size_t>(std::max(1, env().batch.max)));
   // The pump often runs inside the event that finished the *previous*
   // group; resume the first request's own causal trace before scheduling.
   TraceResume resume{*this, queue_.front().request_id};

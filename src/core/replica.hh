@@ -16,6 +16,7 @@
 #include "obs/metrics.hh"
 #include "obs/monitor.hh"
 #include "obs/trace.hh"
+#include "sim/batcher.hh"
 #include "sim/trace.hh"
 
 namespace repli::core {
@@ -30,10 +31,9 @@ struct ReplicaEnv {
   const db::ProcRegistry* registry = nullptr;  // shared, outlives replicas
   History* history = nullptr;                  // shared recorder (may be null)
   obs::HealthMonitor* monitor = nullptr;       // shared health monitor (may be null)
-  // Batching knobs, threaded from ClusterConfig: max ops per batch (group
-  // commit / writeset batch / abcast envelope) and the flush window. 1 = off.
-  int batch_max_ops = 1;
-  sim::Time batch_flush = 200 * sim::kUsec;
+  // The batch policy, threaded from ClusterConfig to every batching layer
+  // (group commit, abcast envelopes and order batches, link packs).
+  sim::BatchPolicy batch;
 };
 
 class ReplicaBase : public gcs::ComponentHost {

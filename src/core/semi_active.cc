@@ -1,6 +1,5 @@
 #include "core/semi_active.hh"
 
-#include "core/batching.hh"
 #include "core/channels.hh"
 #include "sim/simulator.hh"
 #include "util/assert.hh"
@@ -10,7 +9,7 @@ namespace repli::core {
 SemiActiveReplica::SemiActiveReplica(sim::NodeId id, sim::Simulator& sim, ReplicaEnv env)
     : ReplicaBase(id, sim, "semi-active-" + std::to_string(id), std::move(env)),
       fd_(*this, group(), gcs::FdConfig{}),
-      abcast_(*this, group(), fd_, kAbcastChannel, sequencer_config_of(this->env())),
+      abcast_(*this, group(), fd_, kAbcastChannel, {.batch = this->env().batch}),
       vg_(*this, group(), fd_, kViewChannel) {
   add_component(fd_);
   add_component(abcast_);

@@ -5,34 +5,23 @@
 
 namespace repli::gcs {
 
-AtomicBroadcast::AtomicBroadcast(sim::Process& host, AbcastBatchConfig batch)
-    : abcast_host_(host), batch_(batch) {}
+AtomicBroadcast::AtomicBroadcast(sim::Process& host, sim::BatchPolicy batch)
+    : abcast_host_(host),
+      batcher_(batch, host, [this](std::vector<std::string> p) { flush_batch(std::move(p)); }) {}
 
 void AtomicBroadcast::abcast(const wire::Message& msg) {
   obs::ProfScope prof(obs::CostCenter::GcsAbcast);
-  if (batch_.max_msgs <= 1) {
+  if (!batcher_.policy().batching()) {
     abcast_now(msg);
     return;
   }
-  buffered_.push_back(wire::to_blob(msg));
-  if (static_cast<int>(buffered_.size()) >= batch_.max_msgs) {
-    flush_batch();
-    return;
-  }
-  if (buffered_.size() == 1) {
-    const std::uint64_t epoch = batch_epoch_;
-    abcast_host_.set_timer(batch_.flush_window, [this, epoch] {
-      if (epoch == batch_epoch_ && !buffered_.empty()) flush_batch();
-    });
-  }
+  batcher_.add(wire::to_blob(msg));
 }
 
-void AtomicBroadcast::flush_batch() {
+void AtomicBroadcast::flush_batch(std::vector<std::string> payloads) {
   obs::ProfScope prof(obs::CostCenter::GcsAbcast);
-  ++batch_epoch_;
   AbEnvelope env;
-  env.payloads = std::move(buffered_);
-  buffered_.clear();
+  env.payloads = std::move(payloads);
   const auto occupancy = static_cast<double>(env.payloads.size());
   abcast_host_.sim().metrics().histogram("gcs.abcast.batch_occupancy").observe(occupancy);
   abcast_host_.sim().tracer().instant(

@@ -3,12 +3,12 @@
 // delivers m, all correct members deliver m (agreement), and any two members
 // deliver common messages in the same order (total order).
 //
-// The base class also owns the submission-side *batcher*: with batching
-// enabled (max_msgs > 1), concurrently-submitted payloads are coalesced
-// into one AbEnvelope that goes through the ordering protocol as a single
+// The base class also owns the submission-side batcher: with a batching
+// policy (max > 1), concurrently-submitted payloads are coalesced into one
+// AbEnvelope that goes through the ordering protocol as a single
 // totally-ordered message, amortizing the ordering round over the whole
 // batch. Delivery unpacks the envelope, so consumers always see individual
-// payloads in order. With max_msgs <= 1 (the default) abcast() forwards
+// payloads in order. With max <= 1 (the default) abcast() forwards
 // straight to the implementation — the byte-identical unbatched path.
 #pragma once
 
@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "gcs/component.hh"
+#include "sim/batcher.hh"
 
 namespace repli::gcs {
 
@@ -46,14 +47,6 @@ struct AbEnvelope : wire::MessageBase<AbEnvelope> {
   }
 };
 
-/// Submission-side batching knobs. max_msgs <= 1 disables batching (every
-/// abcast() goes straight down, no envelope, no timer). With batching on, a
-/// partially-filled batch is flushed flush_window after its first payload.
-struct AbcastBatchConfig {
-  int max_msgs = 1;
-  sim::Time flush_window = 200 * sim::kUsec;
-};
-
 class AtomicBroadcast : public Component {
  public:
   /// Delivery callback: `origin` is the node that abcast the message.
@@ -65,10 +58,8 @@ class AtomicBroadcast : public Component {
 
   void set_deliver(DeliverFn fn) { deliver_ = std::move(fn); }
 
-  const AbcastBatchConfig& batch_config() const { return batch_; }
-
  protected:
-  AtomicBroadcast(sim::Process& host, AbcastBatchConfig batch);
+  AtomicBroadcast(sim::Process& host, sim::BatchPolicy batch);
 
   /// Implementation hook: hands one message (possibly an AbEnvelope) to the
   /// ordering protocol.
@@ -86,11 +77,9 @@ class AtomicBroadcast : public Component {
   sim::Process& abcast_host_;
 
  private:
-  void flush_batch();
+  void flush_batch(std::vector<std::string> payloads);
 
-  AbcastBatchConfig batch_;
-  std::vector<std::string> buffered_;  // to_blob'ed payloads awaiting flush
-  std::uint64_t batch_epoch_ = 0;      // invalidates stale flush timers
+  sim::Batcher<std::string> batcher_;  // to_blob'ed payloads awaiting flush
   DeliverFn deliver_;
 };
 

@@ -12,7 +12,7 @@ ConsensusAbcast::ConsensusAbcast(sim::Process& host, Group group, FailureDetecto
     : AtomicBroadcast(host, config.batch),
       host_(host),
       group_(std::move(group)),
-      flood_(host, group_, channel, config.link),
+      flood_(host, group_, channel, {}, config.batch),
       consensus_(host, group_, fd, channel + 2, config) {
   flood_.set_deliver([this](sim::NodeId /*origin*/, wire::MessagePtr msg) { on_flood(std::move(msg)); });
   consensus_.set_decide(

@@ -16,7 +16,9 @@ SequencerAbcast::SequencerAbcast(sim::Process& host, Group group, FailureDetecto
       group_(std::move(group)),
       fd_(fd),
       config_(config),
-      flood_(host, group_, channel, config.link) {
+      flood_(host, group_, channel, {}, config.batch),
+      order_batcher_(config.batch, host,
+                     [this](std::vector<AbOrder> batch) { flush_orders(std::move(batch)); }) {
   flood_.set_deliver([this](sim::NodeId /*origin*/, wire::MessagePtr msg) { on_flood(std::move(msg)); });
   fd_.on_suspect([this](sim::NodeId /*who*/) {
     // Wait out in-flight orders from the previous sequencer before taking
@@ -103,37 +105,23 @@ void SequencerAbcast::assign(const MsgId& id) {
   order.gseq = next_gseq_++;
   util::log_debug("abcast-seq ", host_.id(), ": ordering (", id.first, ",", id.second,
                   ") as gseq ", order.gseq);
-  if (config_.batch.max_msgs <= 1) {
+  if (!config_.batch.batching()) {
     flood_.rbcast(order);  // delivers to ourselves as well, updating state
     return;
   }
   // Batched ordering: gather assignments for a flush window and flood them
   // as one AbOrderBatch — one ordering flood amortized over the window.
   assign_pending_.insert(id);
-  order_buffer_.push_back(order);
-  if (static_cast<int>(order_buffer_.size()) >= config_.batch.max_msgs) {
-    flush_orders();
-    return;
-  }
-  if (order_buffer_.size() == 1) {
-    const std::uint64_t epoch = order_epoch_;
-    host_.set_timer(config_.batch.flush_window, [this, epoch] {
-      if (epoch == order_epoch_ && !order_buffer_.empty()) flush_orders();
-    });
-  }
+  order_batcher_.add(order);
 }
 
-void SequencerAbcast::flush_orders() {
-  ++order_epoch_;
-  if (order_buffer_.size() == 1) {
-    const AbOrder order = order_buffer_.front();
-    order_buffer_.clear();
-    flood_.rbcast(order);
+void SequencerAbcast::flush_orders(std::vector<AbOrder> orders) {
+  if (orders.size() == 1) {
+    flood_.rbcast(orders.front());
     return;
   }
   AbOrderBatch batch;
-  batch.orders = std::move(order_buffer_);
-  order_buffer_.clear();
+  batch.orders = std::move(orders);
   host_.sim().metrics().histogram("gcs.abcast.order_batch_occupancy")
       .observe(static_cast<double>(batch.orders.size()));
   flood_.rbcast(batch);

@@ -50,14 +50,14 @@ struct AbOrderBatch : wire::MessageBase<AbOrderBatch> {
 };
 
 struct SequencerConfig {
-  LinkConfig link;
+  /// Batching for every layer of this broadcast: submission envelopes (see
+  /// AtomicBroadcast), the sequencer's ordering decisions (AbOrderBatch
+  /// floods) and the flood's link packs.
+  sim::BatchPolicy batch;
   /// Grace period between suspecting the sequencer and sequencing the
   /// backlog, sized to let in-flight orders from the previous sequencer
   /// settle (timed-asynchronous assumption; see file header).
   sim::Time takeover_delay = 50 * sim::kMsec;
-  /// Submission batching (see AtomicBroadcast); also enables batching of
-  /// the sequencer's ordering decisions into AbOrderBatch floods.
-  AbcastBatchConfig batch;
 };
 
 class SequencerAbcast : public AtomicBroadcast {
@@ -88,7 +88,7 @@ class SequencerAbcast : public AtomicBroadcast {
   void sequence_backlog();
   void assign(const MsgId& id);
   void apply_order(const AbOrder& order);
-  void flush_orders();
+  void flush_orders(std::vector<AbOrder> orders);
   void try_deliver();
   /// True when this node is the sequencer *and* its takeover grace period
   /// has elapsed (in-flight orders from the predecessor have settled).
@@ -110,9 +110,8 @@ class SequencerAbcast : public AtomicBroadcast {
   DeliverFn opt_deliver_;
   std::map<MsgId, obs::SpanId> order_spans_;  // open gcs/abcast.order spans
   std::map<MsgId, std::uint64_t> trace_of_;   // causal trace each payload arrived under
-  std::vector<AbOrder> order_buffer_;         // assignments awaiting a batched flood
-  std::set<MsgId> assign_pending_;            // ids in order_buffer_ (double-assign guard)
-  std::uint64_t order_epoch_ = 0;             // invalidates stale order-flush timers
+  sim::Batcher<AbOrder> order_batcher_;       // assignments awaiting a batched flood
+  std::set<MsgId> assign_pending_;            // ids in order_batcher_ (double-assign guard)
 };
 
 }  // namespace repli::gcs

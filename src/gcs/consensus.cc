@@ -14,8 +14,8 @@ Consensus::Consensus(sim::Process& host, Group group, FailureDetector& fd, std::
       group_(std::move(group)),
       fd_(fd),
       config_(config),
-      link_(host, channel, config.link),
-      decide_flood_(host, group_, channel + 1, config.link) {
+      link_(host, channel, {}, config.batch),
+      decide_flood_(host, group_, channel + 1, {}, config.batch) {
   link_.set_deliver([this](sim::NodeId from, wire::MessagePtr msg) {
     const std::uint64_t k = [&]() -> std::uint64_t {
       if (const auto m = wire::message_cast<CsEstimate>(msg)) return m->instance;

@@ -81,11 +81,11 @@ struct CsDecide : wire::MessageBase<CsDecide> {
 };
 
 struct ConsensusConfig {
+  /// Batching: the link packs of every link below, and ConsensusAbcast's
+  /// submission envelopes.
+  sim::BatchPolicy batch;
   sim::Time round_timeout = 20 * sim::kMsec;  // initial deadline, doubles per round
   sim::Time max_round_timeout = 500 * sim::kMsec;
-  LinkConfig link;
-  /// Submission batching for ConsensusAbcast (unused by bare Consensus).
-  AbcastBatchConfig batch;
 };
 
 class Consensus : public Component {

@@ -29,7 +29,9 @@ class FifoChannel : public Component {
  public:
   using DeliverFn = std::function<void(sim::NodeId from, wire::MessagePtr msg)>;
 
-  FifoChannel(sim::Process& host, std::uint32_t channel, LinkConfig link_config = {});
+  /// `pack` is the packing policy of the underlying link (see ReliableLink).
+  FifoChannel(sim::Process& host, std::uint32_t channel, LinkConfig link_config = {},
+              sim::BatchPolicy pack = {});
 
   void set_deliver(DeliverFn fn) { deliver_ = std::move(fn); }
 

@@ -41,7 +41,9 @@ class Flooder : public Component {
   /// Delivery callback: `origin` is the broadcasting process.
   using DeliverFn = std::function<void(sim::NodeId origin, wire::MessagePtr msg)>;
 
-  Flooder(sim::Process& host, Group group, std::uint32_t channel, LinkConfig link_config = {});
+  /// `pack` is the packing policy of the underlying link (see ReliableLink).
+  Flooder(sim::Process& host, Group group, std::uint32_t channel, LinkConfig link_config = {},
+          sim::BatchPolicy pack = {});
 
   void set_deliver(DeliverFn fn) { deliver_ = std::move(fn); }
 

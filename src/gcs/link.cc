@@ -6,8 +6,9 @@
 
 namespace repli::gcs {
 
-ReliableLink::ReliableLink(sim::Process& host, std::uint32_t channel, LinkConfig config)
-    : host_(host), channel_(channel), config_(config) {}
+ReliableLink::ReliableLink(sim::Process& host, std::uint32_t channel, LinkConfig config,
+                           sim::BatchPolicy pack)
+    : host_(host), channel_(channel), config_(config), pack_policy_(pack) {}
 
 void ReliableLink::send_reliable(sim::NodeId to, const wire::Message& msg) {
   send_blob(to, wire::to_blob(msg));
@@ -15,42 +16,26 @@ void ReliableLink::send_reliable(sim::NodeId to, const wire::Message& msg) {
 
 void ReliableLink::send_blob(sim::NodeId to, std::string payload) {
   obs::ProfScope prof(obs::CostCenter::GcsLink);
-  if (config_.batch_max_msgs <= 1) {
+  if (!pack_policy_.batching()) {
     send_now(to, std::move(payload));
     return;
   }
-  // Packing: gather payloads per destination for up to batch_window, then
-  // ship them as one LinkPack (one seq / ack / retransmission unit).
-  PackBuffer& buf = pack_[to];
-  buf.payloads.push_back(std::move(payload));
-  if (static_cast<int>(buf.payloads.size()) >= config_.batch_max_msgs) {
-    flush_pack(to);
-    return;
-  }
-  if (buf.payloads.size() == 1) {
-    const std::uint64_t epoch = buf.epoch;
-    host_.set_timer(config_.batch_window, [this, to, epoch] {
-      const auto it = pack_.find(to);
-      if (it != pack_.end() && it->second.epoch == epoch && !it->second.payloads.empty()) {
-        flush_pack(to);
-      }
-    });
-  }
+  // Packing: gather payloads per destination, then ship them as one
+  // LinkPack (one seq / ack / retransmission unit).
+  pack_
+      .try_emplace(to, pack_policy_, host_,
+                   [this, to](std::vector<std::string> p) { flush_pack(to, std::move(p)); })
+      .first->second.add(std::move(payload));
 }
 
-void ReliableLink::flush_pack(sim::NodeId to) {
-  PackBuffer& buf = pack_[to];
-  ++buf.epoch;
-  if (buf.payloads.size() == 1) {
+void ReliableLink::flush_pack(sim::NodeId to, std::vector<std::string> payloads) {
+  if (payloads.size() == 1) {
     // A lone payload skips the pack wrapper: same bytes as an unpacked send.
-    std::string payload = std::move(buf.payloads.front());
-    buf.payloads.clear();
-    send_now(to, std::move(payload));
+    send_now(to, std::move(payloads.front()));
     return;
   }
   LinkPack pack;
-  pack.payloads = std::move(buf.payloads);
-  buf.payloads.clear();
+  pack.payloads = std::move(payloads);
   host_.sim().metrics().histogram("gcs.link.pack_occupancy")
       .observe(static_cast<double>(pack.payloads.size()));
   send_now(to, wire::to_blob(pack));

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "gcs/component.hh"
+#include "sim/batcher.hh"
 
 namespace repli::gcs {
 
@@ -74,13 +75,6 @@ struct LinkPack : wire::MessageBase<LinkPack> {
 struct LinkConfig {
   sim::Time rto = 5 * sim::kMsec;  // retransmission timeout
   int max_retries = 100;
-  /// Send-side payload packing: with batch_max_msgs > 1, payloads to the
-  /// same destination are gathered for up to batch_window and shipped as
-  /// one LinkPack (one LinkData + one LinkAck for the whole pack). The
-  /// default (<= 1) keeps every send its own LinkData — the byte-identical
-  /// unbatched path.
-  int batch_max_msgs = 1;
-  sim::Time batch_window = 200 * sim::kUsec;
 };
 
 class ReliableLink : public Component {
@@ -88,7 +82,12 @@ class ReliableLink : public Component {
   using DeliverFn = std::function<void(sim::NodeId from, wire::MessagePtr msg)>;
 
   /// `channel` separates independent link instances on the same process.
-  ReliableLink(sim::Process& host, std::uint32_t channel, LinkConfig config = {});
+  /// Send-side packing: with `pack` batching, payloads to the same
+  /// destination are gathered per the policy and shipped as one LinkPack
+  /// (one LinkData + one LinkAck for the whole pack). The default keeps
+  /// every send its own LinkData — the byte-identical unbatched path.
+  ReliableLink(sim::Process& host, std::uint32_t channel, LinkConfig config = {},
+               sim::BatchPolicy pack = {});
 
   void set_deliver(DeliverFn fn) { deliver_ = std::move(fn); }
 
@@ -113,23 +112,19 @@ class ReliableLink : public Component {
   void arm_timer();
   void on_tick();
   void send_now(sim::NodeId to, std::string payload);
-  void flush_pack(sim::NodeId to);
+  void flush_pack(sim::NodeId to, std::vector<std::string> payloads);
 
   sim::Process& host_;
   std::uint32_t channel_;
   LinkConfig config_;
+  sim::BatchPolicy pack_policy_;
   DeliverFn deliver_;
   std::uint64_t next_seq_ = 1;
   std::map<std::uint64_t, Pending> outbox_;
   // Dedup per sender: bit `seq` is set once that LinkData was delivered.
   std::map<sim::NodeId, std::vector<bool>> seen_;
   sim::Process::TimerId timer_ = sim::Process::kNoTimer;
-
-  struct PackBuffer {
-    std::vector<std::string> payloads;
-    std::uint64_t epoch = 0;  // invalidates stale flush timers
-  };
-  std::map<sim::NodeId, PackBuffer> pack_;  // per-destination, batching only
+  std::map<sim::NodeId, sim::Batcher<std::string>> pack_;  // per destination
 };
 
 }  // namespace repli::gcs

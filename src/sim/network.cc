@@ -83,58 +83,40 @@ void Network::send(NodeId from, NodeId to, wire::MessagePtr msg) {
   ev.sent = sim_.now();
   ev.bytes = bytes.size();
 
-  // Frame coalescing: buffer eligible cross-link messages per (from, to)
-  // and ship them as one physical frame. Liveness traffic is exempt (see
-  // is_liveness_traffic), self-sends are already free.
-  const bool liveness = is_liveness_traffic(type);
-  const bool coalesce = config_.coalesce_window > 0 && cross_link && !liveness;
-  if (coalesce) {
-    // Loss and partitions apply per logical message at send time, exactly
-    // like the per-message path (ARQ above retransmits individually).
-    if (blocked_ && blocked_(from, to)) {
-      ++messages_sent_;
-      drop(ev, "partition");
-      return;
-    }
-    if (sim_.rng().bernoulli(config_.drop_probability)) {
-      ++messages_sent_;
-      drop(ev, "loss");
-      return;
-    }
-    FrameEntry entry;
-    entry.wctx = wctx;
-    entry.src_span = src_span;
-    entry.msg = wire::decode_framed(bytes).msg;
-    entry.type = ev.type;
-    entry.bytes = bytes.size();
-    entry.enqueued = sim_.now();
-    FrameBuffer& buf = frames_[{from, to}];
-    buf.entries.push_back(std::move(entry));
-    if (static_cast<int>(buf.entries.size()) >= config_.coalesce_max_msgs) {
-      flush_frame(from, to);
-      return;
-    }
-    if (buf.entries.size() == 1) {
-      const std::uint64_t epoch = buf.epoch;
-      sim_.schedule_after(config_.coalesce_window, [this, from, to, epoch] {
-        const auto it = frames_.find({from, to});
-        if (it != frames_.end() && it->second.epoch == epoch && !it->second.entries.empty()) {
-          flush_frame(from, to);
-        }
-      });
-    }
-    return;
-  }
-
-  ++messages_sent_;
+  // Loss and partitions apply per logical message at send time, coalesced
+  // or not (ARQ above retransmits individually).
   if (cross_link && blocked_ && blocked_(from, to)) {
+    ++messages_sent_;
     drop(ev, "partition");
     return;
   }
   if (cross_link && sim_.rng().bernoulli(config_.drop_probability)) {
+    ++messages_sent_;
     drop(ev, "loss");
     return;
   }
+
+  // Frame coalescing: buffer eligible cross-link messages per (from, to)
+  // and ship them as one physical frame. Liveness traffic is exempt (see
+  // is_liveness_traffic), self-sends are already free.
+  const bool liveness = is_liveness_traffic(type);
+  if (config_.coalesce_window > 0 && cross_link && !liveness) {
+    const BatchPolicy policy{kCoalesceMaxMsgs, config_.coalesce_window};
+    frames_
+        .try_emplace(std::pair{from, to}, policy, sim_,
+                     [this, from, to](std::vector<FrameEntry> entries) {
+                       flush_frame(from, to, std::move(entries));
+                     })
+        .first->second.add(FrameEntry{.wctx = wctx,
+                                      .src_span = src_span,
+                                      .msg = wire::decode_framed(bytes).msg,
+                                      .type = ev.type,
+                                      .bytes = bytes.size(),
+                                      .enqueued = sim_.now()});
+    return;
+  }
+
+  ++messages_sent_;
 
   const Time delay = delivery_delay(from, to, bytes.size());
 
@@ -190,14 +172,8 @@ void Network::send(NodeId from, NodeId to, wire::MessagePtr msg) {
                       liveness ? EventClass::Background : EventClass::Foreground);
 }
 
-void Network::flush_frame(NodeId from, NodeId to) {
+void Network::flush_frame(NodeId from, NodeId to, std::vector<FrameEntry> entries) {
   obs::ProfScope prof(obs::CostCenter::NetDelivery);
-  FrameBuffer& buf = frames_[{from, to}];
-  ++buf.epoch;
-  std::vector<FrameEntry> entries = std::move(buf.entries);
-  buf.entries.clear();
-  if (entries.empty()) return;
-
   // One physical frame for the whole batch.
   ++messages_sent_;
   std::size_t frame_bytes = 0;

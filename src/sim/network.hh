@@ -23,6 +23,7 @@
 #include <string_view>
 #include <vector>
 
+#include "sim/batcher.hh"
 #include "sim/time.hh"
 #include "sim/trace.hh"
 #include "wire/codec.hh"
@@ -39,14 +40,16 @@ struct NetworkConfig {
   double drop_probability = 0.0;     // iid per message
   /// Frame coalescing: with coalesce_window > 0, cross-link messages to the
   /// same destination are gathered for up to the window (or until
-  /// coalesce_max_msgs) and shipped as ONE physical frame — messages_sent()
+  /// kCoalesceMaxMsgs) and shipped as ONE physical frame — messages_sent()
   /// then counts frames, while per_type_count() keeps counting logical
   /// messages. Heartbeats ("gcs.Heartbeat") are exempt so failure detection
   /// latency and the heartbeat-exclusion accounting stay exact. 0 (the
   /// default) is the exact legacy per-message path.
   Time coalesce_window = 0;
-  int coalesce_max_msgs = 16;
 };
+
+/// Most logical messages one coalesced frame carries.
+inline constexpr int kCoalesceMaxMsgs = 16;
 
 class Network {
  public:
@@ -96,20 +99,16 @@ class Network {
     Time enqueued = 0;
     std::uint64_t flow_id = 0;  // assigned at flush
   };
-  struct FrameBuffer {
-    std::vector<FrameEntry> entries;
-    std::uint64_t epoch = 0;  // invalidates stale flush events
-  };
 
   Time delivery_delay(NodeId from, NodeId to, std::size_t bytes);
   /// Records a dropped message: trace event, net/drop instant, counters.
   void drop(MessageEvent& ev, const char* reason);
-  void flush_frame(NodeId from, NodeId to);
+  void flush_frame(NodeId from, NodeId to, std::vector<FrameEntry> entries);
 
   Simulator& sim_;
   NetworkConfig config_;
   std::function<bool(NodeId, NodeId)> blocked_;
-  std::map<std::pair<NodeId, NodeId>, FrameBuffer> frames_;  // coalescing buffers
+  std::map<std::pair<NodeId, NodeId>, Batcher<FrameEntry, Simulator>> frames_;  // coalescing
   std::map<std::pair<NodeId, NodeId>, std::int64_t> inflight_;  // scheduled, undelivered
   std::int64_t inflight_total_ = 0;
   std::int64_t messages_sent_ = 0;

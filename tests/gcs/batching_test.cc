@@ -6,6 +6,7 @@
 
 #include <memory>
 #include <set>
+#include <utility>
 
 #include "gcs/abcast.hh"
 #include "gcs/abcast_consensus.hh"
@@ -20,16 +21,32 @@ using testing::note;
 
 enum class Impl { Sequencer, Consensus };
 
+// Counts submissions reaching the ordering protocol: one per envelope, or per
+// payload when the submission batcher forms no envelope.
+class CountingSequencer : public SequencerAbcast {
+ public:
+  using SequencerAbcast::SequencerAbcast;
+  int submissions = 0;
+
+ protected:
+  void abcast_now(const wire::Message& msg) override {
+    ++submissions;
+    SequencerAbcast::abcast_now(msg);
+  }
+};
+
 class BatchedNode : public ComponentHost {
  public:
   BatchedNode(sim::NodeId id, sim::Simulator& sim, const Group& group, Impl impl,
-              AbcastBatchConfig batch)
+              sim::BatchPolicy batch)
       : ComponentHost(id, sim, "batched-node"), fd(*this, group, FdConfig{}) {
     add_component(fd);
     if (impl == Impl::Sequencer) {
       SequencerConfig config;
       config.batch = batch;
-      abcast = std::make_unique<SequencerAbcast>(*this, group, fd, 10, config);
+      auto seq = std::make_unique<CountingSequencer>(*this, group, fd, 10, config);
+      sequencer = seq.get();
+      abcast = std::move(seq);
     } else {
       ConsensusConfig config;
       config.batch = batch;
@@ -43,6 +60,7 @@ class BatchedNode : public ComponentHost {
 
   FailureDetector fd;
   std::unique_ptr<AtomicBroadcast> abcast;
+  CountingSequencer* sequencer = nullptr;  // set for Impl::Sequencer
   std::vector<std::pair<sim::NodeId, std::string>> delivered;
 };
 
@@ -60,9 +78,7 @@ TEST_P(BatchedAbcast, ContractHoldsUnderBatching) {
   net.jitter_mean = 300;
   sim::Simulator sim(c.seed, net);
   const auto group = testing::first_n(3);
-  AbcastBatchConfig batch;
-  batch.max_msgs = c.max_msgs;
-  batch.flush_window = 200 * sim::kUsec;
+  const sim::BatchPolicy batch{c.max_msgs, 200 * sim::kUsec};
   std::vector<BatchedNode*> nodes;
   for (int i = 0; i < 3; ++i) nodes.push_back(&sim.spawn<BatchedNode>(group, c.impl, batch));
   sim.start_all();
@@ -118,9 +134,7 @@ TEST(BatchedAbcast, EnvelopesReduceAbcastTraffic) {
     net.jitter_mean = 0;
     sim::Simulator sim(7, net);
     const auto group = testing::first_n(3);
-    AbcastBatchConfig batch;
-    batch.max_msgs = max_msgs;
-    batch.flush_window = 500 * sim::kUsec;
+    const sim::BatchPolicy batch{max_msgs, 500 * sim::kUsec};
     std::vector<BatchedNode*> nodes;
     for (int i = 0; i < 3; ++i) {
       nodes.push_back(&sim.spawn<BatchedNode>(group, Impl::Sequencer, batch));
@@ -131,10 +145,15 @@ TEST(BatchedAbcast, EnvelopesReduceAbcastTraffic) {
     }
     sim.run_until(30 * sim::kSec);
     EXPECT_EQ(nodes[0]->delivered.size(), 32u);
-    return sim.net().messages_excluding("gcs.Heartbeat");
+    return std::pair{nodes[1]->sequencer->submissions, sim.net().messages_excluding("gcs.Heartbeat")};
   };
-  const auto unbatched = run(1);
-  const auto batched = run(8);
+  const auto [unbatched_submissions, unbatched] = run(1);
+  const auto [batched_submissions, batched] = run(8);
+  // The envelopes themselves: link packs also shrink the frame count below,
+  // so only the submission count shows whether envelopes formed.
+  EXPECT_EQ(unbatched_submissions, 32);
+  EXPECT_LE(batched_submissions, 32 / 8 + 1)
+      << "batch=8 should order envelopes of about 8 payloads each";
   EXPECT_LT(batched * 2, unbatched)
       << "batch=8 should cut abcast traffic at least in half (got " << batched << " vs "
       << unbatched << ")";
@@ -143,9 +162,7 @@ TEST(BatchedAbcast, EnvelopesReduceAbcastTraffic) {
 TEST(BatchedAbcast, SinglePayloadFlushSkipsTheEnvelope) {
   sim::Simulator sim(1);
   const auto group = testing::first_n(3);
-  AbcastBatchConfig batch;
-  batch.max_msgs = 8;
-  batch.flush_window = 100 * sim::kUsec;
+  const sim::BatchPolicy batch{8, 100 * sim::kUsec};
   std::vector<BatchedNode*> nodes;
   for (int i = 0; i < 3; ++i) {
     nodes.push_back(&sim.spawn<BatchedNode>(group, Impl::Sequencer, batch));
@@ -160,8 +177,8 @@ TEST(BatchedAbcast, SinglePayloadFlushSkipsTheEnvelope) {
 
 class PackNode : public ComponentHost {
  public:
-  PackNode(sim::NodeId id, sim::Simulator& sim, LinkConfig config)
-      : ComponentHost(id, sim, "pack-node"), link(*this, 5, config) {
+  PackNode(sim::NodeId id, sim::Simulator& sim, sim::BatchPolicy pack)
+      : ComponentHost(id, sim, "pack-node"), link(*this, 5, {}, pack) {
     add_component(link);
     link.set_deliver([this](sim::NodeId from, wire::MessagePtr msg) {
       delivered.emplace_back(from, testing::note_text(msg));
@@ -176,11 +193,9 @@ TEST(LinkPack, PayloadsDeliveredInOrderWithFewerLinkFrames) {
     sim::NetworkConfig net;
     net.jitter_mean = 0;
     sim::Simulator sim(3, net);
-    LinkConfig config;
-    config.batch_max_msgs = batch_max;
-    config.batch_window = 300 * sim::kUsec;
-    auto& a = sim.spawn<PackNode>(config);
-    auto& b = sim.spawn<PackNode>(config);
+    const sim::BatchPolicy pack{batch_max, 300 * sim::kUsec};
+    auto& a = sim.spawn<PackNode>(pack);
+    auto& b = sim.spawn<PackNode>(pack);
     sim.start_all();
     for (int i = 0; i < 20; ++i) a.link.send_reliable(b.id(), note("p" + std::to_string(i)));
     sim.run_until(10 * sim::kSec);
@@ -202,11 +217,9 @@ TEST(LinkPack, SurvivesMessageLoss) {
   net.drop_probability = 0.2;
   net.jitter_mean = 200;
   sim::Simulator sim(17, net);
-  LinkConfig config;
-  config.batch_max_msgs = 4;
-  config.batch_window = 200 * sim::kUsec;
-  auto& a = sim.spawn<PackNode>(config);
-  auto& b = sim.spawn<PackNode>(config);
+  const sim::BatchPolicy pack{4, 200 * sim::kUsec};
+  auto& a = sim.spawn<PackNode>(pack);
+  auto& b = sim.spawn<PackNode>(pack);
   sim.start_all();
   for (int i = 0; i < 30; ++i) a.link.send_reliable(b.id(), note("p" + std::to_string(i)));
   sim.run_until(30 * sim::kSec);

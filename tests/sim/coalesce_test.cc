@@ -50,15 +50,17 @@ TEST(Coalesce, BurstSharesOnePhysicalFrame) {
 }
 
 TEST(Coalesce, MaxMsgsFlushesEarly) {
-  auto cfg = quiet(10'000);
-  cfg.coalesce_max_msgs = 3;
-  Simulator sim(1, cfg);
+  Simulator sim(1, quiet(10'000));
   auto& a = sim.spawn<Recorder>();
   auto& b = sim.spawn<Recorder>();
-  for (int i = 0; i < 7; ++i) a.send_ping(b.id(), i);
+  const int n = 2 * kCoalesceMaxMsgs + 1;
+  for (int i = 0; i < n; ++i) a.send_ping(b.id(), i);
   sim.run();
-  ASSERT_EQ(b.deliveries.size(), 7u);
-  EXPECT_EQ(sim.net().messages_sent(), 3);  // 3 + 3 + 1
+  ASSERT_EQ(b.deliveries.size(), static_cast<std::size_t>(n));
+  EXPECT_EQ(sim.net().messages_sent(), 3);  // full + full + 1
+  // The full frames left at once; only the remainder waited for the window.
+  EXPECT_LT(b.deliveries[0].at, 10'000);
+  EXPECT_GE(b.deliveries.back().at, 10'000);
 }
 
 TEST(Coalesce, WindowZeroIsPerMessage) {
