@@ -8,6 +8,7 @@
 #include <map>
 #include <sstream>
 
+#include "db/lock.hh"
 #include "obs/critpath.hh"
 #include "obs/export_chrome.hh"
 #include "obs/export_stats.hh"
@@ -135,7 +136,7 @@ std::string technique_config_string(const ClusterConfig& cfg) {
       break;
     case TechniqueKind::EagerLocking:
       os << "max_attempts=" << cfg.locking_max_attempts
-         << " wait_timeout_us=" << cfg.locking_wait_timeout
+         << " wait_timeout_us=" << db::kLockWaitTimeout
          << " rowa=" << (cfg.locking_read_one_write_all ? 1 : 0);
       break;
     case TechniqueKind::EagerAbcast:

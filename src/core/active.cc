@@ -9,14 +9,14 @@ namespace repli::core {
 ActiveReplica::ActiveReplica(sim::NodeId id, sim::Simulator& sim, ReplicaEnv env,
                              AbcastImpl impl)
     : ReplicaBase(id, sim, "active-" + std::to_string(id), std::move(env)),
-      fd_(*this, group(), gcs::FdConfig{}) {
+      fd_(*this, group()) {
   add_component(fd_);
   if (impl == AbcastImpl::Sequencer) {
     abcast_ = std::make_unique<gcs::SequencerAbcast>(
-        *this, group(), fd_, kAbcastChannel, gcs::SequencerConfig{.batch = this->env().batch});
+        *this, group(), fd_, kAbcastChannel, this->env().batch);
   } else {
     abcast_ = std::make_unique<gcs::ConsensusAbcast>(
-        *this, group(), fd_, kAbcastChannel, gcs::ConsensusConfig{.batch = this->env().batch});
+        *this, group(), fd_, kAbcastChannel, this->env().batch);
   }
   add_component(*abcast_);
   // Replica-local randomness: nondeterministic procedures will diverge.

@@ -8,8 +8,8 @@ namespace repli::core {
 CertificationReplica::CertificationReplica(sim::NodeId id, sim::Simulator& sim, ReplicaEnv env,
                                            CertificationConfig config)
     : ReplicaBase(id, sim, "certification-" + std::to_string(id), std::move(env)),
-      fd_(*this, group(), gcs::FdConfig{}),
-      abcast_(*this, group(), fd_, kAbcastChannel, {.batch = this->env().batch}),
+      fd_(*this, group()),
+      abcast_(*this, group(), fd_, kAbcastChannel, this->env().batch),
       config_(config) {
   add_component(fd_);
   add_component(abcast_);
@@ -143,10 +143,8 @@ void CertificationReplica::on_delivered(const CtCertify& cert) {
   if (cert.delegate != id()) return;
   close_ac_span(cert.txn, "abort");
   sim().metrics().incr("certification.aborts");
-  if (monitor() != nullptr) {
-    monitor()->abort_event(id(), now(), obs::AbortCause::Certification, cert.txn,
-                           "writeset-conflict");
-  }
+  monitor().abort_event(id(), now(), obs::AbortCause::Certification, cert.txn,
+                        "writeset-conflict");
   const auto it = driving_.find(cert.txn);
   if (it == driving_.end()) return;
   if (static_cast<int>(cert.attempt) >= config_.max_attempts) {

@@ -11,6 +11,8 @@ namespace repli::core {
 Client::Client(sim::NodeId id, sim::Simulator& sim, ClientConfig config)
     : ComponentHost(id, sim, "client-" + std::to_string(id)), config_(std::move(config)) {
   util::ensure(config_.replicas.size() > 0, "Client: empty replica group");
+  util::ensure(config_.history != nullptr && config_.monitor != nullptr,
+               "Client: null history or monitor");
   primary_hint_ = config_.replicas.members().front();
   if (config_.mode == SubmitMode::AbcastGroup || config_.mode == SubmitMode::FloodGroup) {
     util::ensure(config_.group_channel != 0, "Client: group mode needs a channel");
@@ -29,15 +31,12 @@ void Client::submit(Transaction txn, DoneFn done) {
   Outstanding out;
   out.request = request;
   out.done = std::move(done);
-  if (config_.history != nullptr) {
-    OpRecord rec;
-    rec.client = id();
-    rec.request_id = request->request_id;
-    rec.ops = txn;
-    rec.invoke = now();
-    out.history_index = config_.history->begin_op(std::move(rec));
-    out.recorded = true;
-  }
+  OpRecord rec;
+  rec.client = id();
+  rec.request_id = request->request_id;
+  rec.ops = txn;
+  rec.invoke = now();
+  out.history_index = config_.history->begin_op(std::move(rec));
   const std::string request_id = request->request_id;
   auto [it, inserted] = outstanding_.emplace(request_id, std::move(out));
   util::ensure(inserted, "Client::submit: duplicate request id");
@@ -107,10 +106,8 @@ void Client::arm_retry(const std::string& request_id) {
     // critical path; name it so the waterfall files it under retransmit.
     sim().tracer().record(id(), "core/client.retry_wait", out.armed, now(), request_id);
     if (out.attempts >= config_.max_attempts) {
-      if (config_.monitor != nullptr) {
-        config_.monitor->abort_event(id(), now(), obs::AbortCause::Timeout, request_id,
-                                     "client-gave-up");
-      }
+      config_.monitor->abort_event(id(), now(), obs::AbortCause::Timeout, request_id,
+                                   "client-gave-up");
       ClientReply failure;
       failure.request_id = request_id;
       failure.ok = false;
@@ -136,12 +133,10 @@ void Client::finish(const std::string& request_id, const ClientReply& reply) {
   cancel_timer(out.timer);
   const auto end_span = sim().trace().phase(request_id, id(), sim::Phase::Response, now(), now());
   if (!reply.ok) sim().tracer().attr(end_span, "ok", "0");
-  if (out.recorded && config_.history != nullptr) {
-    OpRecord& rec = config_.history->op(out.history_index);
-    rec.response = now();
-    rec.ok = reply.ok;
-    rec.result = reply.result;
-  }
+  OpRecord& rec = config_.history->op(out.history_index);
+  rec.response = now();
+  rec.ok = reply.ok;
+  rec.result = reply.result;
   if (out.done) out.done(reply);
 }
 

@@ -33,8 +33,8 @@ struct ClientConfig {
   std::uint32_t group_channel = 0; // flood channel for AbcastGroup/FloodGroup
   sim::Time retry_timeout = 500 * sim::kMsec;
   int max_attempts = 8;
-  History* history = nullptr;
-  obs::HealthMonitor* monitor = nullptr;  // abort attribution (may be null)
+  History* history = nullptr;             // shared recorder, outlives clients
+  obs::HealthMonitor* monitor = nullptr;  // abort attribution, outlives clients
 };
 
 class Client : public gcs::ComponentHost {
@@ -64,7 +64,6 @@ class Client : public gcs::ComponentHost {
     int attempts = 0;
     sim::NodeId target = sim::kNoNode;  // point-to-point modes
     std::size_t history_index = 0;
-    bool recorded = false;
   };
 
   void dispatch(Outstanding& out);

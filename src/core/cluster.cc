@@ -12,17 +12,30 @@
 
 namespace repli::core {
 
-Cluster::Cluster(ClusterConfig config)
-    : config_(config), registry_(db::ProcRegistry::with_builtins()) {
-  util::ensure(config_.replicas >= 1, "Cluster: need at least one replica");
-  util::ensure(config_.clients >= 1, "Cluster: need at least one client");
-  util::ensure(config_.batch_max_ops >= 1, "Cluster: batch_max_ops must be >= 1");
-  const sim::BatchPolicy batch{config_.batch_max_ops, config_.batch_flush_us * sim::kUsec};
-  // Batching implies frame coalescing over the same window.
-  config_.net.coalesce_window = batch.batching() ? batch.window : 0;
-  sim_ = std::make_unique<sim::Simulator>(config_.seed, config_.net);
-  monitor_.bind(&sim_->tracer(), &sim_->metrics());
+namespace {
 
+sim::BatchPolicy batch_policy(const ClusterConfig& config) {
+  return {config.batch_max_ops, config.batch_flush_us * sim::kUsec};
+}
+
+/// Checks `config` and derives the network's coalescing window from it:
+/// batching implies frame coalescing over the same window.
+ClusterConfig checked(ClusterConfig config) {
+  util::ensure(config.replicas >= 1, "Cluster: need at least one replica");
+  util::ensure(config.clients >= 1, "Cluster: need at least one client");
+  util::ensure(config.batch_max_ops >= 1, "Cluster: batch_max_ops must be >= 1");
+  const sim::BatchPolicy batch = batch_policy(config);
+  config.net.coalesce_window = batch.batching() ? batch.window : 0;
+  return config;
+}
+
+}  // namespace
+
+Cluster::Cluster(ClusterConfig config)
+    : config_(checked(std::move(config))),
+      registry_(db::ProcRegistry::with_builtins()),
+      sim_(std::make_unique<sim::Simulator>(config_.seed, config_.net)),
+      monitor_(sim_->tracer(), sim_->metrics()) {
   std::vector<sim::NodeId> members;
   for (int i = 0; i < config_.replicas; ++i) members.push_back(static_cast<sim::NodeId>(i));
   const gcs::Group group(members);
@@ -30,9 +43,9 @@ Cluster::Cluster(ClusterConfig config)
   ReplicaEnv env;
   env.group = group;
   env.registry = &registry_;
-  env.history = config_.record_history ? &history_ : nullptr;
+  env.history = &history_;
   env.monitor = &monitor_;
-  env.batch = batch;
+  env.batch = batch_policy(config_);
 
   for (int i = 0; i < config_.replicas; ++i) {
     switch (config_.kind) {
@@ -56,7 +69,6 @@ Cluster::Cluster(ClusterConfig config)
       case TechniqueKind::EagerLocking: {
         EagerLockingConfig lk;
         lk.max_attempts = config_.locking_max_attempts;
-        lk.lock.wait_timeout = config_.locking_wait_timeout;
         lk.read_one_write_all = config_.locking_read_one_write_all;
         replicas_.push_back(&sim_->spawn<EagerLockingReplica>(env, lk));
         break;
@@ -95,7 +107,7 @@ Cluster::Cluster(ClusterConfig config)
   for (int i = 0; i < config_.clients; ++i) {
     ClientConfig cc;
     cc.replicas = group;
-    cc.history = config_.record_history ? &history_ : nullptr;
+    cc.history = &history_;
     cc.monitor = &monitor_;
     cc.retry_timeout = config_.client_retry_timeout;
     cc.max_attempts = config_.client_max_attempts;
@@ -124,8 +136,7 @@ Cluster::Cluster(ClusterConfig config)
         // lock-wait timeouts plus retry backoffs; retrying the client
         // earlier would spawn duplicate work at another delegate (§4.1:
         // the client waits for "its" server).
-        cc.retry_timeout =
-            std::max(cc.retry_timeout, 6 * config_.locking_wait_timeout);
+        cc.retry_timeout = std::max(cc.retry_timeout, 6 * db::kLockWaitTimeout);
         break;
       case TechniqueKind::EagerAbcast:
       case TechniqueKind::LazyEverywhere:
@@ -230,17 +241,15 @@ void Cluster::settle(sim::Time duration) {
 sim::Time Cluster::quiet_window() const {
   // A crash becomes foreground work only through this chain: the crashed
   // node's last heartbeat lands one delivery late, the peer suspects it
-  // after fd.timeout of silence at its next tick (one interval, plus one
+  // after kFdTimeout of silence at its next tick (one kFdInterval, plus one
   // more for the heartbeat just missed), and the membership poll acts on
-  // the suspicion within its interval. A heal's trust (next heartbeat plus
+  // the suspicion within kViewFlushCheckInterval. A heal's trust (next heartbeat plus
   // one delivery) is strictly shorter. One delivery is bounded by the base
   // latency, twenty exponential-jitter means and the exploration jitter.
-  const gcs::FdConfig fd;
-  const gcs::ViewGroupConfig view;
   const sim::Time delivery = config_.net.base_latency +
                              static_cast<sim::Time>(20 * config_.net.jitter_mean) +
                              sim_->perturb_max_delay();
-  return fd.timeout + 2 * fd.interval + view.flush_check_interval + delivery;
+  return gcs::kFdTimeout + 2 * gcs::kFdInterval + gcs::kViewFlushCheckInterval + delivery;
 }
 
 std::vector<std::uint64_t> Cluster::storage_digests() const {

@@ -86,8 +86,8 @@ class Cluster {
   ClusterConfig config_;
   db::ProcRegistry registry_;
   History history_;
-  obs::HealthMonitor monitor_;
   std::unique_ptr<sim::Simulator> sim_;
+  obs::HealthMonitor monitor_;  // records into sim_'s tracer and registry
   std::vector<ReplicaBase*> replicas_;
   std::vector<Client*> clients_;
 };

@@ -18,7 +18,6 @@ struct ClusterConfig {
   int clients = 1;
   std::uint64_t seed = 1;
   sim::NetworkConfig net;
-  bool record_history = true;
   // Health-monitor sampling period (staleness + divergence digests over all
   // live replicas); 0 disables periodic sampling (events still flow).
   sim::Time monitor_interval = 20 * sim::kMsec;
@@ -27,7 +26,6 @@ struct ClusterConfig {
   int active_abcast_impl = 0;             // 0 sequencer, 1 consensus-based
   sim::Time lazy_propagation_delay = 5 * sim::kMsec;
   int locking_max_attempts = 10;
-  sim::Time locking_wait_timeout = 500 * sim::kMsec;
   bool locking_read_one_write_all = true;  // §5.4.1: reads lock locally only
   int lazy_reconciliation = 0;  // 0 = ABCAST after-commit order, 1 = timestamp LWW
   bool eager_abcast_optimistic = false;  // [KPAS99a] optimistic processing

@@ -9,8 +9,8 @@ namespace repli::core {
 EagerAbcastReplica::EagerAbcastReplica(sim::NodeId id, sim::Simulator& sim, ReplicaEnv env,
                                        EagerAbcastConfig config)
     : ReplicaBase(id, sim, "eager-abcast-" + std::to_string(id), std::move(env)),
-      fd_(*this, group(), gcs::FdConfig{}),
-      abcast_(*this, group(), fd_, kAbcastChannel, {.batch = this->env().batch}),
+      fd_(*this, group()),
+      abcast_(*this, group(), fd_, kAbcastChannel, this->env().batch),
       config_(config) {
   add_component(fd_);
   add_component(abcast_);

@@ -13,14 +13,10 @@ namespace repli::core {
 EagerLockingReplica::EagerLockingReplica(sim::NodeId id, sim::Simulator& sim, ReplicaEnv env,
                                          EagerLockingConfig config)
     : ReplicaBase(id, sim, "eager-locking-" + std::to_string(id), std::move(env)),
-      fd_(*this, group(), gcs::FdConfig{}),
+      fd_(*this, group()),
       link_(*this, kLockChannel),
       tpc_(*this, kTpcChannel),
-      locks_(*this, [config] {
-        auto lock_config = config.lock;
-        lock_config.wait_die = true;  // distributed deadlock prevention
-        return lock_config;
-      }()),
+      locks_(*this),
       config_(config),
       commit_batcher_(this->env().batch, *this, [this](std::vector<LkGroupEntry> members) {
         flush_commit_group(std::move(members));
@@ -304,9 +300,7 @@ void EagerLockingReplica::abort_and_retry(const std::string& txn_id) {
   auto& drive = driving_.at(txn_id);
   const auto aborted_attempt = static_cast<std::uint32_t>(drive.attempt);
   ++drive.attempt;  // fences every message of the aborted attempt
-  if (monitor() != nullptr) {
-    monitor()->abort_event(id(), now(), obs::AbortCause::Deadlock, txn_id, "wait-die");
-  }
+  monitor().abort_event(id(), now(), obs::AbortCause::Deadlock, txn_id, "wait-die");
   // Global abort: every replica drops the transaction and releases locks.
   for (const auto m : group().members()) {
     if (m == id()) {
@@ -327,7 +321,7 @@ void EagerLockingReplica::abort_and_retry(const std::string& txn_id) {
   drive.executing = false;
   drive.awaiting.clear();
   const auto backoff =
-      static_cast<sim::Time>(sim().rng().exponential(static_cast<double>(config_.retry_backoff))) +
+      static_cast<sim::Time>(sim().rng().exponential(static_cast<double>(kLockRetryBackoff))) +
       sim::kMsec;
   const auto aborted_at = now();
   set_timer(backoff, [this, txn_id, aborted_at] {

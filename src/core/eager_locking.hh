@@ -124,9 +124,10 @@ struct LkGroupMeta : wire::MessageBase<LkGroupMeta> {
   }
 };
 
+// Mean of the randomized backoff before a lock-aborted transaction retries.
+inline constexpr sim::Time kLockRetryBackoff = 20 * sim::kMsec;
+
 struct EagerLockingConfig {
-  db::LockConfig lock;
-  sim::Time retry_backoff = 20 * sim::kMsec;  // mean of randomized backoff
   int max_attempts = 10;
   /// Read-one/write-all (§5.4.1, [BHG87]): read-only operations lock and
   /// execute at the delegate only; writes still involve every replica.

@@ -9,7 +9,7 @@ namespace repli::core {
 
 EagerPrimaryReplica::EagerPrimaryReplica(sim::NodeId id, sim::Simulator& sim, ReplicaEnv env)
     : ReplicaBase(id, sim, "eager-primary-" + std::to_string(id), std::move(env)),
-      fd_(*this, group(), gcs::FdConfig{}),
+      fd_(*this, group()),
       ship_(*this, kShipChannel),
       tpc_(*this, kTpcChannel) {
   add_component(fd_);
@@ -61,12 +61,10 @@ EagerPrimaryReplica::EagerPrimaryReplica(sim::NodeId id, sim::Simulator& sim, Re
       [this](const std::string& txn, bool commit) { apply_commit(txn, commit); });
 
   fd_.on_suspect([this](sim::NodeId who) {
-    if (monitor() != nullptr) {
-      monitor()->suspected(who, this->id(), now());
-      // Hot standby: suspicion of a lower-ranked node is itself the view
-      // change — whoever now ranks first has taken over.
-      if (is_primary() && who < this->id()) monitor()->promoted(this->id(), now());
-    }
+    monitor().suspected(who, this->id(), now());
+    // Hot standby: suspicion of a lower-ranked node is itself the view
+    // change — whoever now ranks first has taken over.
+    if (is_primary() && who < this->id()) monitor().promoted(this->id(), now());
     on_primary_suspected(who);
   });
 }
@@ -102,9 +100,9 @@ void EagerPrimaryReplica::on_unhandled(sim::NodeId from, wire::MessagePtr msg) {
       // Nobody saw a commit: the paper's rule — primary failure aborts its
       // active transactions. Attributed once, by the new primary.
       term_waiting_.erase(it);
-      if (monitor() != nullptr && is_primary()) {
-        monitor()->abort_event(id(), now(), obs::AbortCause::Failover, info->txn,
-                               "primary-crash-termination");
+      if (is_primary()) {
+        monitor().abort_event(id(), now(), obs::AbortCause::Failover, info->txn,
+                              "primary-crash-termination");
       }
       apply_commit(info->txn, false);
     }
@@ -276,9 +274,9 @@ void EagerPrimaryReplica::group_commit(const std::string& group_id) {
   tpc_.coordinate(group_id, participants, wire::to_blob(change),
                   [this, replies, ac_start](const std::string& group_id2, bool commit) {
                     for (const auto& r : replies) {
-                      if (!commit && monitor() != nullptr) {
-                        monitor()->abort_event(id(), now(), obs::AbortCause::Failover,
-                                               r.request_id, "2pc-abort");
+                      if (!commit) {
+                        monitor().abort_event(id(), now(), obs::AbortCause::Failover,
+                                              r.request_id, "2pc-abort");
                       }
                       phase(r.request_id, sim::Phase::AgreementCoord, ac_start, now());
                       reply(r.client, r.request_id, commit, commit ? r.result : "aborted");
@@ -385,9 +383,9 @@ void EagerPrimaryReplica::start_commit(const std::string& txn_id) {
   const auto result = txn.last_result;
   tpc_.coordinate(txn_id, participants, wire::to_blob(meta),
                   [this, client, request_id, result](const std::string& txn_id2, bool commit) {
-                    if (!commit && monitor() != nullptr) {
-                      monitor()->abort_event(id(), now(), obs::AbortCause::Failover,
-                                             request_id, "2pc-abort");
+                    if (!commit) {
+                      monitor().abort_event(id(), now(), obs::AbortCause::Failover,
+                                            request_id, "2pc-abort");
                     }
                     reply(client, request_id, commit, commit ? result : "aborted");
                     finish_txn(txn_id2);
@@ -466,9 +464,9 @@ void EagerPrimaryReplica::on_primary_suspected(sim::NodeId who) {
       if (m != id() && m != who && !fd_.suspects(m)) peers.insert(m);
     }
     if (peers.empty()) {
-      if (monitor() != nullptr && is_primary()) {
-        monitor()->abort_event(id(), now(), obs::AbortCause::Failover, txn_id,
-                               "primary-crash-termination");
+      if (is_primary()) {
+        monitor().abort_event(id(), now(), obs::AbortCause::Failover, txn_id,
+                              "primary-crash-termination");
       }
       apply_commit(txn_id, false);
       continue;

@@ -45,14 +45,6 @@ class History {
   const std::vector<OpRecord>& ops() const { return ops_; }
   const std::vector<CommitRecord>& commits() const { return commits_; }
 
-  std::vector<CommitRecord> commits_at(sim::NodeId replica) const {
-    std::vector<CommitRecord> out;
-    for (const auto& c : commits_) {
-      if (c.replica == replica) out.push_back(c);
-    }
-    return out;
-  }
-
   std::size_t completed_ok() const {
     std::size_t n = 0;
     for (const auto& op : ops_) n += (op.response != 0 && op.ok) ? 1 : 0;

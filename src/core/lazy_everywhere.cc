@@ -8,9 +8,9 @@ namespace repli::core {
 LazyEverywhereReplica::LazyEverywhereReplica(sim::NodeId id, sim::Simulator& sim, ReplicaEnv env,
                                              LazyConfig config)
     : ReplicaBase(id, sim, "lazy-everywhere-" + std::to_string(id), std::move(env)),
-      fd_(*this, group(), gcs::FdConfig{}),
-      abcast_(*this, group(), fd_, kAbcastChannel, {.batch = this->env().batch}),
-      flood_(*this, group(), kRequestChannel, {}, this->env().batch),
+      fd_(*this, group()),
+      abcast_(*this, group(), fd_, kAbcastChannel, this->env().batch),
+      flood_(*this, group(), kRequestChannel, this->env().batch),
       config_(config) {
   add_component(fd_);
   add_component(abcast_);
@@ -121,9 +121,7 @@ void LazyEverywhereReplica::count_undone(const std::string& txn) {
   if (undone_txns_.insert(txn).second) {
     ++undone_;
     sim().metrics().incr("lazy.undone");
-    if (monitor() != nullptr) {
-      monitor()->abort_event(id(), now(), obs::AbortCause::Other, txn, "lazy-undo");
-    }
+    monitor().abort_event(id(), now(), obs::AbortCause::Other, txn, "lazy-undo");
   }
 }
 

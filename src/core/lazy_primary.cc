@@ -9,7 +9,7 @@ namespace repli::core {
 LazyPrimaryReplica::LazyPrimaryReplica(sim::NodeId id, sim::Simulator& sim, ReplicaEnv env,
                                        LazyConfig config)
     : ReplicaBase(id, sim, "lazy-primary-" + std::to_string(id), std::move(env)),
-      ship_(*this, kShipChannel, {}, this->env().batch),
+      ship_(*this, kShipChannel, this->env().batch),
       config_(config) {
   add_component(ship_);
   ship_.set_deliver([this](sim::NodeId /*from*/, wire::MessagePtr msg) {

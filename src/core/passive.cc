@@ -12,7 +12,7 @@ namespace repli::core {
 
 PassiveReplica::PassiveReplica(sim::NodeId id, sim::Simulator& sim, ReplicaEnv env)
     : ReplicaBase(id, sim, "passive-" + std::to_string(id), std::move(env)),
-      fd_(*this, group(), gcs::FdConfig{}),
+      fd_(*this, group()),
       vg_(*this, group(), fd_, kViewChannel),
       ack_link_(*this, kShipChannel) {
   add_component(fd_);
@@ -28,9 +28,7 @@ PassiveReplica::PassiveReplica(sim::NodeId id, sim::Simulator& sim, ReplicaEnv e
     if (const auto update = wire::message_cast<PbUpdate>(msg)) on_update(*update);
   });
   vg_.on_view([this](const gcs::View& view) { on_view(view); });
-  fd_.on_suspect([this](sim::NodeId who) {
-    if (monitor() != nullptr) monitor()->suspected(who, this->id(), now());
-  });
+  fd_.on_suspect([this](sim::NodeId who) { monitor().suspected(who, this->id(), now()); });
 }
 
 void PassiveReplica::on_unhandled(sim::NodeId from, wire::MessagePtr msg) {
@@ -199,7 +197,7 @@ void PassiveReplica::on_view(const gcs::View& view) {
   for (const auto& update_key : ready) maybe_reply(update_key);
   // The monitor folds this into an open failover timeline (no-op when the
   // view change wasn't failure-driven).
-  if (monitor() != nullptr && view.primary() == id()) monitor()->promoted(id(), now());
+  if (view.primary() == id()) monitor().promoted(id(), now());
   util::log_debug("passive ", id(), ": view ", view.id, " primary ", view.primary());
   pump();
 }

@@ -7,7 +7,8 @@ namespace repli::core {
 
 ReplicaBase::ReplicaBase(sim::NodeId id, sim::Simulator& sim, std::string name, ReplicaEnv env)
     : ComponentHost(id, sim, std::move(name)), env_(std::move(env)) {
-  util::ensure(env_.registry != nullptr, "ReplicaBase: null procedure registry");
+  util::ensure(env_.registry != nullptr && env_.history != nullptr && env_.monitor != nullptr,
+               "ReplicaBase: null procedure registry, history or monitor");
   util::ensure(env_.group.contains(id), "ReplicaBase: replica not in its own group");
 }
 
@@ -62,13 +63,6 @@ void ReplicaBase::cache_reply(const std::string& request_id, bool ok, const std:
   reply_cache_.emplace(request_id, std::make_pair(ok, result));
 }
 
-std::optional<std::pair<bool, std::string>> ReplicaBase::cached_reply(
-    const std::string& request_id) const {
-  const auto it = reply_cache_.find(request_id);
-  if (it == reply_cache_.end()) return std::nullopt;
-  return it->second;
-}
-
 void ReplicaBase::note_request_trace(const std::string& request_id) {
   const auto trace = tracer().context().trace_id;
   if (trace != 0) request_traces_[request_id] = trace;
@@ -79,16 +73,11 @@ std::uint64_t ReplicaBase::request_trace(const std::string& request_id) const {
   return it == request_traces_.end() ? 0 : it->second;
 }
 
-void ReplicaBase::forget_request_trace(const std::string& request_id) {
-  request_traces_.erase(request_id);
-}
-
 void ReplicaBase::record_commit(const std::string& txn,
                                 const std::map<db::Key, db::Value>& writes,
                                 const std::map<db::Key, std::uint64_t>& reads,
                                 std::uint64_t commit_seq) {
-  if (env_.monitor != nullptr) env_.monitor->committed(id(), now());
-  if (env_.history == nullptr) return;
+  env_.monitor->committed(id(), now());
   CommitRecord rec;
   rec.replica = id();
   rec.txn = txn;

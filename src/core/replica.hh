@@ -29,8 +29,8 @@ constexpr sim::Time kApplyCost = 20 * sim::kUsec;
 struct ReplicaEnv {
   gcs::Group group;                            // all replica node ids
   const db::ProcRegistry* registry = nullptr;  // shared, outlives replicas
-  History* history = nullptr;                  // shared recorder (may be null)
-  obs::HealthMonitor* monitor = nullptr;       // shared health monitor (may be null)
+  History* history = nullptr;                  // shared recorder, outlives replicas
+  obs::HealthMonitor* monitor = nullptr;       // shared health monitor, outlives replicas
   // The batch policy, threaded from ClusterConfig to every batching layer
   // (group commit, abcast envelopes and order batches, link packs).
   sim::BatchPolicy batch;
@@ -60,8 +60,8 @@ class ReplicaBase : public gcs::ComponentHost {
   obs::Tracer& tracer();
   obs::Registry& metrics();
 
-  /// The shared health monitor (nullptr when the harness runs without one).
-  obs::HealthMonitor* monitor() { return env_.monitor; }
+  /// The run's shared health monitor.
+  obs::HealthMonitor& monitor() { return *env_.monitor; }
 
   /// Records a completed sub-phase span on this node. Record the enclosing
   /// phase() first: identical intervals nest under the earlier-recorded span.
@@ -83,9 +83,8 @@ class ReplicaBase : public gcs::ComponentHost {
   bool has_cached_reply(const std::string& request_id) const {
     return reply_cache_.contains(request_id);
   }
-  std::optional<std::pair<bool, std::string>> cached_reply(const std::string& request_id) const;
 
-  /// Records a commit in the shared history (no-op when not recording).
+  /// Records a commit in the shared history and tells the health monitor.
   void record_commit(const std::string& txn, const std::map<db::Key, db::Value>& writes,
                      const std::map<db::Key, std::uint64_t>& reads, std::uint64_t commit_seq);
 
@@ -93,7 +92,6 @@ class ReplicaBase : public gcs::ComponentHost {
   /// context of the current delivery event). Call from on_request.
   void note_request_trace(const std::string& request_id);
   std::uint64_t request_trace(const std::string& request_id) const;
-  void forget_request_trace(const std::string& request_id);
 
   /// RAII: re-enters the causal trace `request_id` arrived under (no-op when
   /// unknown). Use when resuming work for a request from an event that

@@ -8,8 +8,8 @@ namespace repli::core {
 
 SemiActiveReplica::SemiActiveReplica(sim::NodeId id, sim::Simulator& sim, ReplicaEnv env)
     : ReplicaBase(id, sim, "semi-active-" + std::to_string(id), std::move(env)),
-      fd_(*this, group(), gcs::FdConfig{}),
-      abcast_(*this, group(), fd_, kAbcastChannel, {.batch = this->env().batch}),
+      fd_(*this, group()),
+      abcast_(*this, group(), fd_, kAbcastChannel, this->env().batch),
       vg_(*this, group(), fd_, kViewChannel) {
   add_component(fd_);
   add_component(abcast_);

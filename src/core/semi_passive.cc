@@ -8,7 +8,7 @@ namespace repli::core {
 
 SemiPassiveReplica::SemiPassiveReplica(sim::NodeId id, sim::Simulator& sim, ReplicaEnv env)
     : ReplicaBase(id, sim, "semi-passive-" + std::to_string(id), std::move(env)),
-      fd_(*this, group(), gcs::FdConfig{}),
+      fd_(*this, group()),
       requests_(*this, group(), kRequestChannel),
       consensus_(*this, group(), fd_, kConsensusChannel) {
   add_component(fd_);

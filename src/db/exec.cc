@@ -41,8 +41,6 @@ const std::string& ProcCtx::arg(std::size_t i) const {
   return op_.args[i];
 }
 
-std::size_t ProcCtx::arg_count() const { return op_.args.size(); }
-
 void ProcRegistry::add(const std::string& name, ProcFn fn, bool deterministic) {
   util::ensure(!procs_.contains(name), "ProcRegistry: duplicate procedure " + name);
   procs_.emplace(name, Entry{std::move(fn), deterministic});

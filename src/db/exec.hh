@@ -118,7 +118,6 @@ class ProcCtx {
   std::int64_t choose(std::int64_t n) { return choices_.choose(n); }
 
   const std::string& arg(std::size_t i) const;
-  std::size_t arg_count() const;
   /// Sets the operation's result returned to the client.
   void result(std::string r) { result_ = std::move(r); }
   const std::string& current_result() const { return result_; }

@@ -11,7 +11,7 @@
 
 namespace repli::db {
 
-LockManager::LockManager(sim::Process& host, LockConfig config) : host_(host), config_(config) {}
+LockManager::LockManager(sim::Process& host) : host_(host) {}
 
 LockManager::KeyLock& LockManager::lock_at(Id key) {
   if (key >= locks_.size()) locks_.resize(key + 1);
@@ -82,20 +82,18 @@ void LockManager::acquire(const TxnId& txn, std::int64_t priority, const Key& ke
     return;
   }
 
-  if (config_.wait_die) {
-    // Die instead of waiting behind an older transaction's lock.
-    for (const auto& [holder, held_mode] : kl.holders) {
-      if (holder == txn_id) continue;
-      const bool incompatible = mode == LockMode::Exclusive || held_mode == LockMode::Exclusive;
-      if (incompatible && priority > holder_priority(holder)) {
-        ++deadlock_aborts_;
-        host_.sim().metrics().incr("db.lock.wait_die_aborts");
-        host_.sim().tracer().instant(host_.id(), "db/lock.wait_die", host_.now(), txn,
-                                     obs::Attrs{{"key", key}});
-        obs::ProfScope cb(obs::CostCenter::Technique);
-        aborted();
-        return;
-      }
+  // Wait-die: die instead of waiting behind an older transaction's lock.
+  for (const auto& [holder, held_mode] : kl.holders) {
+    if (holder == txn_id) continue;
+    const bool incompatible = mode == LockMode::Exclusive || held_mode == LockMode::Exclusive;
+    if (incompatible && priority > holder_priority(holder)) {
+      ++deadlock_aborts_;
+      host_.sim().metrics().incr("db.lock.wait_die_aborts");
+      host_.sim().tracer().instant(host_.id(), "db/lock.wait_die", host_.now(), txn,
+                                   obs::Attrs{{"key", key}});
+      obs::ProfScope cb(obs::CostCenter::Technique);
+      aborted();
+      return;
     }
   }
 
@@ -105,7 +103,7 @@ void LockManager::acquire(const TxnId& txn, std::int64_t priority, const Key& ke
   req.mode = mode;
   req.granted = std::move(granted);
   req.aborted = std::move(aborted);
-  req.timeout = host_.set_timer(config_.wait_timeout, [this, key_id, txn_id] {
+  req.timeout = host_.set_timer(kLockWaitTimeout, [this, key_id, txn_id] {
     util::log_debug("lock: wait timeout, aborting ", txn_names_.str(txn_id));
     abort_waiter(key_id, txn_id);
   });

@@ -1,8 +1,19 @@
 // Asynchronous lock manager: shared/exclusive key locks with FIFO-fair
-// queuing, lock upgrade, wait-for-graph deadlock detection (youngest victim
-// aborts), and a wait-timeout backstop. Grant and abort outcomes are
-// reported through callbacks because lock waits in a replicated setting
-// span message exchanges.
+// queuing, lock upgrade, wait-die deadlock prevention, wait-for-graph
+// deadlock detection (youngest victim aborts), and a wait-timeout backstop.
+// Grant and abort outcomes are reported through callbacks because lock
+// waits in a replicated setting span message exchanges.
+//
+// Wait-die: a requester younger (higher priority number) than an
+// incompatible holder aborts at once instead of waiting, so every wait on an
+// incompatible holder runs old -> young. That does not rule out every cycle:
+// a shared request queued (FIFO) behind an older exclusive waiter also waits
+// for the shared holders ahead of it, whatever their age. Example: `mid`
+// holds S on k and `young` holds X on j; `oldest` waits for X on k, `young`
+// queues for S on k, and `mid` then requests X on j — mid -> young -> mid.
+// Local wait-for-graph detection breaks such a cycle by aborting `young`;
+// a cycle of this shape that spans sites is invisible to every single lock
+// manager and is left to the wait timeout.
 //
 // Internally, keys and transaction ids are interned to dense uint32 ids
 // (util/intern.hh) and every table is a flat vector indexed by id — the
@@ -30,15 +41,9 @@ using TxnId = std::string;
 
 enum class LockMode { Shared, Exclusive };
 
-struct LockConfig {
-  sim::Time wait_timeout = 500 * sim::kMsec;  // backstop against undetected cycles
-  /// Wait-die deadlock *prevention*: a requester younger (higher priority
-  /// number) than an incompatible holder aborts immediately instead of
-  /// waiting. Waits then only run old->young, so no cycle can form — even
-  /// across sites, which local wait-for-graph detection cannot see. The
-  /// distributed-locking replication technique enables this.
-  bool wait_die = false;
-};
+// How long a request may wait before it aborts: the backstop against
+// cycles no single lock manager sees (see the header comment).
+inline constexpr sim::Time kLockWaitTimeout = 500 * sim::kMsec;
 
 class LockManager {
  public:
@@ -46,7 +51,7 @@ class LockManager {
   using AbortFn = std::function<void()>;
 
   /// `host` provides timers for the wait-timeout backstop.
-  LockManager(sim::Process& host, LockConfig config = {});
+  explicit LockManager(sim::Process& host);
 
   /// Requests `mode` on `key` for `txn` (priority = age; smaller is older
   /// and wins deadlocks). Exactly one of `granted`/`aborted` fires, possibly
@@ -106,7 +111,6 @@ class LockManager {
   void close_wait_span(Request& req, const char* outcome);
 
   sim::Process& host_;
-  LockConfig config_;
   util::Interner key_names_;
   util::Interner txn_names_;
   std::vector<KeyLock> locks_;    // indexed by interned key id

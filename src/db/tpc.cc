@@ -5,8 +5,8 @@
 
 namespace repli::db {
 
-TwoPhaseCommit::TwoPhaseCommit(sim::Process& host, std::uint32_t channel, TpcConfig config)
-    : host_(host), config_(config), link_(host, channel, config.link) {
+TwoPhaseCommit::TwoPhaseCommit(sim::Process& host, std::uint32_t channel)
+    : host_(host), link_(host, channel) {
   link_.set_deliver([this](sim::NodeId from, wire::MessagePtr msg) {
     if (const auto prep = wire::message_cast<TpcPrepare>(msg)) {
       deliver_prepare(from, *prep);
@@ -50,7 +50,7 @@ void TwoPhaseCommit::coordinate(const std::string& txn,
     }
   }
   // Abort if votes do not all arrive in time (participant crash).
-  host_.set_timer(config_.vote_timeout, [this, txn] {
+  host_.set_timer(kTpcVoteTimeout, [this, txn] {
     const auto it = coordinating_.find(txn);
     if (it == coordinating_.end() || it->second.decided) return;
     util::log_debug("2pc ", host_.id(), ": vote timeout, aborting ", txn);

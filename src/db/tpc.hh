@@ -52,10 +52,8 @@ struct TpcDecision : wire::MessageBase<TpcDecision> {
   }
 };
 
-struct TpcConfig {
-  gcs::LinkConfig link;
-  sim::Time vote_timeout = 200 * sim::kMsec;  // coordinator aborts silent voters
-};
+// How long the coordinator waits for votes before aborting.
+inline constexpr sim::Time kTpcVoteTimeout = 200 * sim::kMsec;
 
 /// Both roles in one component: any replica can coordinate a commit and
 /// participate in commits coordinated by others.
@@ -65,7 +63,7 @@ class TwoPhaseCommit : public gcs::Component {
   using VoteFn = std::function<bool(const std::string& txn, const std::string& payload)>;
   using OutcomeFn = std::function<void(const std::string& txn, bool commit)>;
 
-  TwoPhaseCommit(sim::Process& host, std::uint32_t channel, TpcConfig config = {});
+  TwoPhaseCommit(sim::Process& host, std::uint32_t channel);
 
   /// Participant-side handlers (a prepare is delivered to the coordinator's
   /// own handlers too, so state changes live in one place).
@@ -100,7 +98,6 @@ class TwoPhaseCommit : public gcs::Component {
   void deliver_decision(const TpcDecision& dec);
 
   sim::Process& host_;
-  TpcConfig config_;
   gcs::FifoChannel link_;
   VoteFn vote_;
   OutcomeFn outcome_;

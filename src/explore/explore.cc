@@ -44,13 +44,12 @@ Plan generate_plan(const ExploreConfig& config, int trial) {
   // sent after heal, its delivery latency, and any schedule jitter we add
   // ourselves. Longer partitions remain expressible in hand-written plans
   // (replay/shrink accept them) — the generator just doesn't emit them.
-  const gcs::FdConfig fd;
   const sim::Time jitter_cap = 800;  // usec; keeps the envelope positive
   const sim::Time delivery_slack = 1 * sim::kMsec;
   const sim::Time max_partition =
-      fd.timeout - 2 * fd.interval - delivery_slack - jitter_cap;
+      gcs::kFdTimeout - 2 * gcs::kFdInterval - delivery_slack - jitter_cap;
   util::ensure(max_partition > 1 * sim::kMsec,
-               "generate_plan: failure-detector config leaves no room for "
+               "generate_plan: failure-detector timings leave no room for "
                "in-model partitions");
 
   // Crash-stop at most a minority: a crashed majority only measures the

@@ -37,7 +37,6 @@ TrialResult run_trial(const TrialConfig& config) {
   cc.replicas = config.replicas;
   cc.clients = config.clients;
   cc.seed = config.workload_seed;
-  cc.record_history = true;
   core::Cluster cluster(cc);
   auto& sim = cluster.sim();
 

@@ -8,12 +8,12 @@
 namespace repli::gcs {
 
 ConsensusAbcast::ConsensusAbcast(sim::Process& host, Group group, FailureDetector& fd,
-                                 std::uint32_t channel, ConsensusConfig config)
-    : AtomicBroadcast(host, config.batch),
+                                 std::uint32_t channel, sim::BatchPolicy batch)
+    : AtomicBroadcast(host, batch),
       host_(host),
       group_(std::move(group)),
-      flood_(host, group_, channel, {}, config.batch),
-      consensus_(host, group_, fd, channel + 2, config) {
+      flood_(host, group_, channel, batch),
+      consensus_(host, group_, fd, channel + 2, batch) {
   flood_.set_deliver([this](sim::NodeId /*origin*/, wire::MessagePtr msg) { on_flood(std::move(msg)); });
   consensus_.set_decide(
       [this](std::uint64_t instance, const std::string& value) { on_decide(instance, value); });

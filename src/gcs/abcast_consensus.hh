@@ -28,13 +28,12 @@ struct AbBatch : wire::MessageBase<AbBatch> {
 
 class ConsensusAbcast : public AtomicBroadcast {
  public:
-  /// Consumes flooding/link channels [channel, channel+3].
+  /// Consumes flooding/link channels [channel, channel+3]. `batch` covers
+  /// the submission envelopes and the link packs of every link below.
   ConsensusAbcast(sim::Process& host, Group group, FailureDetector& fd, std::uint32_t channel,
-                  ConsensusConfig config = {});
+                  sim::BatchPolicy batch = {});
 
   bool handle(sim::NodeId from, const wire::MessagePtr& msg) override;
-
-  std::uint64_t delivered_count() const { return delivered_.size(); }
 
  protected:
   void abcast_now(const wire::Message& msg) override;

@@ -10,14 +10,13 @@
 namespace repli::gcs {
 
 SequencerAbcast::SequencerAbcast(sim::Process& host, Group group, FailureDetector& fd,
-                                 std::uint32_t channel, SequencerConfig config)
-    : AtomicBroadcast(host, config.batch),
+                                 std::uint32_t channel, sim::BatchPolicy batch)
+    : AtomicBroadcast(host, batch),
       host_(host),
       group_(std::move(group)),
       fd_(fd),
-      config_(config),
-      flood_(host, group_, channel, {}, config.batch),
-      order_batcher_(config.batch, host,
+      flood_(host, group_, channel, batch),
+      order_batcher_(batch, host,
                      [this](std::vector<AbOrder> batch) { flush_orders(std::move(batch)); }) {
   flood_.set_deliver([this](sim::NodeId /*origin*/, wire::MessagePtr msg) { on_flood(std::move(msg)); });
   fd_.on_suspect([this](sim::NodeId /*who*/) {
@@ -25,8 +24,9 @@ SequencerAbcast::SequencerAbcast(sim::Process& host, Group group, FailureDetecto
     // over; ordering decisions received meanwhile are adopted normally.
     // (Also guards against transient partitions looking like crashes: if
     // trust returns within the grace period, no takeover happens at all.)
-    sequencing_allowed_at_ = std::max(sequencing_allowed_at_, host_.now() + config_.takeover_delay);
-    host_.set_timer(config_.takeover_delay, [this] { sequence_backlog(); });
+    sequencing_allowed_at_ =
+        std::max(sequencing_allowed_at_, host_.now() + kSequencerTakeoverDelay);
+    host_.set_timer(kSequencerTakeoverDelay, [this] { sequence_backlog(); });
   });
 }
 
@@ -105,7 +105,7 @@ void SequencerAbcast::assign(const MsgId& id) {
   order.gseq = next_gseq_++;
   util::log_debug("abcast-seq ", host_.id(), ": ordering (", id.first, ",", id.second,
                   ") as gseq ", order.gseq);
-  if (!config_.batch.batching()) {
+  if (!order_batcher_.policy().batching()) {
     flood_.rbcast(order);  // delivers to ourselves as well, updating state
     return;
   }

@@ -49,22 +49,19 @@ struct AbOrderBatch : wire::MessageBase<AbOrderBatch> {
   }
 };
 
-struct SequencerConfig {
-  /// Batching for every layer of this broadcast: submission envelopes (see
-  /// AtomicBroadcast), the sequencer's ordering decisions (AbOrderBatch
-  /// floods) and the flood's link packs.
-  sim::BatchPolicy batch;
-  /// Grace period between suspecting the sequencer and sequencing the
-  /// backlog, sized to let in-flight orders from the previous sequencer
-  /// settle (timed-asynchronous assumption; see file header).
-  sim::Time takeover_delay = 50 * sim::kMsec;
-};
+/// Grace period between suspecting the sequencer and sequencing the
+/// backlog, sized to let in-flight orders from the previous sequencer
+/// settle (timed-asynchronous assumption; see file header).
+inline constexpr sim::Time kSequencerTakeoverDelay = 50 * sim::kMsec;
 
 class SequencerAbcast : public AtomicBroadcast {
  public:
   /// Consumes flooding channel `channel` (and `channel`+1 internally).
+  /// `batch` covers every layer of this broadcast: submission envelopes (see
+  /// AtomicBroadcast), the sequencer's ordering decisions (AbOrderBatch
+  /// floods) and the flood's link packs.
   SequencerAbcast(sim::Process& host, Group group, FailureDetector& fd, std::uint32_t channel,
-                  SequencerConfig config = {});
+                  sim::BatchPolicy batch = {});
 
   bool handle(sim::NodeId from, const wire::MessagePtr& msg) override;
 
@@ -76,7 +73,6 @@ class SequencerAbcast : public AtomicBroadcast {
   void set_opt_deliver(DeliverFn fn) { opt_deliver_ = std::move(fn); }
 
   sim::NodeId current_sequencer() const;
-  std::uint64_t delivered_count() const { return next_deliver_ - 1; }
 
  protected:
   void abcast_now(const wire::Message& msg) override;
@@ -97,7 +93,6 @@ class SequencerAbcast : public AtomicBroadcast {
   sim::Process& host_;
   Group group_;
   FailureDetector& fd_;
-  SequencerConfig config_;
   Flooder flood_;
   std::uint64_t next_lseq_ = 1;
 

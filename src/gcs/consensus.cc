@@ -9,13 +9,12 @@
 namespace repli::gcs {
 
 Consensus::Consensus(sim::Process& host, Group group, FailureDetector& fd, std::uint32_t channel,
-                     ConsensusConfig config)
+                     sim::BatchPolicy batch)
     : host_(host),
       group_(std::move(group)),
       fd_(fd),
-      config_(config),
-      link_(host, channel, {}, config.batch),
-      decide_flood_(host, group_, channel + 1, {}, config.batch) {
+      link_(host, channel, batch),
+      decide_flood_(host, group_, channel + 1, batch) {
   link_.set_deliver([this](sim::NodeId from, wire::MessagePtr msg) {
     const std::uint64_t k = [&]() -> std::uint64_t {
       if (const auto m = wire::message_cast<CsEstimate>(msg)) return m->instance;
@@ -186,9 +185,9 @@ void Consensus::arm_deadline(std::uint64_t k) {
   Instance& inst = active_[k];
   const std::uint64_t epoch = ++inst.deadline_epoch;
   const std::uint64_t round = inst.round;
-  sim::Time timeout = config_.round_timeout;
+  sim::Time timeout = kConsensusRoundTimeout;
   for (std::uint64_t r = 0; r < std::min<std::uint64_t>(round, 20); ++r) {
-    timeout = std::min(timeout * 2, config_.max_round_timeout);
+    timeout = std::min(timeout * 2, kConsensusMaxRoundTimeout);
   }
   host_.set_timer(timeout, [this, k, epoch, round] {
     const auto it = active_.find(k);

@@ -80,13 +80,9 @@ struct CsDecide : wire::MessageBase<CsDecide> {
   }
 };
 
-struct ConsensusConfig {
-  /// Batching: the link packs of every link below, and ConsensusAbcast's
-  /// submission envelopes.
-  sim::BatchPolicy batch;
-  sim::Time round_timeout = 20 * sim::kMsec;  // initial deadline, doubles per round
-  sim::Time max_round_timeout = 500 * sim::kMsec;
-};
+// A round's deadline: the first round's, doubled per round up to the cap.
+inline constexpr sim::Time kConsensusRoundTimeout = 20 * sim::kMsec;
+inline constexpr sim::Time kConsensusMaxRoundTimeout = 500 * sim::kMsec;
 
 class Consensus : public Component {
  public:
@@ -95,8 +91,9 @@ class Consensus : public Component {
   /// nullopt if no value can be produced yet; the round is then skipped.
   using ValueProvider = std::function<std::optional<std::string>(std::uint64_t instance)>;
 
+  /// `batch` packs the payloads of every link below (see ReliableLink).
   Consensus(sim::Process& host, Group group, FailureDetector& fd, std::uint32_t channel,
-            ConsensusConfig config = {});
+            sim::BatchPolicy batch = {});
 
   void set_decide(DecideFn fn) { decide_ = std::move(fn); }
   void set_value_provider(ValueProvider fn) { provider_ = std::move(fn); }
@@ -139,7 +136,6 @@ class Consensus : public Component {
   sim::Process& host_;
   Group group_;
   FailureDetector& fd_;
-  ConsensusConfig config_;
   ReliableLink link_;
   Flooder decide_flood_;
   DecideFn decide_;

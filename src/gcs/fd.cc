@@ -5,8 +5,8 @@
 
 namespace repli::gcs {
 
-FailureDetector::FailureDetector(sim::Process& host, Group group, FdConfig config)
-    : host_(host), group_(std::move(group)), config_(config) {}
+FailureDetector::FailureDetector(sim::Process& host, Group group)
+    : host_(host), group_(std::move(group)) {}
 
 void FailureDetector::start() {
   const sim::Time t0 = host_.now();
@@ -29,7 +29,7 @@ void FailureDetector::tick() {
   }
   // Re-evaluate suspicions.
   for (const auto& [peer, heard] : last_heard_) {
-    const bool late = host_.now() - heard > config_.timeout;
+    const bool late = host_.now() - heard > kFdTimeout;
     if (late && !suspected_.contains(peer)) {
       suspected_.insert(peer);
       host_.sim().metrics().incr("gcs.fd.suspicions");
@@ -40,7 +40,7 @@ void FailureDetector::tick() {
     }
   }
   // Background: the tick is a liveness event, not work of its own.
-  host_.set_timer(config_.interval, [this] { tick(); }, sim::EventClass::Background);
+  host_.set_timer(kFdInterval, [this] { tick(); }, sim::EventClass::Background);
 }
 
 bool FailureDetector::handle(sim::NodeId from, const wire::MessagePtr& msg) {

@@ -1,7 +1,7 @@
 // Heartbeat failure detector.
 //
-// Every monitored process periodically broadcasts a heartbeat to the group;
-// a peer silent for longer than `timeout` becomes suspected. Suspicion is
+// Every monitored process broadcasts a heartbeat to the group every
+// kFdInterval; a peer silent for longer than kFdTimeout becomes suspected. Suspicion is
 // revocable (an eventually-perfect / ◊S-style detector): a late heartbeat
 // triggers a trust notification. With timeouts generous relative to network
 // jitter the detector is accurate; aggressive timeouts yield the false
@@ -28,14 +28,13 @@ struct Heartbeat : wire::MessageBase<Heartbeat> {
   void decode_flat(wire::Reader& r) { count = r.get_u64(); }
 };
 
-struct FdConfig {
-  sim::Time interval = 2 * sim::kMsec;
-  sim::Time timeout = 10 * sim::kMsec;
-};
+// Heartbeat period, and the silence after which a peer is suspected.
+inline constexpr sim::Time kFdInterval = 2 * sim::kMsec;
+inline constexpr sim::Time kFdTimeout = 10 * sim::kMsec;
 
 class FailureDetector : public Component {
  public:
-  FailureDetector(sim::Process& host, Group group, FdConfig config = {});
+  FailureDetector(sim::Process& host, Group group);
 
   void start() override;
   bool handle(sim::NodeId from, const wire::MessagePtr& msg) override;
@@ -57,7 +56,6 @@ class FailureDetector : public Component {
 
   sim::Process& host_;
   Group group_;
-  FdConfig config_;
   // Cached handle: tick() fires every interval on every node, so it must
   // not re-resolve the counter by name each time (map nodes are stable).
   obs::Counter* hb_sent_ = nullptr;

@@ -7,9 +7,8 @@
 
 namespace repli::gcs {
 
-FifoChannel::FifoChannel(sim::Process& host, std::uint32_t channel, LinkConfig link_config,
-                         sim::BatchPolicy pack)
-    : host_(host), link_(host, channel, link_config, pack) {
+FifoChannel::FifoChannel(sim::Process& host, std::uint32_t channel, sim::BatchPolicy pack)
+    : host_(host), link_(host, channel, pack) {
   link_.set_deliver([this](sim::NodeId from, wire::MessagePtr msg) {
     const auto data = wire::message_cast<FifoData>(msg);
     if (!data) return;

@@ -30,8 +30,7 @@ class FifoChannel : public Component {
   using DeliverFn = std::function<void(sim::NodeId from, wire::MessagePtr msg)>;
 
   /// `pack` is the packing policy of the underlying link (see ReliableLink).
-  FifoChannel(sim::Process& host, std::uint32_t channel, LinkConfig link_config = {},
-              sim::BatchPolicy pack = {});
+  FifoChannel(sim::Process& host, std::uint32_t channel, sim::BatchPolicy pack = {});
 
   void set_deliver(DeliverFn fn) { deliver_ = std::move(fn); }
 

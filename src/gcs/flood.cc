@@ -2,12 +2,8 @@
 
 namespace repli::gcs {
 
-Flooder::Flooder(sim::Process& host, Group group, std::uint32_t channel, LinkConfig link_config,
-                 sim::BatchPolicy pack)
-    : host_(host),
-      group_(std::move(group)),
-      channel_(channel),
-      link_(host, channel, link_config, pack) {
+Flooder::Flooder(sim::Process& host, Group group, std::uint32_t channel, sim::BatchPolicy pack)
+    : host_(host), group_(std::move(group)), channel_(channel), link_(host, channel, pack) {
   link_.set_deliver([this](sim::NodeId /*from*/, wire::MessagePtr msg) {
     const auto data = wire::message_cast<FloodData>(msg);
     if (data) accept(*data);

@@ -42,8 +42,7 @@ class Flooder : public Component {
   using DeliverFn = std::function<void(sim::NodeId origin, wire::MessagePtr msg)>;
 
   /// `pack` is the packing policy of the underlying link (see ReliableLink).
-  Flooder(sim::Process& host, Group group, std::uint32_t channel, LinkConfig link_config = {},
-          sim::BatchPolicy pack = {});
+  Flooder(sim::Process& host, Group group, std::uint32_t channel, sim::BatchPolicy pack = {});
 
   void set_deliver(DeliverFn fn) { deliver_ = std::move(fn); }
 

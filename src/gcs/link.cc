@@ -6,9 +6,8 @@
 
 namespace repli::gcs {
 
-ReliableLink::ReliableLink(sim::Process& host, std::uint32_t channel, LinkConfig config,
-                           sim::BatchPolicy pack)
-    : host_(host), channel_(channel), config_(config), pack_policy_(pack) {}
+ReliableLink::ReliableLink(sim::Process& host, std::uint32_t channel, sim::BatchPolicy pack)
+    : host_(host), channel_(channel), pack_policy_(pack) {}
 
 void ReliableLink::send_reliable(sim::NodeId to, const wire::Message& msg) {
   send_blob(to, wire::to_blob(msg));
@@ -60,7 +59,7 @@ void ReliableLink::transmit(std::uint64_t seq, const Pending& p) {
 
 void ReliableLink::arm_timer() {
   if (timer_ != sim::Process::kNoTimer || outbox_.empty()) return;
-  timer_ = host_.set_timer(config_.rto, [this] {
+  timer_ = host_.set_timer(kLinkRto, [this] {
     timer_ = sim::Process::kNoTimer;
     on_tick();
   });
@@ -69,7 +68,7 @@ void ReliableLink::arm_timer() {
 void ReliableLink::on_tick() {
   for (auto it = outbox_.begin(); it != outbox_.end();) {
     Pending& p = it->second;
-    if (++p.retries > config_.max_retries) {
+    if (++p.retries > kLinkMaxRetries) {
       util::log_debug("link ", host_.id(), ": giving up on seq ", it->first, " to ", p.to);
       it = outbox_.erase(it);
       continue;

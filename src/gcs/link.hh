@@ -8,7 +8,7 @@
 // numbers sent to other destinations). The receiver therefore cannot keep a
 // watermark; it keeps one bit per sequence number of the sender's link.
 //
-// Retransmission stops after `max_retries` (the peer is then assumed
+// Retransmission stops after kLinkMaxRetries (the peer is then assumed
 // crashed; crash-stop processes never return, so this only truncates
 // pointless traffic and lets the simulation quiesce).
 #pragma once
@@ -72,10 +72,9 @@ struct LinkPack : wire::MessageBase<LinkPack> {
   }
 };
 
-struct LinkConfig {
-  sim::Time rto = 5 * sim::kMsec;  // retransmission timeout
-  int max_retries = 100;
-};
+// Retransmission timeout, and the retransmissions before giving up.
+inline constexpr sim::Time kLinkRto = 5 * sim::kMsec;
+inline constexpr int kLinkMaxRetries = 100;
 
 class ReliableLink : public Component {
  public:
@@ -86,8 +85,7 @@ class ReliableLink : public Component {
   /// destination are gathered per the policy and shipped as one LinkPack
   /// (one LinkData + one LinkAck for the whole pack). The default keeps
   /// every send its own LinkData — the byte-identical unbatched path.
-  ReliableLink(sim::Process& host, std::uint32_t channel, LinkConfig config = {},
-               sim::BatchPolicy pack = {});
+  ReliableLink(sim::Process& host, std::uint32_t channel, sim::BatchPolicy pack = {});
 
   void set_deliver(DeliverFn fn) { deliver_ = std::move(fn); }
 
@@ -116,7 +114,6 @@ class ReliableLink : public Component {
 
   sim::Process& host_;
   std::uint32_t channel_;
-  LinkConfig config_;
   sim::BatchPolicy pack_policy_;
   DeliverFn deliver_;
   std::uint64_t next_seq_ = 1;

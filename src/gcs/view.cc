@@ -8,8 +8,8 @@
 namespace repli::gcs {
 
 ViewGroup::ViewGroup(sim::Process& host, Group initial, FailureDetector& fd,
-                     std::uint32_t channel, ViewGroupConfig config)
-    : host_(host), fd_(fd), config_(config), link_(host, channel, config.link) {
+                     std::uint32_t channel)
+    : host_(host), fd_(fd), link_(host, channel) {
   view_.id = 0;
   view_.members = initial.members();
   util::ensure(view_.contains(host_.id()), "ViewGroup: host not in initial membership");
@@ -110,7 +110,7 @@ void ViewGroup::check_membership() {
   // remains in the view. This survives coordinator crashes mid-flush.
   // The poll is a background event: it creates work only when a suspicion
   // it observes calls for a flush.
-  host_.set_timer(config_.flush_check_interval, [this] { check_membership(); },
+  host_.set_timer(kViewFlushCheckInterval, [this] { check_membership(); },
                   sim::EventClass::Background);
 
   bool any_suspected = false;

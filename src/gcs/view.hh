@@ -91,18 +91,15 @@ struct VsInstall : wire::MessageBase<VsInstall> {
   }
 };
 
-struct ViewGroupConfig {
-  LinkConfig link;
-  sim::Time flush_check_interval = 5 * sim::kMsec;  // coordinator self-healing poll
-};
+// Period of the coordinator's self-healing membership poll.
+inline constexpr sim::Time kViewFlushCheckInterval = 5 * sim::kMsec;
 
 class ViewGroup : public Component {
  public:
   using DeliverFn = std::function<void(sim::NodeId origin, wire::MessagePtr msg)>;
   using ViewFn = std::function<void(const View& view)>;
 
-  ViewGroup(sim::Process& host, Group initial, FailureDetector& fd, std::uint32_t channel,
-            ViewGroupConfig config = {});
+  ViewGroup(sim::Process& host, Group initial, FailureDetector& fd, std::uint32_t channel);
 
   void start() override;
   bool handle(sim::NodeId from, const wire::MessagePtr& msg) override;
@@ -130,7 +127,6 @@ class ViewGroup : public Component {
 
   sim::Process& host_;
   FailureDetector& fd_;
-  ViewGroupConfig config_;
   ReliableLink link_;
   DeliverFn deliver_;
   ViewFn on_view_;

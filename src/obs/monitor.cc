@@ -17,13 +17,6 @@ std::string_view abort_cause_name(AbortCause cause) {
   util::fail("abort_cause_name: bad cause");
 }
 
-void HealthMonitor::instant(NodeId node, std::string name, Time at, std::string request,
-                            Attrs attrs) {
-  if (tracer_ != nullptr) {
-    tracer_->instant(node, std::move(name), at, std::move(request), std::move(attrs));
-  }
-}
-
 void HealthMonitor::sample_versions(Time at,
                                     const std::vector<std::pair<NodeId, std::uint64_t>>& versions) {
   if (versions.empty()) return;
@@ -34,32 +27,27 @@ void HealthMonitor::sample_versions(Time at,
   }
 
   for (const auto& [node, seq] : versions) {
-    StalenessSample sample;
-    sample.node = node;
-    sample.at = at;
-    sample.version_lag = frontier - seq;
+    const std::uint64_t lag = frontier - seq;
     // Age: how long ago the frontier first passed this replica's version —
     // i.e. for how long the replica has been missing committed state.
-    if (sample.version_lag > 0) {
+    Time age = 0;
+    if (lag > 0) {
       for (const auto& [value, seen] : frontier_log_) {
         if (value > seq) {
-          sample.age = at - seen;
+          age = at - seen;
           break;
         }
       }
     }
-    staleness_.push_back(sample);
-    if (registry_ != nullptr) {
-      const auto idx = static_cast<std::size_t>(node);
-      if (staleness_hist_.size() <= idx) staleness_hist_.resize(idx + 1, {nullptr, nullptr});
-      auto& [lag_hist, age_hist] = staleness_hist_[idx];
-      if (lag_hist == nullptr) {
-        lag_hist = &registry_->histogram("monitor.staleness_versions", node_label(node));
-        age_hist = &registry_->histogram("monitor.staleness_age_us", node_label(node));
-      }
-      lag_hist->observe(static_cast<double>(sample.version_lag));
-      age_hist->observe(static_cast<double>(sample.age));
+    const auto idx = static_cast<std::size_t>(node);
+    if (staleness_hist_.size() <= idx) staleness_hist_.resize(idx + 1, {nullptr, nullptr});
+    auto& [lag_hist, age_hist] = staleness_hist_[idx];
+    if (lag_hist == nullptr) {
+      lag_hist = &registry_.histogram("monitor.staleness_versions", node_label(node));
+      age_hist = &registry_.histogram("monitor.staleness_age_us", node_label(node));
     }
+    lag_hist->observe(static_cast<double>(lag));
+    age_hist->observe(static_cast<double>(age));
   }
 }
 
@@ -71,32 +59,24 @@ void HealthMonitor::digest_sample(Time at,
     if (digest != digests.front().second) diverged = true;
   }
 
-  const bool was_open = diverged_now();
-  if (diverged && !was_open) {
-    windows_.push_back(DivergenceWindow{at, -1});
-    instant(digests.front().first, "mon/divergence.start", at, "", {});
-    if (registry_ != nullptr) registry_->incr("monitor.divergence_windows");
-  } else if (!diverged && was_open) {
-    DivergenceWindow& window = windows_.back();
-    window.end = at;
-    instant(digests.front().first, "mon/divergence.end", at, "", {});
-    if (registry_ != nullptr) {
-      registry_->histogram("monitor.divergence_window_us")
-          .observe(static_cast<double>(window.end - window.start));
-    }
+  if (diverged && !diverged_now()) {
+    divergence_start_ = at;
+    tracer_.instant(digests.front().first, "mon/divergence.start", at, "", {});
+    registry_.incr("monitor.divergence_windows");
+  } else if (!diverged && diverged_now()) {
+    tracer_.instant(digests.front().first, "mon/divergence.end", at, "", {});
+    registry_.histogram("monitor.divergence_window_us")
+        .observe(static_cast<double>(at - divergence_start_));
+    divergence_start_ = -1;
   }
 }
 
 void HealthMonitor::abort_event(NodeId node, Time at, AbortCause cause,
                                 const std::string& request, const std::string& detail) {
-  aborts_.push_back(AbortEvent{node, at, cause, request, detail});
   Attrs attrs{{"cause", std::string(abort_cause_name(cause))}};
   if (!detail.empty()) attrs.emplace_back("detail", detail);
-  instant(node, "mon/abort", at, request, std::move(attrs));
-  if (registry_ != nullptr) {
-    registry_->counter("monitor.aborts", label("cause", std::string(abort_cause_name(cause))))
-        .incr();
-  }
+  tracer_.instant(node, "mon/abort", at, request, std::move(attrs));
+  registry_.counter("monitor.aborts", label("cause", std::string(abort_cause_name(cause)))).incr();
 }
 
 void HealthMonitor::suspected(NodeId failed, NodeId by, Time at) {
@@ -107,8 +87,8 @@ void HealthMonitor::suspected(NodeId failed, NodeId by, Time at) {
   timeline.failed = failed;
   timeline.suspected_at = at;
   failovers_.push_back(timeline);
-  instant(by, "mon/failover.suspected", at, "",
-          Attrs{{"failed", std::to_string(failed)}});
+  tracer_.instant(by, "mon/failover.suspected", at, "",
+                  Attrs{{"failed", std::to_string(failed)}});
 }
 
 void HealthMonitor::promoted(NodeId new_primary, Time at) {
@@ -116,8 +96,8 @@ void HealthMonitor::promoted(NodeId new_primary, Time at) {
     if (it->promoted_at >= 0) continue;
     it->new_primary = new_primary;
     it->promoted_at = at;
-    instant(new_primary, "mon/failover.promoted", at, "",
-            Attrs{{"failed", std::to_string(it->failed)}});
+    tracer_.instant(new_primary, "mon/failover.promoted", at, "",
+                    Attrs{{"failed", std::to_string(it->failed)}});
     return;
   }
 }
@@ -127,33 +107,11 @@ void HealthMonitor::committed(NodeId node, Time at) {
     if (timeline.first_commit_at >= 0 || timeline.new_primary != node) continue;
     if (timeline.promoted_at < 0) continue;
     timeline.first_commit_at = at;
-    instant(node, "mon/failover.first_commit", at, "",
-            Attrs{{"failed", std::to_string(timeline.failed)},
-                  {"duration_us", std::to_string(timeline.duration())}});
-    if (registry_ != nullptr) {
-      registry_->histogram("monitor.failover_us")
-          .observe(static_cast<double>(timeline.duration()));
-    }
+    tracer_.instant(node, "mon/failover.first_commit", at, "",
+                    Attrs{{"failed", std::to_string(timeline.failed)},
+                          {"duration_us", std::to_string(timeline.duration())}});
+    registry_.histogram("monitor.failover_us").observe(static_cast<double>(timeline.duration()));
   }
-}
-
-std::uint64_t HealthMonitor::staleness_p95_versions() const {
-  if (staleness_.empty()) return 0;
-  std::vector<std::uint64_t> lags;
-  lags.reserve(staleness_.size());
-  for (const auto& sample : staleness_) lags.push_back(sample.version_lag);
-  std::sort(lags.begin(), lags.end());
-  const std::size_t idx =
-      std::min(lags.size() - 1, static_cast<std::size_t>(0.95 * static_cast<double>(lags.size())));
-  return lags[idx];
-}
-
-std::size_t HealthMonitor::aborts_by(AbortCause cause) const {
-  std::size_t n = 0;
-  for (const auto& ev : aborts_) {
-    if (ev.cause == cause) ++n;
-  }
-  return n;
 }
 
 }  // namespace repli::obs

@@ -12,8 +12,11 @@
 //     lock deadlock, failover-induced, client timeout);
 //   - failover timelines: fd suspicion -> promotion -> first commit by the
 //     new primary, as one structured record per failed primary.
-// Everything is mirrored as tracer instants (mon/) and metrics (monitor.*),
-// so traces, NDJSON stats, and replikit-report all see the same story.
+// Each observation is recorded once, as tracer instants (mon/) and metrics
+// (monitor.*), so traces, NDJSON stats, and replikit-report all see the
+// same story. The monitor itself keeps only what it needs to match later
+// events: the open divergence window's start, the frontier history behind
+// staleness age, and the failover timelines.
 #pragma once
 
 #include <cstdint>
@@ -30,27 +33,6 @@ enum class AbortCause { Certification, Deadlock, Failover, Timeout, Other };
 
 std::string_view abort_cause_name(AbortCause cause);
 
-struct StalenessSample {
-  NodeId node = -1;
-  Time at = 0;
-  std::uint64_t version_lag = 0;  // commit-seq distance behind the frontier
-  Time age = 0;                   // how long ago the frontier reached this lag
-};
-
-struct DivergenceWindow {
-  Time start = 0;
-  Time end = -1;  // -1: still open
-  bool open() const { return end < 0; }
-};
-
-struct AbortEvent {
-  NodeId node = -1;
-  Time at = 0;
-  AbortCause cause = AbortCause::Other;
-  std::string request;
-  std::string detail;
-};
-
 struct FailoverTimeline {
   NodeId failed = -1;
   NodeId new_primary = -1;
@@ -64,18 +46,17 @@ struct FailoverTimeline {
 
 class HealthMonitor {
  public:
-  /// Mirrors events into `tracer` instants and `registry` metrics (either
-  /// may be nullptr). Not owned.
-  void bind(Tracer* tracer, Registry* registry) {
-    tracer_ = tracer;
-    registry_ = registry;
-    staleness_hist_.clear();  // handles below point into the old registry
-  }
+  /// Records into `tracer` instants and `registry` metrics; both must
+  /// outlive the monitor.
+  HealthMonitor(Tracer& tracer, Registry& registry) : tracer_(tracer), registry_(registry) {}
 
   // -- Periodic samples (driven by the cluster harness) --
 
   /// One staleness sample per live replica: `versions` holds each node's
-  /// last committed sequence number.
+  /// last committed sequence number. Per node, the version lag behind the
+  /// frontier (the most-advanced replica) goes to monitor.staleness_versions
+  /// and how long the replica has been missing committed state to
+  /// monitor.staleness_age_us.
   void sample_versions(Time at, const std::vector<std::pair<NodeId, std::uint64_t>>& versions);
 
   /// One digest per live replica; opens/closes divergence windows.
@@ -97,28 +78,17 @@ class HealthMonitor {
 
   // -- Queries --
 
-  const std::vector<StalenessSample>& staleness() const { return staleness_; }
-  const std::vector<DivergenceWindow>& divergence_windows() const { return windows_; }
-  const std::vector<AbortEvent>& aborts() const { return aborts_; }
   const std::vector<FailoverTimeline>& failovers() const { return failovers_; }
-
-  /// p95 of version lag over all samples (0 when unsampled).
-  std::uint64_t staleness_p95_versions() const;
-  bool diverged_now() const { return !windows_.empty() && windows_.back().open(); }
-  std::size_t aborts_by(AbortCause cause) const;
+  bool diverged_now() const { return divergence_start_ >= 0; }
 
  private:
-  void instant(NodeId node, std::string name, Time at, std::string request, Attrs attrs);
-
-  Tracer* tracer_ = nullptr;
-  Registry* registry_ = nullptr;
+  Tracer& tracer_;
+  Registry& registry_;
   // Per-node staleness histogram handles, resolved once: sample_versions
   // runs on every monitor tick and must not redo labeled name lookups.
   std::vector<std::pair<HistogramMetric*, HistogramMetric*>> staleness_hist_;
 
-  std::vector<StalenessSample> staleness_;
-  std::vector<DivergenceWindow> windows_;
-  std::vector<AbortEvent> aborts_;
+  Time divergence_start_ = -1;  // start of the open divergence window; -1: none
   std::vector<FailoverTimeline> failovers_;
   // When each frontier value was first observed, for staleness age.
   std::vector<std::pair<std::uint64_t, Time>> frontier_log_;

@@ -28,11 +28,6 @@ void Writer::put_double(double v) {
   for (int i = 0; i < 8; ++i) buf_.push_back(static_cast<std::uint8_t>(bits >> (8 * i)));
 }
 
-void Writer::put_bytes(std::span<const std::uint8_t> bytes) {
-  put_u64(bytes.size());
-  buf_.insert(buf_.end(), bytes.begin(), bytes.end());
-}
-
 void Writer::put_string(std::string_view s) {
   put_u64(s.size());
   buf_.insert(buf_.end(), s.begin(), s.end());

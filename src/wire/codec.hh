@@ -28,7 +28,6 @@ class Writer {
   void put_i32(std::int32_t v) { put_i64(v); }
   void put_bool(bool v) { put_u64(v ? 1 : 0); }
   void put_double(double v);
-  void put_bytes(std::span<const std::uint8_t> bytes);
   void put_string(std::string_view s);
 
   const std::vector<std::uint8_t>& bytes() const { return buf_; }

@@ -1,3 +1,6 @@
+// LockManager unit tests. The lock manager always runs wait-die, so a test
+// that needs a request to wait gives the waiter a smaller priority (older)
+// than every incompatible holder.
 #include "db/lock.hh"
 
 #include <gtest/gtest.h>
@@ -34,8 +37,8 @@ TEST(LockManager, SharedLocksCoexist) {
 TEST(LockManager, ExclusiveBlocksOthers) {
   Fixture f;
   bool t2_granted = false;
-  f.lm.acquire("t1", 1, "k", LockMode::Exclusive, [] {}, [] { FAIL(); });
-  f.lm.acquire("t2", 2, "k", LockMode::Shared, [&] { t2_granted = true; }, [] { FAIL(); });
+  f.lm.acquire("t1", 2, "k", LockMode::Exclusive, [] {}, [] { FAIL(); });
+  f.lm.acquire("t2", 1, "k", LockMode::Shared, [&] { t2_granted = true; }, [] { FAIL(); });
   EXPECT_FALSE(t2_granted);
   EXPECT_EQ(f.lm.waiting_count(), 1u);
   f.lm.release_all("t1");
@@ -46,8 +49,8 @@ TEST(LockManager, ExclusiveBlocksOthers) {
 TEST(LockManager, SharedBlocksExclusive) {
   Fixture f;
   bool x_granted = false;
-  f.lm.acquire("t1", 1, "k", LockMode::Shared, [] {}, [] { FAIL(); });
-  f.lm.acquire("t2", 2, "k", LockMode::Exclusive, [&] { x_granted = true; }, [] { FAIL(); });
+  f.lm.acquire("t1", 2, "k", LockMode::Shared, [] {}, [] { FAIL(); });
+  f.lm.acquire("t2", 1, "k", LockMode::Exclusive, [&] { x_granted = true; }, [] { FAIL(); });
   EXPECT_FALSE(x_granted);
   f.lm.release_all("t1");
   EXPECT_TRUE(x_granted);
@@ -85,9 +88,9 @@ TEST(LockManager, UpgradeWaitsForOtherReaders) {
 TEST(LockManager, FifoFairnessNoStarvation) {
   Fixture f;
   std::vector<std::string> grant_order;
-  f.lm.acquire("t1", 1, "k", LockMode::Exclusive, [] {}, [] { FAIL(); });
-  f.lm.acquire("t2", 2, "k", LockMode::Exclusive, [&] { grant_order.push_back("t2"); }, [] { FAIL(); });
-  f.lm.acquire("t3", 3, "k", LockMode::Shared, [&] { grant_order.push_back("t3"); }, [] { FAIL(); });
+  f.lm.acquire("t1", 3, "k", LockMode::Exclusive, [] {}, [] { FAIL(); });
+  f.lm.acquire("t2", 1, "k", LockMode::Exclusive, [&] { grant_order.push_back("t2"); }, [] { FAIL(); });
+  f.lm.acquire("t3", 2, "k", LockMode::Shared, [&] { grant_order.push_back("t3"); }, [] { FAIL(); });
   // A late shared request must not jump over the queued exclusive one.
   f.lm.release_all("t1");
   ASSERT_EQ(grant_order.size(), 1u);
@@ -96,56 +99,85 @@ TEST(LockManager, FifoFairnessNoStarvation) {
   EXPECT_EQ(grant_order, (std::vector<std::string>{"t2", "t3"}));
 }
 
+// Under wait-die a cycle can still form through a shared request queued
+// (FIFO) behind an older exclusive waiter: that shared waiter waits for the
+// shared holders ahead of it whatever their age (see db/lock.hh).
 TEST(LockManager, DeadlockDetectedYoungestAborts) {
   Fixture f;
-  bool t2_aborted = false;
-  bool t1_granted_b = false;
-  f.lm.acquire("t1", 1, "a", LockMode::Exclusive, [] {}, [] { FAIL(); });
-  f.lm.acquire("t2", 2, "b", LockMode::Exclusive, [] {}, [] { FAIL(); });
-  // t1 waits for b (held by t2); no cycle yet.
-  f.lm.acquire("t1", 1, "b", LockMode::Exclusive, [&] { t1_granted_b = true; },
+  bool t4_aborted = false;
+  bool t2_granted_b = false;
+  f.lm.acquire("t2", 2, "a", LockMode::Shared, [] {}, [] { FAIL(); });
+  f.lm.acquire("t4", 4, "b", LockMode::Exclusive, [] {}, [] { FAIL(); });
+  f.lm.acquire("t1", 1, "a", LockMode::Exclusive, [] {}, [] { FAIL(); });  // t1 waits for t2
+  // t2 waits for b (held by t4); no cycle yet.
+  f.lm.acquire("t2", 2, "b", LockMode::Exclusive, [&] { t2_granted_b = true; },
                [] { FAIL() << "older txn was chosen as victim"; });
-  // t2 waits for a (held by t1): cycle t1 -> t2 -> t1. t2 (younger) dies.
-  f.lm.acquire("t2", 2, "a", LockMode::Exclusive, [] { FAIL(); }, [&] { t2_aborted = true; });
-  EXPECT_TRUE(t2_aborted);
+  // t4's shared request queues behind t1's exclusive one, so t4 waits for
+  // t2: cycle t2 -> t4 -> t2. t4 (younger) dies.
+  f.lm.acquire("t4", 4, "a", LockMode::Shared, [] { FAIL(); }, [&] { t4_aborted = true; });
+  EXPECT_TRUE(t4_aborted);
   EXPECT_EQ(f.lm.deadlock_aborts(), 1);
   // The abort callback is expected to release; simulate that.
-  f.lm.release_all("t2");
-  EXPECT_TRUE(t1_granted_b);
+  f.lm.release_all("t4");
+  EXPECT_TRUE(t2_granted_b);
 }
 
 TEST(LockManager, ThreeWayDeadlockResolved) {
   Fixture f;
   int aborts = 0;
   auto on_abort = [&] { ++aborts; };
-  f.lm.acquire("t1", 1, "a", LockMode::Exclusive, [] {}, [] {});
-  f.lm.acquire("t2", 2, "b", LockMode::Exclusive, [] {}, [] {});
+  f.lm.acquire("t2", 2, "a", LockMode::Shared, [] {}, [] {});
   f.lm.acquire("t3", 3, "c", LockMode::Exclusive, [] {}, [] {});
-  f.lm.acquire("t1", 1, "b", LockMode::Exclusive, [] {}, on_abort);
-  f.lm.acquire("t2", 2, "c", LockMode::Exclusive, [] {}, on_abort);
-  f.lm.acquire("t3", 3, "a", LockMode::Exclusive, [] {}, on_abort);  // closes the cycle
+  f.lm.acquire("t4", 4, "b", LockMode::Exclusive, [] {}, [] {});
+  f.lm.acquire("t1", 1, "a", LockMode::Exclusive, [] {}, on_abort);  // waits for t2
+  f.lm.acquire("t4", 4, "a", LockMode::Shared, [] {}, on_abort);     // queued behind t1
+  f.lm.acquire("t3", 3, "b", LockMode::Exclusive, [] {}, on_abort);  // waits for t4
+  f.lm.acquire("t2", 2, "c", LockMode::Exclusive, [] {}, on_abort);  // closes the cycle
   EXPECT_EQ(aborts, 1);
   EXPECT_EQ(f.lm.deadlock_aborts(), 1);
+  EXPECT_EQ(f.sim.metrics().counter_value("db.lock.deadlocks"), 1);
+}
+
+TEST(LockManager, WaitDieLeavesFifoQueueCycleToDetection) {
+  // mid holds S on k and young holds X on j. oldest waits for X on k, young
+  // queues for S on k behind it (no incompatible holder, so wait-die lets it
+  // wait), and mid then requests X on j (young is younger: mid may wait).
+  // Wait-die allowed every wait, yet mid -> young -> mid is a cycle; only
+  // wait-for-graph detection breaks it before the wait timeout.
+  Fixture f;
+  bool young_aborted = false;
+  bool mid_granted_j = false;
+  f.lm.acquire("mid", 2, "k", LockMode::Shared, [] {}, [] { FAIL(); });
+  f.lm.acquire("young", 3, "j", LockMode::Exclusive, [] {}, [] { FAIL(); });
+  f.lm.acquire("oldest", 1, "k", LockMode::Exclusive, [] {}, [] { FAIL(); });
+  f.lm.acquire("young", 3, "k", LockMode::Shared, [] { FAIL(); }, [&] { young_aborted = true; });
+  f.lm.acquire("mid", 2, "j", LockMode::Exclusive, [&] { mid_granted_j = true; },
+               [] { FAIL() << "mid is older than the victim"; });
+  EXPECT_TRUE(young_aborted) << "cycle left to the wait timeout";
+  EXPECT_EQ(f.sim.now(), 0);
+  const auto& metrics = f.sim.metrics();
+  EXPECT_EQ(metrics.counter_value("db.lock.deadlocks"), 1);
+  EXPECT_EQ(metrics.counter_value("db.lock.wait_die_aborts"), 0);
+  f.lm.release_all("young");
+  EXPECT_TRUE(mid_granted_j);
 }
 
 TEST(LockManager, WaitTimeoutBackstopFires) {
-  sim::Simulator sim(1);
-  auto& host = sim.spawn<Host>();
-  LockConfig cfg;
-  cfg.wait_timeout = 50 * sim::kMsec;
-  LockManager lm(host, cfg);
+  Fixture f;
   bool aborted = false;
-  lm.acquire("t1", 1, "k", LockMode::Exclusive, [] {}, [] { FAIL(); });
-  lm.acquire("t2", 2, "k", LockMode::Exclusive, [] { FAIL(); }, [&] { aborted = true; });
-  sim.run_until(200 * sim::kMsec);
+  f.lm.acquire("t1", 2, "k", LockMode::Exclusive, [] {}, [] { FAIL(); });
+  f.lm.acquire("t2", 1, "k", LockMode::Exclusive, [] { FAIL(); }, [&] { aborted = true; });
+  f.sim.run_until(kLockWaitTimeout - 1);
+  EXPECT_FALSE(aborted);
+  f.sim.run_until(kLockWaitTimeout);
   EXPECT_TRUE(aborted);
-  EXPECT_EQ(lm.waiting_count(), 0u);
+  EXPECT_EQ(f.lm.waiting_count(), 0u);
 }
 
 TEST(LockManager, ReleaseAllCancelsPendingRequest) {
   Fixture f;
-  f.lm.acquire("t1", 1, "k", LockMode::Exclusive, [] {}, [] { FAIL(); });
-  f.lm.acquire("t2", 2, "k", LockMode::Exclusive, [] { FAIL(); }, [] { FAIL(); });
+  f.lm.acquire("t1", 2, "k", LockMode::Exclusive, [] {}, [] { FAIL(); });
+  f.lm.acquire("t2", 1, "k", LockMode::Exclusive, [] { FAIL(); }, [] { FAIL(); });
   f.lm.release_all("t2");  // withdraw while waiting: neither callback fires
   EXPECT_EQ(f.lm.waiting_count(), 0u);
   f.lm.release_all("t1");
@@ -163,7 +195,7 @@ TEST(LockManager, IndependentKeysDoNotInteract) {
 TEST(LockManager, QueuedRequestsGrantInBatchWhenCompatible) {
   Fixture f;
   int shared_grants = 0;
-  f.lm.acquire("t1", 1, "k", LockMode::Exclusive, [] {}, [] { FAIL(); });
+  f.lm.acquire("t1", 10, "k", LockMode::Exclusive, [] {}, [] { FAIL(); });  // youngest
   for (int i = 2; i <= 5; ++i) {
     f.lm.acquire("t" + std::to_string(i), i, "k", LockMode::Shared,
                  [&] { ++shared_grants; }, [] { FAIL(); });
@@ -174,11 +206,8 @@ TEST(LockManager, QueuedRequestsGrantInBatchWhenCompatible) {
 }
 
 TEST(LockManager, WaitDieYoungerRequesterDiesImmediately) {
-  sim::Simulator sim(1);
-  auto& host = sim.spawn<Host>();
-  LockConfig cfg;
-  cfg.wait_die = true;
-  LockManager lm(host, cfg);
+  Fixture f;
+  auto& lm = f.lm;
   bool died = false;
   lm.acquire("old", 1, "k", LockMode::Exclusive, [] {}, [] { FAIL(); });
   lm.acquire("young", 2, "k", LockMode::Exclusive, [] { FAIL(); }, [&] { died = true; });
@@ -188,11 +217,8 @@ TEST(LockManager, WaitDieYoungerRequesterDiesImmediately) {
 }
 
 TEST(LockManager, WaitDieOlderRequesterWaits) {
-  sim::Simulator sim(1);
-  auto& host = sim.spawn<Host>();
-  LockConfig cfg;
-  cfg.wait_die = true;
-  LockManager lm(host, cfg);
+  Fixture f;
+  auto& lm = f.lm;
   bool granted = false;
   lm.acquire("young", 2, "k", LockMode::Exclusive, [] {}, [] { FAIL(); });
   lm.acquire("old", 1, "k", LockMode::Exclusive, [&] { granted = true; }, [] { FAIL(); });
@@ -203,11 +229,8 @@ TEST(LockManager, WaitDieOlderRequesterWaits) {
 }
 
 TEST(LockManager, WaitDieSharedReadersUnaffected) {
-  sim::Simulator sim(1);
-  auto& host = sim.spawn<Host>();
-  LockConfig cfg;
-  cfg.wait_die = true;
-  LockManager lm(host, cfg);
+  Fixture f;
+  auto& lm = f.lm;
   int grants = 0;
   lm.acquire("old", 1, "k", LockMode::Shared, [&] { ++grants; }, [] { FAIL(); });
   lm.acquire("young", 2, "k", LockMode::Shared, [&] { ++grants; }, [] { FAIL(); });
@@ -215,11 +238,8 @@ TEST(LockManager, WaitDieSharedReadersUnaffected) {
 }
 
 TEST(LockManager, WaitDiePreventsCrossKeyDeadlock) {
-  sim::Simulator sim(1);
-  auto& host = sim.spawn<Host>();
-  LockConfig cfg;
-  cfg.wait_die = true;
-  LockManager lm(host, cfg);
+  Fixture f;
+  auto& lm = f.lm;
   bool young_died = false;
   lm.acquire("t1", 1, "a", LockMode::Exclusive, [] {}, [] { FAIL(); });
   lm.acquire("t2", 2, "b", LockMode::Exclusive, [] {}, [] { FAIL(); });
@@ -234,11 +254,8 @@ TEST(LockManager, WaitDiePreventsCrossKeyDeadlock) {
 TEST(LockManager, WaitDiePriorityIsSticky) {
   // The priority recorded at first contact governs later interactions even
   // if a different priority is passed (retried transactions keep their age).
-  sim::Simulator sim(1);
-  auto& host = sim.spawn<Host>();
-  LockConfig cfg;
-  cfg.wait_die = true;
-  LockManager lm(host, cfg);
+  Fixture f;
+  auto& lm = f.lm;
   lm.acquire("t1", 5, "k", LockMode::Exclusive, [] {}, [] { FAIL(); });
   bool died = false;
   // t2 claims priority 1 now, but k's holder recorded 5; 1 < 5 so t2 waits.

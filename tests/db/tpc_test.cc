@@ -12,8 +12,8 @@ namespace {
 
 class TpcNode : public gcs::ComponentHost {
  public:
-  TpcNode(sim::NodeId id, sim::Simulator& sim, TpcConfig cfg = {})
-      : ComponentHost(id, sim, "tpc-node"), tpc(*this, 1, cfg) {
+  TpcNode(sim::NodeId id, sim::Simulator& sim)
+      : ComponentHost(id, sim, "tpc-node"), tpc(*this, 1) {
     add_component(tpc);
     tpc.set_vote_handler([this](const std::string& txn, const std::string& payload) {
       payloads[txn] = payload;

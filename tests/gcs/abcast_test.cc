@@ -25,7 +25,7 @@ std::string impl_name(Impl impl) {
 class AbcastNode : public ComponentHost {
  public:
   AbcastNode(sim::NodeId id, sim::Simulator& sim, const Group& group, Impl impl)
-      : ComponentHost(id, sim, "abcast-node"), fd(*this, group, FdConfig{}) {
+      : ComponentHost(id, sim, "abcast-node"), fd(*this, group) {
     add_component(fd);
     if (impl == Impl::Sequencer) {
       abcast = std::make_unique<SequencerAbcast>(*this, group, fd, 10);

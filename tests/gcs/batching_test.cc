@@ -39,18 +39,14 @@ class BatchedNode : public ComponentHost {
  public:
   BatchedNode(sim::NodeId id, sim::Simulator& sim, const Group& group, Impl impl,
               sim::BatchPolicy batch)
-      : ComponentHost(id, sim, "batched-node"), fd(*this, group, FdConfig{}) {
+      : ComponentHost(id, sim, "batched-node"), fd(*this, group) {
     add_component(fd);
     if (impl == Impl::Sequencer) {
-      SequencerConfig config;
-      config.batch = batch;
-      auto seq = std::make_unique<CountingSequencer>(*this, group, fd, 10, config);
+      auto seq = std::make_unique<CountingSequencer>(*this, group, fd, 10, batch);
       sequencer = seq.get();
       abcast = std::move(seq);
     } else {
-      ConsensusConfig config;
-      config.batch = batch;
-      abcast = std::make_unique<ConsensusAbcast>(*this, group, fd, 10, config);
+      abcast = std::make_unique<ConsensusAbcast>(*this, group, fd, 10, batch);
     }
     add_component(*abcast);
     abcast->set_deliver([this](sim::NodeId origin, wire::MessagePtr msg) {
@@ -178,7 +174,7 @@ TEST(BatchedAbcast, SinglePayloadFlushSkipsTheEnvelope) {
 class PackNode : public ComponentHost {
  public:
   PackNode(sim::NodeId id, sim::Simulator& sim, sim::BatchPolicy pack)
-      : ComponentHost(id, sim, "pack-node"), link(*this, 5, {}, pack) {
+      : ComponentHost(id, sim, "pack-node"), link(*this, 5, pack) {
     add_component(link);
     link.set_deliver([this](sim::NodeId from, wire::MessagePtr msg) {
       delivered.emplace_back(from, testing::note_text(msg));

@@ -12,11 +12,10 @@ namespace {
 
 class ConsensusNode : public ComponentHost {
  public:
-  ConsensusNode(sim::NodeId id, sim::Simulator& sim, const Group& group,
-                ConsensusConfig cfg = {})
+  ConsensusNode(sim::NodeId id, sim::Simulator& sim, const Group& group)
       : ComponentHost(id, sim, "consensus-node"),
-        fd(*this, group, FdConfig{}),
-        consensus(*this, group, fd, 10, cfg) {
+        fd(*this, group),
+        consensus(*this, group, fd, 10) {
     add_component(fd);
     add_component(consensus);
     consensus.set_decide([this](std::uint64_t instance, const std::string& value) {

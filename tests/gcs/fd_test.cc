@@ -9,8 +9,8 @@ namespace {
 
 class FdNode : public ComponentHost {
  public:
-  FdNode(sim::NodeId id, sim::Simulator& sim, const Group& group, FdConfig cfg = {})
-      : ComponentHost(id, sim, "fd-node"), fd(*this, group, cfg) {
+  FdNode(sim::NodeId id, sim::Simulator& sim, const Group& group)
+      : ComponentHost(id, sim, "fd-node"), fd(*this, group) {
     add_component(fd);
     fd.on_suspect([this](sim::NodeId who) { suspicions.push_back(who); });
     fd.on_trust([this](sim::NodeId who) { trusts.push_back(who); });

@@ -11,8 +11,8 @@ using testing::note;
 
 class FifoNode : public ComponentHost {
  public:
-  FifoNode(sim::NodeId id, sim::Simulator& sim, LinkConfig cfg = {})
-      : ComponentHost(id, sim, "fifo-node"), fifo(*this, 1, cfg) {
+  FifoNode(sim::NodeId id, sim::Simulator& sim)
+      : ComponentHost(id, sim, "fifo-node"), fifo(*this, 1) {
     add_component(fifo);
     fifo.set_deliver([this](sim::NodeId from, wire::MessagePtr msg) {
       received.emplace_back(from, testing::note_text(msg));

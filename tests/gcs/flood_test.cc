@@ -13,8 +13,8 @@ using testing::note;
 
 class FloodNode : public ComponentHost {
  public:
-  FloodNode(sim::NodeId id, sim::Simulator& sim, const Group& group, LinkConfig cfg = {})
-      : ComponentHost(id, sim, "flood-node"), flood(*this, group, 1, cfg) {
+  FloodNode(sim::NodeId id, sim::Simulator& sim, const Group& group)
+      : ComponentHost(id, sim, "flood-node"), flood(*this, group, 1) {
     add_component(flood);
     flood.set_deliver([this](sim::NodeId origin, wire::MessagePtr msg) {
       delivered.emplace_back(origin, testing::note_text(msg));

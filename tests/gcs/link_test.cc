@@ -15,8 +15,8 @@ using testing::note_text;
 
 class LinkNode : public ComponentHost {
  public:
-  LinkNode(sim::NodeId id, sim::Simulator& sim, LinkConfig cfg = {})
-      : ComponentHost(id, sim, "link-node"), link(*this, 1, cfg) {
+  LinkNode(sim::NodeId id, sim::Simulator& sim)
+      : ComponentHost(id, sim, "link-node"), link(*this, 1) {
     add_component(link);
     link.set_deliver([this](sim::NodeId from, wire::MessagePtr msg) {
       received.emplace_back(from, testing::note_text(msg));
@@ -67,16 +67,17 @@ TEST(ReliableLink, BidirectionalTrafficKeepsChannelsSeparate) {
 }
 
 TEST(ReliableLink, GivesUpAfterMaxRetriesToCrashedPeer) {
-  LinkConfig cfg;
-  cfg.max_retries = 5;
-  cfg.rto = 1 * sim::kMsec;
   sim::Simulator sim(1);
-  auto& a = sim.spawn<LinkNode>(cfg);
-  auto& b = sim.spawn<LinkNode>(cfg);
+  auto& a = sim.spawn<LinkNode>();
+  auto& b = sim.spawn<LinkNode>();
   sim.crash(b.id());
   a.link.send_reliable(b.id(), note("into the void"));
   EXPECT_EQ(a.link.unacked(), 1u);
-  sim.run_until(1 * sim::kSec);
+  // Every retransmission tick until the last one keeps the message.
+  sim.run_until(kLinkMaxRetries * kLinkRto);
+  EXPECT_EQ(a.link.unacked(), 1u);
+  // The tick after kLinkMaxRetries retransmissions gives up.
+  sim.run_until((kLinkMaxRetries + 1) * kLinkRto);
   EXPECT_EQ(a.link.unacked(), 0u);  // gave up, simulation quiesces
   EXPECT_TRUE(b.received.empty());
 }
@@ -86,17 +87,16 @@ TEST(ReliableLink, RetransmissionsAreDeduplicated) {
   sim::NetworkConfig net;
   net.drop_probability = 0.0;
   sim::Simulator sim(1, net);
-  LinkConfig cfg;
-  cfg.rto = 1 * sim::kMsec;
-  auto& a = sim.spawn<LinkNode>(cfg);
-  auto& b = sim.spawn<LinkNode>(cfg);
-  // Block b->a (acks) briefly so a retransmits, then heal.
+  auto& a = sim.spawn<LinkNode>();
+  auto& b = sim.spawn<LinkNode>();
+  // Block b->a (acks) for a few retransmission timeouts, then heal.
   sim.net().set_partition([&](sim::NodeId from, sim::NodeId to) {
     return from == b.id() && to == a.id();
   });
   a.link.send_reliable(b.id(), note("once"));
-  sim.schedule_at(10 * sim::kMsec, [&] { sim.net().set_partition(nullptr); });
+  sim.schedule_at(3 * kLinkRto, [&] { sim.net().set_partition(nullptr); });
   sim.run_until(1 * sim::kSec);
+  EXPECT_GT(sim.net().per_type_count().at("gcs.LinkData"), 1) << "no retransmissions";
   ASSERT_EQ(b.received.size(), 1u) << "duplicate deliveries after retransmission";
   EXPECT_EQ(a.link.unacked(), 0u);
 }
@@ -107,17 +107,15 @@ TEST(ReliableLink, SharedSeqCounterRetransmissionsToTwoPeersDeliverOnce) {
   // acks cut, every LinkData is retransmitted several times; each payload
   // must still be delivered exactly once at its own destination.
   sim::Simulator sim(1);
-  LinkConfig cfg;
-  cfg.rto = 1 * sim::kMsec;
-  auto& a = sim.spawn<LinkNode>(cfg);
-  auto& b = sim.spawn<LinkNode>(cfg);
-  auto& c = sim.spawn<LinkNode>(cfg);
+  auto& a = sim.spawn<LinkNode>();
+  auto& b = sim.spawn<LinkNode>();
+  auto& c = sim.spawn<LinkNode>();
   sim.net().set_partition([&](sim::NodeId, sim::NodeId to) { return to == a.id(); });
   for (int i = 0; i < 3; ++i) {
     a.link.send_reliable(b.id(), note("b" + std::to_string(i)));
     a.link.send_reliable(c.id(), note("c" + std::to_string(i)));
   }
-  sim.schedule_at(10 * sim::kMsec, [&] { sim.net().set_partition(nullptr); });
+  sim.schedule_at(4 * kLinkRto, [&] { sim.net().set_partition(nullptr); });
   sim.run_until(1 * sim::kSec);
   EXPECT_GT(sim.net().per_type_count().at("gcs.LinkData"), 6 * 3) << "no retransmissions";
   std::multiset<std::string> at_b;

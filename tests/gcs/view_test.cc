@@ -15,7 +15,7 @@ class ViewNode : public ComponentHost {
  public:
   ViewNode(sim::NodeId id, sim::Simulator& sim, const Group& group)
       : ComponentHost(id, sim, "view-node"),
-        fd(*this, group, FdConfig{}),
+        fd(*this, group),
         vg(*this, group, fd, 10) {
     add_component(fd);
     add_component(vg);

@@ -2,6 +2,7 @@
 // propagation and stay ~zero under eager schemes, divergence windows must
 // all close on conflict-free runs, and a primary crash must produce one
 // complete failover timeline (suspicion -> promotion -> first commit).
+// Each signal is read back from the run's metrics and tracer instants.
 #include <gtest/gtest.h>
 
 #include "core/cluster.hh"
@@ -9,6 +10,21 @@
 
 namespace repli::core {
 namespace {
+
+/// The per-replica histograms `name` the monitor recorded.
+std::vector<const util::Histogram*> per_replica(Cluster& cluster, std::string_view name) {
+  std::vector<const util::Histogram*> out;
+  for (const auto& [key, hist] : cluster.sim().metrics().histograms()) {
+    if (key.name == name) out.push_back(&hist.data());
+  }
+  return out;
+}
+
+double max_over_replicas(Cluster& cluster, std::string_view name) {
+  double max = 0;
+  for (const auto* hist : per_replica(cluster, name)) max = std::max(max, hist->max());
+  return max;
+}
 
 TEST(MonitorIntegration, StalenessPositiveUnderLazyPropagation) {
   auto cfg = testing::quiet_config(TechniqueKind::LazyPrimary);
@@ -20,16 +36,11 @@ TEST(MonitorIntegration, StalenessPositiveUnderLazyPropagation) {
   }
   cluster.settle(200 * sim::kMsec);
 
-  const auto& samples = cluster.monitor().staleness();
-  ASSERT_FALSE(samples.empty());
-  std::uint64_t max_lag = 0;
-  sim::Time max_age = 0;
-  for (const auto& s : samples) {
-    max_lag = std::max(max_lag, s.version_lag);
-    max_age = std::max(max_age, s.age);
-  }
-  EXPECT_GT(max_lag, 0u) << "backups lag the lazy primary by whole versions";
-  EXPECT_GT(max_age, 0) << "staleness age must accumulate while the lag persists";
+  ASSERT_FALSE(per_replica(cluster, "monitor.staleness_versions").empty());
+  EXPECT_GT(max_over_replicas(cluster, "monitor.staleness_versions"), 0.0)
+      << "backups lag the lazy primary by whole versions";
+  EXPECT_GT(max_over_replicas(cluster, "monitor.staleness_age_us"), 0.0)
+      << "staleness age must accumulate while the lag persists";
 }
 
 TEST(MonitorIntegration, StalenessNearZeroUnderEagerReplication) {
@@ -41,10 +52,11 @@ TEST(MonitorIntegration, StalenessNearZeroUnderEagerReplication) {
   }
   cluster.settle(200 * sim::kMsec);
 
-  ASSERT_FALSE(cluster.monitor().staleness().empty());
+  const auto lags = per_replica(cluster, "monitor.staleness_versions");
+  ASSERT_EQ(lags.size(), static_cast<std::size_t>(cluster.replica_count()));
   // Transient single-version gaps can be sampled mid-broadcast, but eager
-  // replication keeps the distribution pinned at zero.
-  EXPECT_EQ(cluster.monitor().staleness_p95_versions(), 0u);
+  // replication keeps every replica's distribution pinned at zero.
+  for (const auto* lag : lags) EXPECT_EQ(lag->p95(), 0.0);
 }
 
 TEST(MonitorIntegration, DivergenceWindowsAllCloseOnConflictFreeRuns) {
@@ -60,9 +72,10 @@ TEST(MonitorIntegration, DivergenceWindowsAllCloseOnConflictFreeRuns) {
     // Windows may open transiently while updates are in flight, but a
     // conflict-free converged run must close every one of them.
     EXPECT_FALSE(cluster.monitor().diverged_now()) << technique_name(kind);
-    for (const auto& window : cluster.monitor().divergence_windows()) {
-      EXPECT_FALSE(window.open()) << technique_name(kind);
-    }
+    const auto& tracer = cluster.sim().tracer();
+    EXPECT_EQ(tracer.named("mon/divergence.end").size(),
+              tracer.named("mon/divergence.start").size())
+        << technique_name(kind);
   }
 }
 
@@ -104,11 +117,12 @@ TEST(MonitorIntegration, ShortRunsStillGetAFinalSample) {
   ASSERT_TRUE(cluster.run_op(0, op_put("k", "v")).ok);
   ASSERT_LT(cluster.sim().now(), cfg.monitor_interval)
       << "run outlived the interval; the test no longer tests the flush";
-  EXPECT_TRUE(cluster.monitor().staleness().empty());
+  EXPECT_TRUE(per_replica(cluster, "monitor.staleness_versions").empty());
 
   cluster.final_monitor_sample();
-  EXPECT_EQ(cluster.monitor().staleness().size(),
-            static_cast<std::size_t>(cluster.replica_count()));
+  const auto lags = per_replica(cluster, "monitor.staleness_versions");
+  ASSERT_EQ(lags.size(), static_cast<std::size_t>(cluster.replica_count()));
+  for (const auto* lag : lags) EXPECT_EQ(lag->count(), 1u);
 }
 
 TEST(MonitorIntegration, ClientGiveUpAttributedAsTimeoutAbort) {
@@ -121,7 +135,8 @@ TEST(MonitorIntegration, ClientGiveUpAttributedAsTimeoutAbort) {
   for (int i = 0; i < cluster.replica_count(); ++i) cluster.crash_replica(i);
   const auto reply = cluster.run_op(0, op_put("k", "v"), 30 * sim::kSec);
   EXPECT_FALSE(reply.ok);
-  EXPECT_GE(cluster.monitor().aborts_by(obs::AbortCause::Timeout), 1u);
+  EXPECT_GE(cluster.sim().metrics().counter("monitor.aborts", obs::label("cause", "timeout")).value(),
+            1);
 }
 
 }  // namespace
