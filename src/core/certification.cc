@@ -138,7 +138,6 @@ void CertificationReplica::on_delivered(const CtCertify& cert) {
 
   // Certification abort: deterministic at every replica; counted once, at
   // the delegate, so the metric means "transaction attempts aborted".
-  ++aborts_;
   phase(cert.txn, sim::Phase::AgreementCoord, cert_start, now());
   if (cert.delegate != id()) return;
   close_ac_span(cert.txn, "abort");

@@ -58,8 +58,6 @@ class CertificationReplica : public ReplicaBase {
   CertificationReplica(sim::NodeId id, sim::Simulator& sim, ReplicaEnv env,
                        CertificationConfig config = {});
 
-  std::int64_t certification_aborts() const { return aborts_; }
-
  protected:
   void on_unhandled(sim::NodeId from, wire::MessagePtr msg) override;
 
@@ -75,7 +73,6 @@ class CertificationReplica : public ReplicaBase {
 
   std::map<std::string, ClientRequest> driving_;  // delegate-side, for retries
   std::set<std::string> decided_;                 // txns certified (either way)
-  std::int64_t aborts_ = 0;
   std::map<std::string, obs::SpanId> ac_spans_;   // delegate: broadcast -> verdict
 };
 

@@ -116,7 +116,6 @@ void EagerAbcastReplica::on_delivered(const EaForward& fwd) {
     db::SeededChoices choices(wire::fnv1a(request.request_id));
     const auto result = txn.run(registry(), request.ops.front(), choices);
     if (config_.optimistic_execution) {
-      ++misses_;
       sim().metrics().incr("optimistic.misses");
     }
     commit(txn.writes(), txn.read_versions(), result);
@@ -129,7 +128,6 @@ void EagerAbcastReplica::on_delivered(const EaForward& fwd) {
   cpu_execute(kApplyCost, [this, request, validates, commit, execute_now] {
     const auto it = tentative_.find(request.request_id);
     if (it != tentative_.end() && validates(it->second)) {
-      ++hits_;
       sim().metrics().incr("optimistic.hits");
       commit(std::move(it->second.writes), std::move(it->second.reads),
              std::move(it->second.result));

@@ -45,9 +45,6 @@ class EagerAbcastReplica : public ReplicaBase {
   EagerAbcastReplica(sim::NodeId id, sim::Simulator& sim, ReplicaEnv env,
                      EagerAbcastConfig config = {});
 
-  std::int64_t optimistic_hits() const { return hits_; }
-  std::int64_t optimistic_misses() const { return misses_; }
-
  protected:
   void on_unhandled(sim::NodeId from, wire::MessagePtr msg) override;
 
@@ -67,8 +64,6 @@ class EagerAbcastReplica : public ReplicaBase {
   EagerAbcastConfig config_;
   std::set<std::string> seen_;
   std::map<std::string, Tentative> tentative_;
-  std::int64_t hits_ = 0;
-  std::int64_t misses_ = 0;
 };
 
 }  // namespace repli::core

@@ -212,7 +212,6 @@ void EagerLockingReplica::local_acquire(sim::NodeId delegate, const LkAcquire& a
                    [this, txn, attempt, respond] {
                      // Deadlock victim or wait timeout: deny; the delegate
                      // aborts the transaction globally and retries.
-                     ++lock_aborts_;
                      metrics().incr("core.lock_aborts");
                      local_abort(txn, attempt);
                      respond(false);

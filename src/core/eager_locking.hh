@@ -139,7 +139,6 @@ class EagerLockingReplica : public ReplicaBase {
   EagerLockingReplica(sim::NodeId id, sim::Simulator& sim, ReplicaEnv env,
                       EagerLockingConfig config = {});
 
-  std::int64_t lock_aborts() const { return lock_aborts_; }
   std::size_t lock_waiters() const override { return locks_.waiting_count(); }
 
  protected:
@@ -196,7 +195,6 @@ class EagerLockingReplica : public ReplicaBase {
   // Highest attempt number already aborted here, per txn: an in-flight
   // LkAcquire of an aborted attempt must not take zombie locks.
   std::map<std::string, std::uint32_t> aborted_upto_;
-  std::int64_t lock_aborts_ = 0;
 
   // Group commit: commit-ready write transactions gather here until the
   // group holds batch.max of them or the flush window expires.

@@ -119,7 +119,6 @@ void LazyEverywhereReplica::on_ordered(const LeUpdate& update) {
 
 void LazyEverywhereReplica::count_undone(const std::string& txn) {
   if (undone_txns_.insert(txn).second) {
-    ++undone_;
     sim().metrics().incr("lazy.undone");
     monitor().abort_event(id(), now(), obs::AbortCause::Other, txn, "lazy-undo");
   }

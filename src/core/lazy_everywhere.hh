@@ -44,8 +44,6 @@ class LazyEverywhereReplica : public ReplicaBase {
   LazyEverywhereReplica(sim::NodeId id, sim::Simulator& sim, ReplicaEnv env,
                         LazyConfig config = {});
 
-  std::int64_t undone() const { return undone_; }
-
  protected:
   void on_unhandled(sim::NodeId from, wire::MessagePtr msg) override;
 
@@ -74,7 +72,6 @@ class LazyEverywhereReplica : public ReplicaBase {
   std::map<db::Key, Stamp> key_stamp_;
 
   std::set<std::string> undone_txns_;
-  std::int64_t undone_ = 0;
 };
 
 }  // namespace repli::core

@@ -87,7 +87,6 @@ void LockManager::acquire(const TxnId& txn, std::int64_t priority, const Key& ke
     if (holder == txn_id) continue;
     const bool incompatible = mode == LockMode::Exclusive || held_mode == LockMode::Exclusive;
     if (incompatible && priority > holder_priority(holder)) {
-      ++deadlock_aborts_;
       host_.sim().metrics().incr("db.lock.wait_die_aborts");
       host_.sim().tracer().instant(host_.id(), "db/lock.wait_die", host_.now(), txn,
                                    obs::Attrs{{"key", key}});
@@ -210,13 +209,13 @@ bool LockManager::holds(const TxnId& txn, const Key& key, LockMode mode) const {
   return false;
 }
 
-bool LockManager::walk_cycle(Id txn, util::ArenaVec<Id>& path) const {
+bool LockManager::walk_cycle(Id txn, std::vector<Id>& path) const {
   if (txn >= txns_.size() || txns_[txn].waiting_on == kNone) return false;
   const Id key = txns_[txn].waiting_on;
   if (key >= locks_.size()) return false;
   for (const auto& [holder, mode] : locks_[key].holders) {
     if (holder == txn) continue;
-    if (path.contains(holder)) return true;  // cycle
+    if (std::find(path.begin(), path.end(), holder) != path.end()) return true;  // cycle
     path.push_back(holder);
     if (walk_cycle(holder, path)) return true;
     path.pop_back();
@@ -227,19 +226,16 @@ bool LockManager::walk_cycle(Id txn, util::ArenaVec<Id>& path) const {
 void LockManager::detect_deadlock(Id waiter) {
   // waits-for edges: each waiting txn -> every current holder of its key.
   // Follow the chain from `waiter`; if it loops back, abort the youngest
-  // (largest priority number) waiter on the cycle. Paths are short, so the
-  // arena-backed vector with linear membership checks beats the std::set +
-  // std::function recursion this replaced (two allocations per contended
-  // acquire); ArenaScope makes the nested-walk case stack cleanly.
-  util::ArenaScope scope(scratch_);
-  util::ArenaVec<Id> path(scratch_);
-  path.push_back(waiter);
-  if (!walk_cycle(waiter, path)) return;
+  // (largest priority number) waiter on the cycle. Paths are a few ids
+  // long, so linear membership checks suffice.
+  path_.clear();
+  path_.push_back(waiter);
+  if (!walk_cycle(waiter, path_)) return;
 
   // Victim: the youngest transaction on the path that is actually waiting.
   Id victim = kNone;
   std::int64_t victim_priority = std::numeric_limits<std::int64_t>::min();
-  for (const Id txn : path) {
+  for (const Id txn : path_) {
     if (txn >= txns_.size() || txns_[txn].waiting_on == kNone) continue;
     const KeyLock& kl = locks_[txns_[txn].waiting_on];
     for (const auto& req : kl.waiters) {
@@ -252,10 +248,12 @@ void LockManager::detect_deadlock(Id waiter) {
   util::ensure(victim != kNone, "LockManager: cycle without waiting victim");
   const std::string& victim_txn = txn_names_.str(victim);  // de-intern at the boundary
   util::log_info("lock: deadlock, aborting ", victim_txn);
-  ++deadlock_aborts_;
   host_.sim().metrics().incr("db.lock.deadlocks");
   host_.sim().tracer().instant(host_.id(), "db/lock.deadlock", host_.now(), victim_txn,
-                               obs::Attrs{{"cycle_len", std::to_string(path.size())}});
+                               obs::Attrs{{"cycle_len", std::to_string(path_.size())}});
+  // Last, and path_ is not read after it: the callbacks it fires (grants,
+  // then the victim's abort) may acquire and so re-enter this function,
+  // which reuses path_.
   abort_waiter(txns_[victim].waiting_on, victim);
 }
 

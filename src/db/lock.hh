@@ -32,7 +32,6 @@
 #include "db/storage.hh"
 #include "obs/trace.hh"
 #include "sim/process.hh"
-#include "util/arena.hh"
 #include "util/intern.hh"
 
 namespace repli::db {
@@ -64,7 +63,6 @@ class LockManager {
 
   bool holds(const TxnId& txn, const Key& key, LockMode mode) const;
   std::size_t waiting_count() const { return waiting_count_; }
-  std::int64_t deadlock_aborts() const { return deadlock_aborts_; }
 
  private:
   using Id = util::Interner::Id;
@@ -105,7 +103,7 @@ class LockManager {
   /// Builds waits-for edges and aborts the youngest transaction on a cycle.
   void detect_deadlock(Id waiter);
   /// DFS over waits-for edges; `path` is the txn chain walked so far.
-  bool walk_cycle(Id txn, util::ArenaVec<Id>& path) const;
+  bool walk_cycle(Id txn, std::vector<Id>& path) const;
   void abort_waiter(Id key, Id txn);
   /// Ends a queued request's db/lock.wait span and records the wait time.
   void close_wait_span(Request& req, const char* outcome);
@@ -115,12 +113,10 @@ class LockManager {
   util::Interner txn_names_;
   std::vector<KeyLock> locks_;    // indexed by interned key id
   std::vector<TxnState> txns_;    // indexed by interned txn id
-  /// Scratch for the deadlock walk. The walk can nest (abort callback ->
-  /// acquire -> detect), so each level takes an ArenaScope; steady state
-  /// allocates nothing.
-  util::Arena scratch_;
+  /// The deadlock walk's path, cleared and reused per call, so the steady
+  /// state allocates nothing.
+  std::vector<Id> path_;
   std::size_t waiting_count_ = 0;
-  std::int64_t deadlock_aborts_ = 0;
 };
 
 }  // namespace repli::db

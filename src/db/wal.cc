@@ -17,7 +17,6 @@ std::uint64_t Wal::append(WalType type, const std::string& txn, Key key, Value v
   rec.txn = txn;
   rec.key = std::move(key);
   rec.value = std::move(value);
-  bytes_appended_ += record_bytes(rec);
   records_.push_back(std::move(rec));
   if (observer_) observer_(records_.back());
   return records_.back().lsn;

@@ -47,8 +47,6 @@ class Wal {
   /// Records with lsn > `after` (what still needs shipping).
   std::vector<WalRecord> tail(std::uint64_t after) const;
   std::uint64_t last_lsn() const { return next_lsn_ - 1; }
-  /// Approximate log volume (payload bytes plus fixed per-record overhead).
-  std::uint64_t bytes_appended() const { return bytes_appended_; }
 
   /// Approximate encoded size of one record.
   static std::uint64_t record_bytes(const WalRecord& rec);
@@ -61,7 +59,6 @@ class Wal {
   std::uint64_t append(WalType type, const std::string& txn, Key key = {}, Value value = {});
   std::vector<WalRecord> records_;
   std::uint64_t next_lsn_ = 1;
-  std::uint64_t bytes_appended_ = 0;
   AppendFn observer_;
 };
 

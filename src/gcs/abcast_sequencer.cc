@@ -116,14 +116,14 @@ void SequencerAbcast::assign(const MsgId& id) {
 }
 
 void SequencerAbcast::flush_orders(std::vector<AbOrder> orders) {
+  host_.sim().metrics().histogram("gcs.abcast.order_batch_occupancy")
+      .observe(static_cast<double>(orders.size()));
   if (orders.size() == 1) {
     flood_.rbcast(orders.front());
     return;
   }
   AbOrderBatch batch;
   batch.orders = std::move(orders);
-  host_.sim().metrics().histogram("gcs.abcast.order_batch_occupancy")
-      .observe(static_cast<double>(batch.orders.size()));
   flood_.rbcast(batch);
 }
 

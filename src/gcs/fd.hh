@@ -25,7 +25,6 @@ struct Heartbeat : wire::MessageBase<Heartbeat> {
   void fields(Ar& ar) {
     ar(count);
   }
-  void decode_flat(wire::Reader& r) { count = r.get_u64(); }
 };
 
 // Heartbeat period, and the silence after which a peer is suspected.

@@ -28,6 +28,8 @@ void ReliableLink::send_blob(sim::NodeId to, std::string payload) {
 }
 
 void ReliableLink::flush_pack(sim::NodeId to, std::vector<std::string> payloads) {
+  host_.sim().metrics().histogram("gcs.link.pack_occupancy")
+      .observe(static_cast<double>(payloads.size()));
   if (payloads.size() == 1) {
     // A lone payload skips the pack wrapper: same bytes as an unpacked send.
     send_now(to, std::move(payloads.front()));
@@ -35,8 +37,6 @@ void ReliableLink::flush_pack(sim::NodeId to, std::vector<std::string> payloads)
   }
   LinkPack pack;
   pack.payloads = std::move(payloads);
-  host_.sim().metrics().histogram("gcs.link.pack_occupancy")
-      .observe(static_cast<double>(pack.payloads.size()));
   send_now(to, wire::to_blob(pack));
 }
 

@@ -35,14 +35,6 @@ struct LinkData : wire::MessageBase<LinkData> {
     ar(seq);
     ar(payload);
   }
-  // Flat decode of the same layout (hottest type on the wire: the ARQ
-  // wraps every application payload). Must mirror fields() exactly; the
-  // flat/visitor equivalence test holds the two together.
-  void decode_flat(wire::Reader& r) {
-    channel = r.get_u32();
-    seq = r.get_u64();
-    r.get_string_into(payload);
-  }
 };
 
 struct LinkAck : wire::MessageBase<LinkAck> {
@@ -53,10 +45,6 @@ struct LinkAck : wire::MessageBase<LinkAck> {
   void fields(Ar& ar) {
     ar(channel);
     ar(seq);
-  }
-  void decode_flat(wire::Reader& r) {
-    channel = r.get_u32();
-    seq = r.get_u64();
   }
 };
 

@@ -109,7 +109,7 @@ void Network::send(NodeId from, NodeId to, wire::MessagePtr msg) {
                      })
         .first->second.add(FrameEntry{.wctx = wctx,
                                       .src_span = src_span,
-                                      .msg = wire::decode_framed(bytes).msg,
+                                      .msg = wire::decode_framed(bytes),
                                       .type = ev.type,
                                       .bytes = bytes.size(),
                                       .enqueued = sim_.now()});
@@ -121,7 +121,7 @@ void Network::send(NodeId from, NodeId to, wire::MessagePtr msg) {
   const Time delay = delivery_delay(from, to, bytes.size());
 
   // Deliver a decoded copy so receivers can never alias sender state.
-  wire::MessagePtr delivered = wire::decode_framed(bytes).msg;
+  wire::MessagePtr delivered = wire::decode_framed(bytes);
 
   ev.delivered = sim_.now() + delay;
 
@@ -220,7 +220,6 @@ void Network::flush_frame(NodeId from, NodeId to, std::vector<FrameEntry> entrie
 
 void Network::drop(MessageEvent& ev, const char* reason) {
   ev.dropped = true;
-  ++messages_dropped_;
   sim_.trace().message(ev);
   sim_.metrics().incr("net.dropped");
   sim_.metrics().counter("net.dropped_by_reason", obs::label("reason", reason)).incr();
@@ -249,7 +248,6 @@ std::int64_t Network::bytes_excluding(std::string_view type) const {
 
 void Network::reset_accounting() {
   messages_sent_ = 0;
-  messages_dropped_ = 0;
   bytes_sent_ = 0;
   per_type_count_.clear();
   per_type_bytes_.clear();

@@ -66,7 +66,6 @@ class Network {
 
   // Accounting (since construction).
   std::int64_t messages_sent() const { return messages_sent_; }
-  std::int64_t messages_dropped() const { return messages_dropped_; }
   std::int64_t bytes_sent() const { return bytes_sent_; }
   // Keys view the message types' static kTypeName storage, so per-send
   // accounting builds no temporary strings.
@@ -112,7 +111,6 @@ class Network {
   std::map<std::pair<NodeId, NodeId>, std::int64_t> inflight_;  // scheduled, undelivered
   std::int64_t inflight_total_ = 0;
   std::int64_t messages_sent_ = 0;
-  std::int64_t messages_dropped_ = 0;
   std::int64_t bytes_sent_ = 0;
   std::map<std::string_view, std::int64_t> per_type_count_;
   std::map<std::string_view, std::int64_t> per_type_bytes_;

@@ -57,16 +57,12 @@ std::vector<std::uint8_t> encode_message(const Message& msg) {
 }
 
 std::string to_blob(const Message& msg) {
-  std::string out;
-  to_blob_into(msg, out);
-  return out;
-}
-
-void to_blob_into(const Message& msg, std::string& out) {
   Writer& w = blob_scratch();
   w.clear();
   encode_message_into(w, msg);
+  std::string out;
   out.assign(reinterpret_cast<const char*>(w.span().data()), w.size());
+  return out;
 }
 
 MessagePtr from_blob(std::string_view blob) {
@@ -83,12 +79,6 @@ MessagePtr decode_message(std::span<const std::uint8_t> bytes) {
   return msg;
 }
 
-std::vector<std::uint8_t> encode_framed(const Message& msg, const WireContext& ctx) {
-  Writer w;
-  encode_framed_into(w, msg, ctx);
-  return w.take();
-}
-
 void encode_framed_into(Writer& w, const Message& msg, const WireContext& ctx) {
   obs::ProfScope prof(obs::CostCenter::WireEncode);
   w.put_u32(kContextFrameId);
@@ -99,20 +89,17 @@ void encode_framed_into(Writer& w, const Message& msg, const WireContext& ctx) {
   msg.encode_into(w);
 }
 
-FramedMessage decode_framed(std::span<const std::uint8_t> bytes) {
+MessagePtr decode_framed(std::span<const std::uint8_t> bytes) {
   obs::ProfScope prof(obs::CostCenter::WireDecode);
   Reader r(bytes);
-  FramedMessage out;
-  TypeId id = r.get_u32();
-  if (id == kContextFrameId) {
-    out.ctx.trace_id = r.get_u64();
-    out.ctx.parent_span = r.get_u64();
-    out.ctx.lamport = r.get_i64();
-    id = r.get_u32();
-  }
-  out.msg = Registry::instance().decode(id, r);
+  if (r.get_u32() != kContextFrameId) throw WireError("decode_framed: no context frame");
+  r.get_u64();  // trace id
+  r.get_u64();  // parent span
+  r.get_i64();  // lamport
+  const TypeId id = r.get_u32();
+  MessagePtr msg = Registry::instance().decode(id, r);
   if (!r.at_end()) throw WireError("decode_framed: trailing bytes");
-  return out;
+  return msg;
 }
 
 }  // namespace repli::wire

@@ -70,13 +70,6 @@ class Registry {
   std::unordered_map<TypeId, Entry> decoders_;
 };
 
-/// A message type may define `void decode_flat(Reader&)` — a hand-rolled
-/// field-by-field read of the SAME byte layout fields() encodes. When
-/// present it is the type's decode path; the visitor decode stays as the
-/// tests' oracle (decode_with_visitor).
-template <typename T>
-concept HasFlatDecode = requires(T t, Reader& r) { t.decode_flat(r); };
-
 template <typename Derived>
 class MessageBase : public Message {
  public:
@@ -98,12 +91,8 @@ class MessageBase : public Message {
   /// every field is assigned by decode, so recycling cannot leak state.
   static MessagePtr decode(Reader& r) {
     std::shared_ptr<Derived> m = MessagePool<Derived>::acquire();
-    if constexpr (HasFlatDecode<Derived>) {
-      m->decode_flat(r);
-    } else {
-      Decoder dec(r);
-      m->fields(dec);
-    }
+    Decoder dec(r);
+    m->fields(dec);
     return m;
   }
 
@@ -111,16 +100,6 @@ class MessageBase : public Message {
   static inline const bool registered_ =
       (Registry::instance().add(kTypeId, Derived::kTypeName, &decode), true);
 };
-
-/// Test oracle: decodes a T from `r` through the fields() visitor, even when
-/// T has a decode_flat().
-template <typename T>
-std::shared_ptr<T> decode_with_visitor(Reader& r) {
-  auto m = std::make_shared<T>();
-  Decoder dec(r);
-  m->fields(dec);
-  return m;
-}
 
 /// Frames `msg` as [type id][payload] bytes.
 std::vector<std::uint8_t> encode_message(const Message& msg);
@@ -146,29 +125,18 @@ struct WireContext {
 /// rejects user messages hashing to it).
 constexpr TypeId kContextFrameId = fnv1a("wire.TraceContext");
 
-/// Frames `msg` with its trace context:
+/// Frames `msg` with its trace context, appending to `w`:
 /// [kContextFrameId][trace id][parent span][lamport][type id][payload].
-std::vector<std::uint8_t> encode_framed(const Message& msg, const WireContext& ctx);
-
-/// As encode_framed, but appends into `w` (scratch-Writer form).
 void encode_framed_into(Writer& w, const Message& msg, const WireContext& ctx);
 
-struct FramedMessage {
-  WireContext ctx;  // zeroed when the bytes used the plain framing
-  MessagePtr msg;
-};
-
-/// Inverse of encode_framed; also accepts plain encode_message bytes (the
-/// context then decodes as zeroes).
-FramedMessage decode_framed(std::span<const std::uint8_t> bytes);
+/// Inverse of encode_framed_into, returning the message only (the network
+/// keeps the context it framed). Throws WireError on bytes without the
+/// context frame, an unknown type, a malformed payload or trailing bytes.
+MessagePtr decode_framed(std::span<const std::uint8_t> bytes);
 
 /// Encodes a message into a string blob suitable for embedding as a field
 /// of another message (used by broadcast layers that carry opaque payloads).
 std::string to_blob(const Message& msg);
-
-/// As to_blob, but assigns into `out`, reusing its capacity — the envelope
-/// fields of pooled messages keep their buffers across recycles.
-void to_blob_into(const Message& msg, std::string& out);
 
 /// Inverse of to_blob. Decodes straight from the blob's bytes (no copy).
 MessagePtr from_blob(std::string_view blob);

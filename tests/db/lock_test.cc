@@ -116,7 +116,7 @@ TEST(LockManager, DeadlockDetectedYoungestAborts) {
   // t2: cycle t2 -> t4 -> t2. t4 (younger) dies.
   f.lm.acquire("t4", 4, "a", LockMode::Shared, [] { FAIL(); }, [&] { t4_aborted = true; });
   EXPECT_TRUE(t4_aborted);
-  EXPECT_EQ(f.lm.deadlock_aborts(), 1);
+  EXPECT_EQ(f.sim.metrics().counter_value("db.lock.deadlocks"), 1);
   // The abort callback is expected to release; simulate that.
   f.lm.release_all("t4");
   EXPECT_TRUE(t2_granted_b);
@@ -134,8 +134,42 @@ TEST(LockManager, ThreeWayDeadlockResolved) {
   f.lm.acquire("t3", 3, "b", LockMode::Exclusive, [] {}, on_abort);  // waits for t4
   f.lm.acquire("t2", 2, "c", LockMode::Exclusive, [] {}, on_abort);  // closes the cycle
   EXPECT_EQ(aborts, 1);
-  EXPECT_EQ(f.lm.deadlock_aborts(), 1);
   EXPECT_EQ(f.sim.metrics().counter_value("db.lock.deadlocks"), 1);
+}
+
+// Detection re-enters itself: the first victim's abort callback issues an
+// acquire that closes a second, unrelated cycle, so detect_deadlock runs
+// again inside abort_waiter. Both cycles use the FIFO-queue shape above.
+TEST(LockManager, AbortCallbackClosingSecondCycleIsDetected) {
+  Fixture f;
+  std::vector<std::string> victims;
+  auto victim = [&](std::string txn) { return [&victims, txn] { victims.push_back(txn); }; };
+  // Second cycle, set up but not yet closed: s1 waits for s2 on p, s3 for
+  // s4 on q, s2 for s3 on r.
+  f.lm.acquire("s2", 12, "p", LockMode::Shared, [] {}, [] { FAIL(); });
+  f.lm.acquire("s3", 13, "r", LockMode::Exclusive, [] {}, [] { FAIL(); });
+  f.lm.acquire("s4", 14, "q", LockMode::Exclusive, [] {}, [] { FAIL(); });
+  f.lm.acquire("s1", 11, "p", LockMode::Exclusive, [] {}, [] { FAIL(); });
+  f.lm.acquire("s3", 13, "q", LockMode::Exclusive, [] {}, [] { FAIL(); });
+  f.lm.acquire("s2", 12, "r", LockMode::Exclusive, [] {}, [] { FAIL(); });
+  // First cycle: t2 -> t4 -> t2, closed by t4, whose abort callback queues
+  // s4 for S on p behind s1, closing s4 -> s2 -> s3 -> s4.
+  f.lm.acquire("t2", 2, "a", LockMode::Shared, [] {}, [] { FAIL(); });
+  f.lm.acquire("t4", 4, "b", LockMode::Exclusive, [] {}, [] { FAIL(); });
+  f.lm.acquire("t1", 1, "a", LockMode::Exclusive, [] {}, [] { FAIL(); });
+  f.lm.acquire("t2", 2, "b", LockMode::Exclusive, [] {}, [] { FAIL(); });
+  f.lm.acquire("t4", 4, "a", LockMode::Shared, [] { FAIL(); }, [&] {
+    victims.push_back("t4");
+    f.lm.acquire("s4", 14, "p", LockMode::Shared, [] { FAIL(); }, victim("s4"));
+  });
+  EXPECT_EQ(victims, (std::vector<std::string>{"t4", "s4"}));
+  EXPECT_EQ(f.sim.metrics().counter_value("db.lock.deadlocks"), 2);
+  const auto deadlocks = f.sim.tracer().named("db/lock.deadlock");
+  ASSERT_EQ(deadlocks.size(), 2u);
+  EXPECT_EQ(deadlocks[0]->request, "t4");
+  EXPECT_EQ(deadlocks[0]->attrs, (obs::Attrs{{"cycle_len", "2"}}));
+  EXPECT_EQ(deadlocks[1]->request, "s4");
+  EXPECT_EQ(deadlocks[1]->attrs, (obs::Attrs{{"cycle_len", "3"}}));
 }
 
 TEST(LockManager, WaitDieLeavesFifoQueueCycleToDetection) {
@@ -212,7 +246,7 @@ TEST(LockManager, WaitDieYoungerRequesterDiesImmediately) {
   lm.acquire("old", 1, "k", LockMode::Exclusive, [] {}, [] { FAIL(); });
   lm.acquire("young", 2, "k", LockMode::Exclusive, [] { FAIL(); }, [&] { died = true; });
   EXPECT_TRUE(died);
-  EXPECT_EQ(lm.deadlock_aborts(), 1);
+  EXPECT_EQ(f.sim.metrics().counter_value("db.lock.wait_die_aborts"), 1);
   EXPECT_EQ(lm.waiting_count(), 0u);
 }
 

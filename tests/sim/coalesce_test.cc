@@ -119,7 +119,7 @@ TEST(Coalesce, DropsCountPerLogicalMessage) {
   for (int i = 0; i < 4; ++i) a.send_ping(b.id(), i);
   sim.run();
   EXPECT_TRUE(b.deliveries.empty());
-  EXPECT_EQ(sim.net().messages_dropped(), 4);
+  EXPECT_EQ(sim.metrics().counter_value("net.dropped"), 4);
   EXPECT_EQ(sim.net().messages_sent(), 4);  // dropped sends count like legacy
 }
 

@@ -78,7 +78,7 @@ TEST(Network, DropProbabilityOneDropsEverything) {
   for (int i = 0; i < 50; ++i) a.send_ping(b.id(), i);
   sim.run();
   EXPECT_TRUE(b.deliveries.empty());
-  EXPECT_EQ(sim.net().messages_dropped(), 50);
+  EXPECT_EQ(sim.metrics().counter_value("net.dropped"), 50);
 }
 
 TEST(Network, SelfSendNeverDropped) {

@@ -105,6 +105,23 @@ class GateCli : public ::testing::Test {
   fs::path dir_;
 };
 
+/// A CRIT report whose one segment has the given p95; `per_txn` adds the
+/// per-transaction list a traced run writes and a baseline drops.
+std::string crit_doc(int p95, bool per_txn) {
+  std::ostringstream os;
+  os << R"({"crit":"gate_probe","schema_version":1,)";
+  if (per_txn) {
+    os << R"("txns":[{"request":"c1-0","trace":1,"client":1,"ok":true,"start_us":0,)"
+       << R"("end_us":300,"total_us":300,"attributed_us":300,"hops":1,"segments":[)"
+       << R"({"kind":"net_transit","node":1,"start_us":0,"dur_us":300,"detail":"gcs.LinkData"}]}],)";
+  }
+  os << R"("summary":{"txns":1,"total_us":300,"attributed_us":300,"coverage":0.9875,)"
+     << R"("segments":[{"kind":"net_transit","txns_touched":1,"p50_us":300,"p95_us":)" << p95
+     << R"(,"p99_us":300,"mean_us":300.5,"max_us":300}],)"
+     << R"("tail":[{"kind":"net_transit","p50_us":300,"p99_us":300,"delta_us":0}]}})" << "\n";
+  return os.str();
+}
+
 TEST_F(GateCli, IdenticalArtifactsPass) {
   write_file(dir_ / "baseline" / "BENCH_gate_probe.json", bench_doc(4000, 800, 6.0));
   write_file(dir_ / "fresh" / "BENCH_gate_probe.json", bench_doc(4000, 800, 6.0));
@@ -212,6 +229,21 @@ TEST_F(GateCli, RebaselineInstallsValidatedArtifacts) {
             0);
 }
 
+TEST_F(GateCli, RebaselineTrimsCritToItsSummary) {
+  write_file(dir_ / "fresh" / "CRIT_gate_probe.json", crit_doc(300, true));
+  EXPECT_EQ(run_report({"--rebaseline", "--baseline", (dir_ / "baseline").string(),
+                        (dir_ / "fresh").string()}),
+            0);
+  EXPECT_EQ(slurp(dir_ / "baseline" / "CRIT_gate_probe.json"), crit_doc(300, false));
+  EXPECT_EQ(run_report({"--check", "--baseline", (dir_ / "baseline").string(),
+                        (dir_ / "fresh").string()}),
+            0);
+  write_file(dir_ / "fresh" / "CRIT_gate_probe.json", crit_doc(600, true));
+  EXPECT_EQ(run_report({"--check", "--baseline", (dir_ / "baseline").string(),
+                        (dir_ / "fresh").string()}),
+            3);
+}
+
 TEST_F(GateCli, RebaselineRefusesMalformedArtifacts) {
   write_file(dir_ / "fresh" / "BENCH_gate_probe.json", R"({"bench": "truncated)");
   EXPECT_EQ(run_report({"--rebaseline", "--baseline", (dir_ / "baseline").string(),
@@ -278,6 +310,40 @@ TEST(CheckAgainstBaseline, RowsMatchBySweepIdentityNotPosition) {
   ReportInputs fresh_in;
   fresh_in.benches.push_back(*fresh);
   EXPECT_TRUE(check_against_baseline(baseline_in, fresh_in).ok());
+}
+
+TEST(CheckAgainstBaseline, SummaryOnlyCritBaselineGatesLikeTheWholeFile) {
+  const auto whole = parse_crit_json(crit_doc(300, true));
+  const auto summary_only = parse_crit_json(crit_doc(300, false));
+  ASSERT_TRUE(whole.has_value());
+  ASSERT_TRUE(summary_only.has_value());
+  EXPECT_EQ(summary_only->doc.find("txns"), nullptr);
+  for (const int fresh_p95 : {300, 360, 390, 600}) {
+    const auto fresh = parse_crit_json(crit_doc(fresh_p95, true));
+    ASSERT_TRUE(fresh.has_value());
+    ReportInputs fresh_in;
+    fresh_in.crits.push_back(*fresh);
+    ReportInputs whole_in;
+    whole_in.crits.push_back(*whole);
+    ReportInputs summary_in;
+    summary_in.crits.push_back(*summary_only);
+    const auto by_whole = check_against_baseline(whole_in, fresh_in);
+    const auto by_summary = check_against_baseline(summary_in, fresh_in);
+    EXPECT_EQ(by_summary.compared, by_whole.compared) << fresh_p95;
+    EXPECT_EQ(by_whole.compared, 4u);  // coverage + p50/p95/p99 of the one segment
+    ASSERT_EQ(by_summary.regressions.size(), by_whole.regressions.size()) << fresh_p95;
+    for (std::size_t i = 0; i < by_whole.regressions.size(); ++i) {
+      EXPECT_EQ(by_summary.regressions[i].metric, by_whole.regressions[i].metric);
+      EXPECT_EQ(by_summary.regressions[i].fresh, by_whole.regressions[i].fresh);
+    }
+    EXPECT_EQ(by_whole.ok(), fresh_p95 <= 375) << fresh_p95;  // p95 window: +25%
+  }
+}
+
+TEST(ParseCritJson, TxnsAreOptionalButMustBeAnArray) {
+  EXPECT_TRUE(parse_crit_json(crit_doc(300, false)).has_value());
+  EXPECT_FALSE(parse_crit_json(R"({"crit":"x","txns":{},"summary":{}})").has_value());
+  EXPECT_FALSE(parse_crit_json(R"({"crit":"x","txns":[]})").has_value());
 }
 
 // -- flame subcommand --------------------------------------------------------

@@ -119,6 +119,41 @@ TEST_F(WaterfallCli, MatchesTheGoldenRendering) {
       << "waterfall rendering drifted; if intentional, refresh the golden file";
 }
 
+// A baseline keeps only the summary: the summary sections render as from the
+// whole file, and the sections that need per-transaction data say so.
+TEST_F(WaterfallCli, SummaryOnlyCritRendersSummaryAndNamesTheMissingSections) {
+  constexpr std::string_view kSummaryOnly = R"({"crit":"active-1","schema_version":1,
+ "summary":{"txns":2,"total_us":700,"attributed_us":700,"coverage":1.0,
+  "segments":[
+   {"kind":"net_transit","txns_touched":2,"p50_us":250,"p95_us":300,"p99_us":300,
+    "mean_us":250.0,"max_us":300}],
+  "tail":[{"kind":"net_transit","p50_us":250,"p99_us":300,"delta_us":50}]}})";
+  write_file(dir_ / "CRIT_active-1.json", kSummaryOnly);
+  write_file(dir_ / "CRIT_queued.json", kCritQueue);
+  const auto out = dir_ / "WF.md";
+  ASSERT_EQ(run_report({"waterfall", "-o", out.string(), dir_.string()}), 0);
+  const std::string md = slurp(out);
+  const auto active = md.find("### `active-1`");
+  const auto queued = md.find("### `queued`");
+  ASSERT_NE(active, std::string::npos);
+  ASSERT_NE(queued, std::string::npos);
+  const std::string active_section = md.substr(active, queued - active);
+  EXPECT_NE(active_section.find("coverage 100.0% (700 of 700 us attributed)"), std::string::npos);
+  EXPECT_NE(active_section.find("| net_transit | 2 | 250 | 300 | 300 | 250.0 | 300 |"),
+            std::string::npos);
+  EXPECT_NE(active_section.find("**Tail differential**"), std::string::npos);
+  EXPECT_NE(active_section.find("end-to-end latency and slowest transactions: not in a "
+                                "summary-only CRIT file; they need a traced run"),
+            std::string::npos);
+  EXPECT_EQ(active_section.find("end-to-end latency: p50"), std::string::npos);
+  EXPECT_EQ(active_section.find("Slowest transactions"), std::string::npos);
+  // The whole file next to it still renders its per-transaction sections.
+  EXPECT_NE(md.find("end-to-end latency: p50 2000 us", queued), std::string::npos);
+  EXPECT_NE(md.find("| active-1 | 2 | 100.0% | - | - |"), std::string::npos);
+  EXPECT_NE(md.find("| queued | 1 | 95.0% | 2000 | 2000 |"), std::string::npos);
+  EXPECT_NE(md.find("p50/p99 marked `-`: not in a summary-only CRIT file"), std::string::npos);
+}
+
 TEST_F(WaterfallCli, ByteStableAcrossSameSeedReruns) {
   bench::WorkloadParams params;
   params.clients = 2;

@@ -2,12 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <future>
+#include <limits>
 #include <map>
 #include <optional>
+#include <span>
 #include <thread>
 #include <vector>
 
+#include "gcs/fd.hh"
+#include "gcs/link.hh"
 #include "util/rng.hh"
 
 namespace repli::wire {
@@ -254,6 +259,169 @@ TEST(Message, RandomizedRoundTrips) {
     ASSERT_EQ(typed->maybe, m.maybe);
     ASSERT_EQ(typed->big, m.big);
   }
+}
+
+TEST(Message, FramedRoundTripAndPlainFramingRejected) {
+  OtherMsg m;
+  m.v = -42;
+  Writer w;
+  encode_framed_into(w, m, WireContext{.trace_id = 7, .parent_span = 9, .lamport = 3});
+  const auto typed = message_cast<OtherMsg>(decode_framed(w.span()));
+  ASSERT_NE(typed, nullptr);
+  EXPECT_EQ(typed->v, -42);
+  EXPECT_THROW(decode_framed(encode_message(m)), WireError);
+}
+
+// The network's hottest types, through the registry decode, over boundary
+// and seeded random field values: varint boundaries (one byte, the first
+// two-byte value, the widest u32, the widest u64) and payloads empty,
+// NUL-bearing, short random and one past 16 KiB.
+
+constexpr std::uint64_t kU64Max = std::numeric_limits<std::uint64_t>::max();
+
+/// Boundary values, then `random` seeded draws (spread over every width).
+std::vector<std::uint64_t> sample_u64(util::Rng& rng, int random) {
+  std::vector<std::uint64_t> out = {0, (1u << 7) - 1, 1u << 7, 0xFFFFFFFFull, kU64Max};
+  for (int i = 0; i < random; ++i) out.push_back(rng.next_u64() >> rng.uniform(0, 63));
+  return out;
+}
+
+std::vector<std::uint32_t> sample_u32(util::Rng& rng, int random) {
+  std::vector<std::uint32_t> out = {0, (1u << 7) - 1, 1u << 7, 0xFFFFFFFFu};
+  for (int i = 0; i < random; ++i) {
+    out.push_back(static_cast<std::uint32_t>(rng.next_u64() >> rng.uniform(32, 63)));
+  }
+  return out;
+}
+
+std::string random_bytes(util::Rng& rng, std::size_t n) {
+  std::string s(n, '\0');
+  for (char& c : s) c = static_cast<char>(rng.uniform(0, 255));
+  return s;
+}
+
+std::vector<std::string> sample_payloads(util::Rng& rng) {
+  return {"", std::string("\0a\0\0b\0", 6),
+          random_bytes(rng, static_cast<std::size_t>(rng.uniform(1, 64))),
+          random_bytes(rng, 16 * 1024 + 1)};
+}
+
+/// Every seq value, cycling channels, with every payload.
+std::vector<gcs::LinkData> link_data_samples(int random) {
+  util::Rng rng(2024);
+  const auto seqs = sample_u64(rng, random);
+  const auto channels = sample_u32(rng, random);
+  const auto payloads = sample_payloads(rng);
+  std::vector<gcs::LinkData> out;
+  for (std::size_t i = 0; i < seqs.size(); ++i) {
+    for (const auto& payload : payloads) {
+      gcs::LinkData m;
+      m.channel = channels[i % channels.size()];
+      m.seq = seqs[i];
+      m.payload = payload;
+      out.push_back(std::move(m));
+    }
+  }
+  return out;
+}
+
+std::vector<gcs::LinkAck> link_ack_samples(int random) {
+  util::Rng rng(2025);
+  const auto seqs = sample_u64(rng, random);
+  const auto channels = sample_u32(rng, random);
+  std::vector<gcs::LinkAck> out;
+  for (const std::uint64_t seq : seqs) {
+    for (const std::uint32_t channel : channels) {
+      gcs::LinkAck m;
+      m.channel = channel;
+      m.seq = seq;
+      out.push_back(m);
+    }
+  }
+  return out;
+}
+
+std::vector<gcs::Heartbeat> heartbeat_samples(int random) {
+  util::Rng rng(2026);
+  std::vector<gcs::Heartbeat> out;
+  for (const std::uint64_t count : sample_u64(rng, random)) {
+    gcs::Heartbeat m;
+    m.count = count;
+    out.push_back(m);
+  }
+  return out;
+}
+
+template <typename T>
+std::shared_ptr<const T> round_trip(const T& msg) {
+  return message_cast<T>(decode_message(encode_message(msg)));
+}
+
+TEST(Message, LinkDataRoundTripsBoundaryAndSeededValues) {
+  for (const gcs::LinkData& msg : link_data_samples(32)) {
+    const auto back = round_trip(msg);
+    ASSERT_NE(back, nullptr);
+    EXPECT_EQ(back->channel, msg.channel);
+    EXPECT_EQ(back->seq, msg.seq);
+    EXPECT_EQ(back->payload, msg.payload);
+  }
+}
+
+TEST(Message, LinkAckRoundTripsBoundaryAndSeededValues) {
+  for (const gcs::LinkAck& msg : link_ack_samples(32)) {
+    const auto back = round_trip(msg);
+    ASSERT_NE(back, nullptr);
+    EXPECT_EQ(back->channel, msg.channel);
+    EXPECT_EQ(back->seq, msg.seq);
+  }
+}
+
+TEST(Message, HeartbeatRoundTripsBoundaryAndSeededValues) {
+  for (const gcs::Heartbeat& msg : heartbeat_samples(64)) {
+    const auto back = round_trip(msg);
+    ASSERT_NE(back, nullptr);
+    EXPECT_EQ(back->count, msg.count);
+  }
+}
+
+/// Rejects `msg`'s encoding with a byte appended, and every strict prefix of
+/// it: bounds checks must catch each cut, not read past it.
+template <typename T>
+void expect_malformed_rejected(const T& msg) {
+  std::vector<std::uint8_t> bytes = encode_message(msg);
+  const std::span<const std::uint8_t> all(bytes);
+  for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
+    EXPECT_THROW(decode_message(all.first(cut)), WireError) << T::kTypeName << " cut at " << cut;
+  }
+  bytes.push_back(0);
+  EXPECT_THROW(decode_message(bytes), WireError) << T::kTypeName;
+}
+
+TEST(Message, EveryStrictPrefixAndTrailingByteRejected) {
+  for (const gcs::LinkData& msg : link_data_samples(2)) expect_malformed_rejected(msg);
+  for (const gcs::LinkAck& msg : link_ack_samples(4)) expect_malformed_rejected(msg);
+  for (const gcs::Heartbeat& msg : heartbeat_samples(8)) expect_malformed_rejected(msg);
+}
+
+// Decoded objects are pool-recycled; every field must be assigned by decode
+// so a recycled object cannot leak the previous message's state.
+TEST(MessagePool, PooledDecodeDoesNotLeakAcrossMessages) {
+  gcs::LinkData big;
+  big.channel = 5;
+  big.seq = 1;
+  big.payload = std::string(4096, 'Z');
+  const gcs::LinkData empty;
+  const Message* recycled = nullptr;
+  {
+    const auto first = decode_message(encode_message(big));  // returns to the pool
+    recycled = first.get();
+  }
+  const auto second = round_trip(empty);
+  ASSERT_NE(second, nullptr);
+  EXPECT_EQ(second.get(), recycled);  // the recycled object, not a fresh one
+  EXPECT_EQ(second->channel, 0u);
+  EXPECT_EQ(second->seq, 0u);
+  EXPECT_TRUE(second->payload.empty());
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -147,8 +148,9 @@ std::optional<CritData> parse_crit_json(std::string_view text, std::string name)
   if (!doc.has_value() || !doc->is(JsonValue::Type::Object)) return std::nullopt;
   const auto* summary = doc->find("summary");
   if (summary == nullptr || !summary->is(JsonValue::Type::Object)) return std::nullopt;
+  // `txns` is optional (a baseline keeps only the summary), but not malformed.
   const auto* txns = doc->find("txns");
-  if (txns == nullptr || !txns->is(JsonValue::Type::Array)) return std::nullopt;
+  if (txns != nullptr && !txns->is(JsonValue::Type::Array)) return std::nullopt;
   CritData out;
   out.name = std::move(name);
   if (out.name.empty()) out.name = str_or(doc->find("crit"), "(unnamed)");
@@ -441,6 +443,12 @@ void write_batching_section(const std::vector<BenchData>& benches, std::ostream&
 
 // -- latency waterfalls ------------------------------------------------------
 
+/// What the waterfall prints where a summary-only CRIT file (a baseline)
+/// lacks the per-transaction data a section needs.
+constexpr const char* kNeedsTracedRun =
+    "not in a summary-only CRIT file; they need a traced run (REPLI_TRACE), whose CRIT "
+    "file keeps per-transaction data";
+
 struct CritSegView {
   std::string kind;
   double txns_touched = 0;
@@ -449,6 +457,7 @@ struct CritSegView {
 
 struct CritView {
   double txns = 0, total_us = 0, attributed_us = 0, coverage = 0;
+  bool per_txn = false;  // the file carries `txns` (a summary-only baseline does not)
   double p50_total = 0, p99_total = 0;
   std::vector<CritSegView> segments;  // artifact order (taxonomy order)
 };
@@ -485,8 +494,8 @@ CritView crit_view(const CritData& crit) {
     }
   }
   std::vector<double> totals;
-  if (const auto* txns = crit.doc.find("txns");
-      txns != nullptr && txns->is(JsonValue::Type::Array)) {
+  if (const auto* txns = crit.doc.find("txns"); txns != nullptr) {
+    v.per_txn = true;
     for (const auto& t : txns->array) {
       const auto* ok = t.find("ok");
       if (ok != nullptr && ok->is(JsonValue::Type::Bool) && !ok->boolean) continue;
@@ -507,8 +516,12 @@ void write_waterfall_section(const CritData& crit, std::ostream& os) {
   os << "- committed txns: " << fmt(v.txns, 0) << ", coverage " << fmt(v.coverage * 100, 1)
      << "% (" << fmt(v.attributed_us, 0) << " of " << fmt(v.total_us, 0)
      << " us attributed)\n";
-  os << "- end-to-end latency: p50 " << fmt(v.p50_total, 0) << " us, p99 "
-     << fmt(v.p99_total, 0) << " us\n\n";
+  if (v.per_txn) {
+    os << "- end-to-end latency: p50 " << fmt(v.p50_total, 0) << " us, p99 "
+       << fmt(v.p99_total, 0) << " us\n\n";
+  } else {
+    os << "- end-to-end latency and slowest transactions: " << kNeedsTracedRun << "\n\n";
+  }
   if (v.txns <= 0) {
     os << "(no committed transactions)\n\n";
     return;
@@ -565,7 +578,7 @@ void write_waterfall_section(const CritData& crit, std::ostream& os) {
   // The slowest committed transactions, with their full critical paths.
   const auto* txns = crit.doc.find("txns");
   std::vector<const JsonValue*> slowest;
-  if (txns != nullptr && txns->is(JsonValue::Type::Array)) {
+  if (txns != nullptr) {
     for (const auto& t : txns->array) {
       const auto* ok = t.find("ok");
       if (ok != nullptr && ok->is(JsonValue::Type::Bool) && !ok->boolean) continue;
@@ -601,8 +614,10 @@ void write_crit_comparison(const std::vector<CritData>& crits, std::ostream& os)
   os << "### Cross-technique comparison\n\n";
   os << "| artifact | txns | coverage | p50 (us) | p99 (us) | dominant segment |\n";
   os << "|---|---|---|---|---|---|\n";
+  bool summary_only = false;
   for (const auto& crit : crits) {
     const CritView v = crit_view(crit);
+    summary_only = summary_only || !v.per_txn;
     double denom = 0;
     const CritSegView* top = nullptr;
     for (const auto& seg : v.segments) {
@@ -610,7 +625,12 @@ void write_crit_comparison(const std::vector<CritData>& crits, std::ostream& os)
       if (top == nullptr || seg.mean > top->mean) top = &seg;
     }
     os << "| " << crit.name << " | " << fmt(v.txns, 0) << " | " << fmt(v.coverage * 100, 1)
-       << "% | " << fmt(v.p50_total, 0) << " | " << fmt(v.p99_total, 0) << " | ";
+       << "% | ";
+    if (v.per_txn) {
+      os << fmt(v.p50_total, 0) << " | " << fmt(v.p99_total, 0) << " | ";
+    } else {
+      os << "- | - | ";
+    }
     if (top != nullptr && top->mean > 0 && denom > 0) {
       os << top->kind << " (" << fmt(top->mean / denom * 100, 1) << "%)";
     } else {
@@ -619,6 +639,7 @@ void write_crit_comparison(const std::vector<CritData>& crits, std::ostream& os)
     os << " |\n";
   }
   os << "\n";
+  if (summary_only) os << "p50/p99 marked `-`: " << kNeedsTracedRun << ".\n\n";
 }
 
 void write_prof_section(const std::vector<ProfData>& profs, std::ostream& os) {
@@ -1006,8 +1027,9 @@ void usage(std::ostream& os) {
         "  asserts the fresh PROF allocs/op for cost center CENTER is <= N —\n"
         "  an absolute ceiling, immune to baseline drift.\n"
         "  --rebaseline: validates fresh BENCH/PROF artifacts (parseable,\n"
-        "  provenance-stamped) and installs them as the committed baselines\n"
-        "  (default DIR: bench/baselines).\n"
+        "  provenance-stamped) and CRIT artifacts (parseable) and installs them\n"
+        "  as the committed baselines, CRIT trimmed to its summary (default\n"
+        "  DIR: bench/baselines).\n"
         "  flame: recomputes folded flamegraph stacks from an exported trace.\n"
         "  waterfall: renders per-transaction latency waterfalls (ASCII\n"
         "  segment bars, tail differentials, slowest critical paths, and a\n"
@@ -1269,19 +1291,72 @@ int check_main(const std::filesystem::path& baseline_dir,
   return ok ? 0 : 1;
 }
 
+/// Re-emits a parsed JSON value. Integral numbers print as integers, the
+/// rest as JsonWriter prints doubles, so an exporter's output round-trips.
+void write_json_value(obs::JsonWriter& w, const JsonValue& v) {
+  switch (v.type) {
+    case JsonValue::Type::Null:
+      w.null();
+      break;
+    case JsonValue::Type::Bool:
+      w.value(v.boolean);
+      break;
+    case JsonValue::Type::Number:
+      if (std::trunc(v.number) == v.number && std::abs(v.number) < 9e15) {
+        w.value(static_cast<std::int64_t>(v.number));
+      } else {
+        w.value(v.number);
+      }
+      break;
+    case JsonValue::Type::String:
+      w.value(v.str);
+      break;
+    case JsonValue::Type::Array:
+      w.begin_array();
+      for (const auto& e : v.array) write_json_value(w, e);
+      w.end_array();
+      break;
+    case JsonValue::Type::Object:
+      w.begin_object();
+      for (const auto& [key, e] : v.object) {
+        w.key(key);
+        write_json_value(w, e);
+      }
+      w.end_object();
+      break;
+  }
+}
+
+/// A CRIT baseline keeps only what the gate reads: the name, the schema
+/// version and the summary (the per-transaction `txns` are ~98% of a file).
+std::string crit_baseline_text(const JsonValue& doc) {
+  std::ostringstream os;
+  obs::JsonWriter w(os);
+  w.begin_object();
+  for (const auto& [key, value] : doc.object) {
+    if (key != "crit" && key != "schema_version" && key != "summary") continue;
+    w.key(key);
+    write_json_value(w, value);
+  }
+  w.end_object();
+  os << "\n";
+  return os.str();
+}
+
 /// `replikit-report --rebaseline [--baseline DIR] <fresh...>`: validates
-/// fresh BENCH_/PROF_ artifacts and installs them as the committed
-/// baselines. Validation is the point — a truncated or provenance-less
-/// file must never become the thing the gate compares against.
+/// fresh BENCH_/PROF_/CRIT_ artifacts and installs them as the committed
+/// baselines (CRIT files trimmed to their summaries). Validation is the
+/// point — a truncated or provenance-less file must never become the thing
+/// the gate compares against.
 int rebaseline_main(const std::filesystem::path& baseline_dir,
                     const std::vector<std::filesystem::path>& roots) {
   std::vector<std::filesystem::path> files;
   bool ok = expand_roots(roots, files);
 
   struct Install {
-    std::filesystem::path source;
     std::string filename;
     std::string git_sha;
+    std::string text;  // what the baseline file will hold
   };
   std::vector<Install> installs;
   for (const auto& path : files) {
@@ -1325,7 +1400,7 @@ int rebaseline_main(const std::filesystem::path& baseline_dir,
         ok = false;
         continue;
       }
-      installs.push_back({path, filename, "(crit)"});
+      installs.push_back({filename, "(crit)", crit_baseline_text(crit->doc)});
       continue;
     }
     if (git_sha == "unknown") {
@@ -1334,7 +1409,7 @@ int rebaseline_main(const std::filesystem::path& baseline_dir,
       ok = false;
       continue;
     }
-    installs.push_back({path, filename, git_sha});
+    installs.push_back({filename, git_sha, *text});
   }
 
   if (installs.empty()) {
@@ -1351,10 +1426,11 @@ int rebaseline_main(const std::filesystem::path& baseline_dir,
   }
   for (const auto& install : installs) {
     const auto dest = baseline_dir / install.filename;
-    std::filesystem::copy_file(install.source, dest,
-                               std::filesystem::copy_options::overwrite_existing, ec);
-    if (ec) {
-      std::cerr << "replikit-report: cannot write " << dest << ": " << ec.message() << "\n";
+    std::ofstream out(dest, std::ios::binary | std::ios::trunc);
+    out << install.text;
+    out.close();
+    if (!out) {
+      std::cerr << "replikit-report: cannot write " << dest << "\n";
       ok = false;
       continue;
     }

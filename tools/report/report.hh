@@ -52,7 +52,8 @@ struct ProfData {
 
 /// One parsed CRIT_<name>.json critical-path report (schema v1: per-txn
 /// causal waterfall segments plus the per-segment percentile summary and
-/// p99-vs-p50 tail differential).
+/// p99-vs-p50 tail differential). The per-txn list is optional: a committed
+/// baseline keeps only the summary, which is all the gate reads.
 struct CritData {
   std::string name;  // CRIT_<name>.json
   obs::JsonValue doc;
