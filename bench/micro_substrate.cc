@@ -1,6 +1,7 @@
 // Substrate microbenchmarks: raw simulator event throughput, wire codec
-// cost, lock-manager acquire/release, event-queue push/pop, and end-to-end
-// simulated cost of the two ABCAST implementations (the
+// cost, lock-manager acquire/release, event-queue push/pop, the 1SR
+// checker's cost per committed transaction at two history lengths, and
+// end-to-end simulated cost of the two ABCAST implementations (the
 // sequencer-vs-consensus ablation DESIGN.md calls out).
 //
 // Two modes in one binary:
@@ -15,14 +16,19 @@
 #include <chrono>
 #include <cstring>
 #include <iostream>
+#include <map>
+#include <tuple>
 
 #include "bench/common.hh"
+#include "check/serializability.hh"
 #include "core/cluster.hh"
 #include "db/lock.hh"
 #include "gcs/abcast_consensus.hh"
 #include "gcs/abcast_sequencer.hh"
 #include "obs/profile.hh"
 #include "sim/simulator.hh"
+#include "util/assert.hh"
+#include "util/rng.hh"
 #include "wire/message.hh"
 
 using namespace repli;
@@ -177,6 +183,46 @@ bench::MicroRow measure(const std::string& name, std::uint64_t iters, Fn&& op) {
   return row;
 }
 
+/// Rescales a row measured per batch to per item: the number the gate
+/// should hold steady.
+bench::MicroRow per_item(const bench::MicroRow& row, std::uint64_t items_per_iter) {
+  const auto k = static_cast<double>(items_per_iter);
+  bench::MicroRow scaled = row;
+  scaled.ops = row.ops * items_per_iter;
+  scaled.ns_per_op = row.ns_per_op / k;
+  scaled.allocs_per_op = row.allocs_per_op / k;
+  scaled.alloc_bytes_per_op = row.alloc_bytes_per_op / k;
+  return scaled;
+}
+
+/// A contended serial history like txn_contention's: `txns` transactions,
+/// each a read-modify-write of 4 keys drawn zipf 0.9 over 32, installed in
+/// the same order at 3 replicas whose records interleave.
+core::History contended_history(int txns) {
+  constexpr int kReplicas = 3;
+  util::Rng rng(42);
+  const util::Zipf zipf(32, 0.9);
+  core::History history;
+  std::vector<std::map<db::Key, std::uint64_t>> installed(kReplicas);  // key -> commit_seq
+  for (int t = 0; t < txns; ++t) {
+    std::vector<db::Key> keys;
+    for (int i = 0; i < 4; ++i) keys.push_back("c" + std::to_string(zipf.sample(rng)));
+    for (int r = 0; r < kReplicas; ++r) {
+      core::CommitRecord rec;
+      rec.replica = r;
+      rec.txn = "t" + std::to_string(t);
+      rec.commit_seq = static_cast<std::uint64_t>(t) + 1;
+      for (const auto& key : keys) {
+        rec.read_versions[key] = installed[r][key];
+        rec.writes[key] = "v";
+      }
+      for (const auto& key : keys) installed[r][key] = rec.commit_seq;
+      history.commit(std::move(rec));
+    }
+  }
+  return history;
+}
+
 int artifact_main() {
   bench::print_header("Substrate microbenchmarks (artifact mode)");
   obs::Profiler::global().enable();
@@ -210,15 +256,8 @@ int artifact_main() {
       sim.run();
       benchmark::DoNotOptimize(counter);
     });
-    // Rescale from per-batch to per-event: that is the number the gate
-    // should hold steady.
-    bench::MicroRow scaled = row;
-    scaled.ops = kBatches * kPerBatch;
-    scaled.ns_per_op = row.ns_per_op / static_cast<double>(kPerBatch);
-    scaled.allocs_per_op = row.allocs_per_op / static_cast<double>(kPerBatch);
-    scaled.alloc_bytes_per_op = row.alloc_bytes_per_op / static_cast<double>(kPerBatch);
-    rows.push_back(scaled);
-    total_ops += scaled.ops;
+    rows.push_back(per_item(row, kPerBatch));
+    total_ops += rows.back().ops;
   }
 
   {  // cancel churn: 75% of events cancelled (crosses the bulk-compaction
@@ -241,13 +280,8 @@ int artifact_main() {
       for (const auto id : ids) sim.cancel(id);  // all stale: no-ops
       benchmark::DoNotOptimize(counter);
     });
-    bench::MicroRow scaled = row;
-    scaled.ops = kBatches * kPerBatch;
-    scaled.ns_per_op = row.ns_per_op / static_cast<double>(kPerBatch);
-    scaled.allocs_per_op = row.allocs_per_op / static_cast<double>(kPerBatch);
-    scaled.alloc_bytes_per_op = row.alloc_bytes_per_op / static_cast<double>(kPerBatch);
-    rows.push_back(scaled);
-    total_ops += scaled.ops;
+    rows.push_back(per_item(row, kPerBatch));
+    total_ops += rows.back().ops;
   }
 
   {  // uncontended lock acquire+release (the lock-table floor)
@@ -262,6 +296,21 @@ int artifact_main() {
       locks.release_all(txn);
     }));
     total_ops += kIters;
+  }
+
+  // 1SR check of a whole contended history, per committed transaction, at
+  // 1x and 2x length: a linear checker keeps the two rows level. Both
+  // lengths sit past the point (about 4000 txns on a 2 MB-L2 core) where
+  // the checker's working set leaves L2 and its cost per txn steps up ~1.3x.
+  for (const auto& [name, txns, reps] : {std::tuple{"check.one_copy_sr_1x", 8000, 8},
+                                         std::tuple{"check.one_copy_sr_2x", 16000, 4}}) {
+    const core::History history = contended_history(txns);
+    const auto row = measure(name, static_cast<std::uint64_t>(reps), [&](std::uint64_t) {
+      const auto report = check::check_one_copy_serializability(history);
+      util::ensure(report.serializable, "micro_substrate: serial history must pass 1SR");
+    });
+    rows.push_back(per_item(row, static_cast<std::uint64_t>(txns)));
+    total_ops += rows.back().ops;
   }
 
   bench::write_micro_json("micro_substrate", rows);

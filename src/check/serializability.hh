@@ -10,6 +10,25 @@
 //      writer produced), and read-write edges (a transaction read a
 //      version that a later writer overwrote). A cycle is a
 //      serializability violation witness.
+//
+// Cost is linear in the history (plus a log factor for the per-read binary
+// search and the per-transaction name sort): each read adds at most one wr
+// and one rw edge. The rw edge goes only to the *next* writer of the key at
+// the reader's replica — the first install whose commit_seq is above the
+// version read and which is not the reader itself — not to every later one.
+// That keeps the verdict: the ww edges chain consecutive distinct writers in
+// install order, so the next writer reaches every later writer of the key.
+// Every rw edge the full construction would add is therefore a path in this
+// graph, and every edge of this graph is one the full construction adds. The
+// two graphs have the same transitive closure, hence the same cycles-or-not.
+// A cycle witness names one edge of a cycle, which may be a different edge
+// of the same cycle than the full graph's DFS would report.
+//
+// Precondition: at each replica, the records that write carry commit_seq
+// strictly increasing in history order (Storage::next_commit_seq gives
+// that), so each per-(replica, key) writer sequence is sorted both ways. A
+// history that breaks it is a recording bug, reported by throwing
+// util::InvariantViolation rather than by a verdict.
 #pragma once
 
 #include <string>
@@ -24,7 +43,7 @@ struct SrReport {
   bool write_orders_agree = true;
   std::string violation;
   std::size_t transactions = 0;
-  std::size_t edges = 0;
+  std::size_t edges = 0;  // distinct edges of the serialization graph
 };
 
 SrReport check_one_copy_serializability(const repli::core::History& history);

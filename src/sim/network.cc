@@ -246,11 +246,4 @@ std::int64_t Network::bytes_excluding(std::string_view type) const {
   return bytes_sent_ - (it == per_type_bytes_.end() ? 0 : it->second);
 }
 
-void Network::reset_accounting() {
-  messages_sent_ = 0;
-  bytes_sent_ = 0;
-  per_type_count_.clear();
-  per_type_bytes_.clear();
-}
-
 }  // namespace repli::sim

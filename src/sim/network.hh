@@ -85,8 +85,6 @@ class Network {
   std::int64_t inflight_total() const { return inflight_total_; }
   std::int64_t inflight_max_link() const;
 
-  void reset_accounting();
-
  private:
   /// One logical message buffered for a coalesced frame.
   struct FrameEntry {
