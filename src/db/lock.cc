@@ -188,14 +188,6 @@ void LockManager::release_all(const TxnId& txn) {
     std::erase_if(kl.holders, [&](const auto& h) { return h.first == txn_id; });
     pump(key);
   }
-  // Hand the emptied buffer back so the id's next acquire reuses it, unless
-  // a grant callback above already acquired under this id. Re-index: a
-  // callback can grow `txns_`.
-  TxnState& after = txns_[txn_id];
-  if (after.held.empty()) {
-    held.clear();
-    after.held.swap(held);
-  }
 }
 
 std::int64_t LockManager::holder_priority(Id txn) const {

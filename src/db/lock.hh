@@ -83,8 +83,9 @@ class LockManager {
     std::vector<std::pair<Id, LockMode>> holders;
     std::list<Request> waiters;
   };
-  /// Per-transaction state, indexed by interned txn id. Cleared (capacity
-  /// kept) on release_all, so a recycled txn id starts fresh.
+  /// Per-transaction state, indexed by interned txn id. Cleared on
+  /// release_all (`held` is moved out, its buffer with it), so a recycled
+  /// txn id starts fresh.
   struct TxnState {
     std::vector<Id> held;     // keys locked, acquisition order
     Id waiting_on = kNone;    // key of the pending request
