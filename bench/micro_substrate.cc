@@ -1,6 +1,7 @@
 // Substrate microbenchmarks: raw simulator event throughput, wire codec
-// cost, lock-manager acquire/release, event-queue push/pop, the 1SR
-// checker's cost per committed transaction at two history lengths, and
+// cost, lock-manager acquire/release, event-queue push/pop (in time order
+// and shuffled), the 1SR checker's cost per committed transaction at two
+// history lengths, and
 // end-to-end simulated cost of the two ABCAST implementations (the
 // sequencer-vs-consensus ablation DESIGN.md calls out).
 //
@@ -17,6 +18,7 @@
 #include <cstring>
 #include <iostream>
 #include <map>
+#include <memory>
 #include <tuple>
 
 #include "bench/common.hh"
@@ -195,6 +197,27 @@ bench::MicroRow per_item(const bench::MicroRow& row, std::uint64_t items_per_ite
   return scaled;
 }
 
+/// One event of the shuffled-delivery row: on dispatch it schedules a copy
+/// of itself at a seeded random delay until the batch's budget runs out.
+/// 56 bytes, shaped like Network's delivery lambda (a few pointers and ids
+/// plus a shared_ptr payload).
+struct ShuffledDelivery {
+  sim::Simulator* sim;
+  util::Rng* rng;
+  std::uint64_t* left;
+  std::uint64_t* sum;
+  std::int64_t seq;
+  std::shared_ptr<int> payload;
+
+  void operator()() {
+    *sum += static_cast<std::uint64_t>(seq + *payload);
+    if (*left == 0) return;
+    --*left;
+    sim->schedule_after(rng->uniform(1, 1000), ShuffledDelivery{*this});
+  }
+};
+static_assert(sizeof(ShuffledDelivery) == 56);
+
 /// A contended serial history like txn_contention's: `txns` transactions,
 /// each a read-modify-write of 4 keys drawn zipf 0.9 over 32, installed in
 /// the same order at 3 replicas whose records interleave.
@@ -299,8 +322,8 @@ int artifact_main() {
   }
 
   // The PROF artifact covers the substrate rows above: its per-op figures
-  // divide by their ops alone. The checker rows below report their own cost
-  // per txn in the micro artifact.
+  // divide by their ops alone. The checker and shuffled-delivery rows below
+  // report their own cost in the micro artifact.
   bench::write_prof_json("micro_substrate", total_ops);
 
   // 1SR check of a whole contended history, per committed transaction, at
@@ -317,6 +340,31 @@ int artifact_main() {
       util::ensure(report.serializable, "micro_substrate: serial history must pass 1SR");
     });
     rows.push_back(per_item(row, static_cast<std::uint64_t>(txns)));
+  }
+
+  {  // shuffled delivery: ~256 events queued at seeded random times, one
+     // push per pop, so every push and pop sifts through a heap of
+     // realistic depth (sim.event_push_pop pushes in time order, so its
+     // pushes never sift). Outside the PROF denominator, like the checker
+     // rows.
+    constexpr std::uint64_t kBatches = 16;
+    constexpr std::uint64_t kPerBatch = 16384;
+    constexpr std::uint64_t kQueued = 256;
+    const auto payload = std::make_shared<int>(1);
+    const auto row = measure("sim.event_shuffled_delivery", kBatches, [&](std::uint64_t b) {
+      sim::Simulator sim(1);
+      util::Rng rng(b + 1);
+      std::uint64_t left = kPerBatch - kQueued;
+      std::uint64_t sum = 0;
+      for (std::uint64_t i = 0; i < kQueued; ++i) {
+        sim.schedule_after(rng.uniform(1, 1000),
+                           ShuffledDelivery{&sim, &rng, &left, &sum,
+                                            static_cast<std::int64_t>(i), payload});
+      }
+      sim.run();
+      benchmark::DoNotOptimize(sum);
+    });
+    rows.push_back(per_item(row, kPerBatch));
   }
 
   bench::write_micro_json("micro_substrate", rows);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "obs/profile.hh"
@@ -121,7 +122,7 @@ void LockManager::pump(Id key) {
   // Phase 1: decide and record every grant while no callbacks run, so a
   // callback that re-enters the lock manager (release_all, new acquires)
   // observes consistent state and cannot invalidate what we iterate.
-  std::vector<Request> granted;
+  std::vector<Request> granted = std::exchange(grant_buf_, {});
   {
     KeyLock& kl = lock_at(key);
     while (!kl.waiters.empty()) {
@@ -155,8 +156,12 @@ void LockManager::pump(Id key) {
     }
   }
   // Phase 2: fire the callbacks.
-  obs::ProfScope cb(obs::CostCenter::Technique);
-  for (auto& req : granted) req.granted();
+  {
+    obs::ProfScope cb(obs::CostCenter::Technique);
+    for (auto& req : granted) req.granted();
+  }
+  granted.clear();
+  grant_buf_ = std::move(granted);
 }
 
 void LockManager::release_all(const TxnId& txn) {

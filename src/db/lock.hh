@@ -24,7 +24,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <list>
 #include <string>
 #include <vector>
@@ -33,6 +32,7 @@
 #include "obs/trace.hh"
 #include "sim/process.hh"
 #include "util/intern.hh"
+#include "util/smallfn.hh"
 
 namespace repli::db {
 
@@ -46,8 +46,10 @@ inline constexpr sim::Time kLockWaitTimeout = 500 * sim::kMsec;
 
 class LockManager {
  public:
-  using GrantFn = std::function<void()>;
-  using AbortFn = std::function<void()>;
+  // Move-only with inline captures: a queued request owns its callbacks
+  // and nothing copies them, so the common captures cost no allocation.
+  using GrantFn = util::SmallFn;
+  using AbortFn = util::SmallFn;
 
   /// `host` provides timers for the wait-timeout backstop.
   explicit LockManager(sim::Process& host);
@@ -117,6 +119,9 @@ class LockManager {
   /// The deadlock walk's path, cleared and reused per call, so the steady
   /// state allocates nothing.
   std::vector<Id> path_;
+  /// pump's grant batch, reused across calls. pump takes it with
+  /// std::exchange (a grant callback can re-enter pump) and hands it back.
+  std::vector<Request> grant_buf_;
   std::size_t waiting_count_ = 0;
 };
 

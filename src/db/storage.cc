@@ -23,7 +23,10 @@ Storage::Slot& Storage::slot_for(const Key& key) {
   if (!s.present) {
     s.present = true;
     ++live_count_;
-    sorted_valid_ = false;
+    const auto at = std::lower_bound(
+        sorted_.begin(), sorted_.end(), key,
+        [this](util::Interner::Id a, const Key& k) { return key_names_.str(a) < k; });
+    sorted_.insert(at, id);
   }
   return s;
 }
@@ -51,23 +54,9 @@ void Storage::force_put(const Key& key, Value value, std::uint64_t version,
   rec.writer_txn = std::move(writer_txn);
 }
 
-const std::vector<util::Interner::Id>& Storage::sorted_ids() const {
-  if (sorted_valid_) return sorted_;
-  sorted_.clear();
-  sorted_.reserve(live_count_);
-  for (util::Interner::Id id = 0; id < slots_.size(); ++id) {
-    if (slots_[id].present) sorted_.push_back(id);
-  }
-  std::sort(sorted_.begin(), sorted_.end(), [this](util::Interner::Id a, util::Interner::Id b) {
-    return key_names_.str(a) < key_names_.str(b);
-  });
-  sorted_valid_ = true;
-  return sorted_;
-}
-
 std::map<Key, Record> Storage::records() const {
   std::map<Key, Record> out;
-  for (const auto id : sorted_ids()) out.emplace(key_names_.str(id), slots_[id].rec);
+  for (const auto id : sorted_) out.emplace(key_names_.str(id), slots_[id].rec);
   return out;
 }
 
@@ -75,7 +64,7 @@ std::uint64_t Storage::value_digest() const {
   // Canonical key order, independent of interning (= insertion) order, so
   // replicas that converged through different paths digest equal.
   std::uint64_t h = 1469598103934665603ull;
-  for (const auto id : sorted_ids()) {
+  for (const auto id : sorted_) {
     h = fnv1a64(key_names_.str(id), h);
     h = fnv1a64("=", h);
     h = fnv1a64(slots_[id].rec.value, h);

@@ -60,16 +60,16 @@ class Storage {
     Record rec;
     bool present = false;
   };
+  /// The key's slot; a key seen for the first time also takes its place
+  /// in sorted_.
   Slot& slot_for(const Key& key);
-  /// Interned key ids sorted by key string — the canonical iteration order
-  /// for digests and exports. Cached: keys never disappear, so the order
-  /// only changes when a key first appears (slot_for drops the cache).
-  const std::vector<util::Interner::Id>& sorted_ids() const;
 
   util::Interner key_names_;
   std::vector<Slot> slots_;  // indexed by interned key id
-  mutable std::vector<util::Interner::Id> sorted_;
-  mutable bool sorted_valid_ = true;  // no keys: the empty order is valid
+  /// Interned key ids sorted by key string — the canonical iteration order
+  /// for digests and exports. Keys never disappear, so slot_for keeps it
+  /// sorted by inserting each new key where it belongs.
+  std::vector<util::Interner::Id> sorted_;
   std::size_t live_count_ = 0;
   std::uint64_t commit_seq_ = 0;
 };

@@ -1,18 +1,19 @@
 // 4-ary min-heap event queue with lazy deletion.
 //
-// Replaces std::priority_queue<Event> in the simulator. Pop order is the
-// total order (time asc, id asc) — identical to the binary heap it replaces
-// (the order is unique, so heap arity cannot change it; a fuzz test holds
-// the two implementations byte-identical). Wins over std::priority_queue:
+// The heap orders keys, not events: the simulator pushes a trivially
+// copyable {time, id, slot} key, and each event's handler, owner and trace
+// context live in a slot the key indexes (Simulator::Slot). A sift moves 24
+// bytes and never touches a type-erased callable. Pop order is the total
+// order (time asc, id asc) — identical to the std::priority_queue of whole
+// events this replaced (the order is unique, so neither heap arity nor
+// where the payload lives can change it; a fuzz test holds the two
+// implementations byte-identical). Wins over std::priority_queue:
 //
 //  - 4-ary layout: ~half the tree depth, comparisons stay in one or two
 //    cache lines per level — measurably faster sift-down on pop.
-//  - pop_min() *moves* the event out; priority_queue::top() is const, so
-//    the old loop copied every event (and its std::function, one heap
-//    allocation per dispatched event).
+//  - pop_min() *moves* the element out; priority_queue::top() is const.
 //  - Cancellation is a lazy liveness flip validated against an IdWindow:
-//    cancelling an executed or never-scheduled id is an O(1) no-op (the
-//    PR-6 implementation leaked a set entry per stale cancel, forever).
+//    cancelling an executed or never-scheduled id is an O(1) no-op.
 //    Dead entries are reclaimed when popped, or compacted in bulk when
 //    they outnumber the live ones.
 #pragma once
@@ -118,7 +119,8 @@ class IdWindow {
 };
 
 /// The heap proper. TEvent must expose `time` and `id` members and be
-/// movable; ordering is (time, id) ascending.
+/// movable (the simulator's is a 24-byte key); ordering is (time, id)
+/// ascending.
 template <typename TEvent>
 class EventHeap {
  public:

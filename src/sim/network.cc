@@ -73,8 +73,9 @@ void Network::send(NodeId from, NodeId to, wire::MessagePtr msg) {
   const std::span<const std::uint8_t> bytes = scratch_.span();
   const std::string_view type = msg->type_name();
   bytes_sent_ += static_cast<std::int64_t>(bytes.size());
-  ++per_type_count_[type];
-  per_type_bytes_[type] += static_cast<std::int64_t>(bytes.size());
+  TypeTally& tally = tally_for(*msg, type);
+  ++tally.count;
+  tally.bytes += static_cast<std::int64_t>(bytes.size());
 
   MessageEvent ev;
   ev.from = from;
@@ -145,12 +146,12 @@ void Network::send(NodeId from, NodeId to, wire::MessagePtr msg) {
     sim_.trace().message(ev);
   }
 
-  ++inflight_[{from, to}];
+  ++inflight_at(from, to);
   ++inflight_total_;
   auto deliver = [this, from, to, wctx, flow_id,
                   delivered = std::move(delivered)] {
     obs::ProfScope dprof(obs::CostCenter::NetDelivery);
-    --inflight_[{from, to}];
+    --inflight_at(from, to);
     --inflight_total_;
     if (sim_.crashed(to)) return;
     if (from != to && blocked_ && blocked_(from, to)) return;  // partition cut in-flight
@@ -200,11 +201,11 @@ void Network::flush_frame(NodeId from, NodeId to, std::vector<FrameEntry> entrie
     e.flow_id = sim_.tracer().flow(std::move(flow));
   }
 
-  ++inflight_[{from, to}];
+  ++inflight_at(from, to);
   ++inflight_total_;
   sim_.schedule_after(delay, [this, from, to, entries = std::move(entries)] {
     obs::ProfScope dprof(obs::CostCenter::NetDelivery);
-    --inflight_[{from, to}];
+    --inflight_at(from, to);
     --inflight_total_;
     if (sim_.crashed(to)) return;
     if (blocked_ && blocked_(from, to)) return;  // partition cut in-flight
@@ -230,20 +231,61 @@ void Network::drop(MessageEvent& ev, const char* reason) {
   util::log_info("drop (", reason, "): ", ev.type, " ", ev.from, " -> ", ev.to);
 }
 
+std::int64_t& Network::inflight_at(NodeId from, NodeId to) {
+  const auto need = static_cast<std::size_t>(std::max(from, to)) + 1;
+  if (need > inflight_nodes_) {
+    std::vector<std::int64_t> grown(need * need, 0);
+    for (std::size_t f = 0; f < inflight_nodes_; ++f) {
+      std::copy_n(inflight_.begin() + static_cast<std::ptrdiff_t>(f * inflight_nodes_),
+                  inflight_nodes_, grown.begin() + static_cast<std::ptrdiff_t>(f * need));
+    }
+    inflight_.swap(grown);
+    inflight_nodes_ = need;
+  }
+  return inflight_[static_cast<std::size_t>(from) * inflight_nodes_ + static_cast<std::size_t>(to)];
+}
+
 std::int64_t Network::inflight_max_link() const {
   std::int64_t max = 0;
-  for (const auto& [link, n] : inflight_) max = std::max(max, n);
+  for (const std::int64_t n : inflight_) max = std::max(max, n);
   return max;
 }
 
+Network::TypeTally& Network::tally_for(const wire::Message& msg, std::string_view type) {
+  const wire::TypeId id = msg.type_id();
+  for (TypeTally& t : per_type_) {
+    if (t.id == id) return t;
+  }
+  return per_type_.emplace_back(TypeTally{.id = id, .name = type});
+}
+
+const Network::TypeTally* Network::find_tally(std::string_view type) const {
+  for (const TypeTally& t : per_type_) {
+    if (t.name == type) return &t;
+  }
+  return nullptr;
+}
+
+std::map<std::string_view, std::int64_t> Network::per_type_count() const {
+  std::map<std::string_view, std::int64_t> out;
+  for (const TypeTally& t : per_type_) out.emplace(t.name, t.count);
+  return out;
+}
+
+std::map<std::string_view, std::int64_t> Network::per_type_bytes() const {
+  std::map<std::string_view, std::int64_t> out;
+  for (const TypeTally& t : per_type_) out.emplace(t.name, t.bytes);
+  return out;
+}
+
 std::int64_t Network::messages_excluding(std::string_view type) const {
-  const auto it = per_type_count_.find(type);
-  return messages_sent_ - (it == per_type_count_.end() ? 0 : it->second);
+  const TypeTally* t = find_tally(type);
+  return messages_sent_ - (t == nullptr ? 0 : t->count);
 }
 
 std::int64_t Network::bytes_excluding(std::string_view type) const {
-  const auto it = per_type_bytes_.find(type);
-  return bytes_sent_ - (it == per_type_bytes_.end() ? 0 : it->second);
+  const TypeTally* t = find_tally(type);
+  return bytes_sent_ - (t == nullptr ? 0 : t->bytes);
 }
 
 }  // namespace repli::sim

@@ -67,14 +67,12 @@ class Network {
   // Accounting (since construction).
   std::int64_t messages_sent() const { return messages_sent_; }
   std::int64_t bytes_sent() const { return bytes_sent_; }
-  // Keys view the message types' static kTypeName storage, so per-send
-  // accounting builds no temporary strings.
-  const std::map<std::string_view, std::int64_t>& per_type_count() const {
-    return per_type_count_;
-  }
-  const std::map<std::string_view, std::int64_t>& per_type_bytes() const {
-    return per_type_bytes_;
-  }
+  // Messages and bytes per wire type, one entry for each type sent so far,
+  // in name order. Built on each call from a small per-type table that a
+  // send finds by type id; keys view the message types' static kTypeName
+  // storage, so neither sends nor these calls copy type names.
+  std::map<std::string_view, std::int64_t> per_type_count() const;
+  std::map<std::string_view, std::int64_t> per_type_bytes() const;
   /// Messages/bytes excluding a wire type (e.g. failure-detector heartbeats).
   std::int64_t messages_excluding(std::string_view type) const;
   std::int64_t bytes_excluding(std::string_view type) const;
@@ -97,7 +95,20 @@ class Network {
     std::uint64_t flow_id = 0;  // assigned at flush
   };
 
+  /// Per-wire-type tally; few types per run, so a linear scan by id wins.
+  struct TypeTally {
+    wire::TypeId id = 0;
+    std::string_view name;
+    std::int64_t count = 0;
+    std::int64_t bytes = 0;
+  };
+
   Time delivery_delay(NodeId from, NodeId to, std::size_t bytes);
+  TypeTally& tally_for(const wire::Message& msg, std::string_view type);
+  const TypeTally* find_tally(std::string_view type) const;
+  /// In-flight frame count of one (from, to) link; grows the table when a
+  /// node id first exceeds it.
+  std::int64_t& inflight_at(NodeId from, NodeId to);
   /// Records a dropped message: trace event, net/drop instant, counters.
   void drop(MessageEvent& ev, const char* reason);
   void flush_frame(NodeId from, NodeId to, std::vector<FrameEntry> entries);
@@ -106,12 +117,14 @@ class Network {
   NetworkConfig config_;
   std::function<bool(NodeId, NodeId)> blocked_;
   std::map<std::pair<NodeId, NodeId>, Batcher<FrameEntry, Simulator>> frames_;  // coalescing
-  std::map<std::pair<NodeId, NodeId>, std::int64_t> inflight_;  // scheduled, undelivered
+  // Scheduled, undelivered frames per link: an inflight_nodes_ x
+  // inflight_nodes_ table, row = sender.
+  std::vector<std::int64_t> inflight_;
+  std::size_t inflight_nodes_ = 0;
   std::int64_t inflight_total_ = 0;
   std::int64_t messages_sent_ = 0;
   std::int64_t bytes_sent_ = 0;
-  std::map<std::string_view, std::int64_t> per_type_count_;
-  std::map<std::string_view, std::int64_t> per_type_bytes_;
+  std::vector<TypeTally> per_type_;
   wire::Writer scratch_;  // reused per send: encode allocates only to warm up
 };
 

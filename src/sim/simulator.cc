@@ -15,10 +15,17 @@ namespace {
 // an O(n) rebuild.
 constexpr std::size_t kCompactFloor = 64;
 
+// Initial queue and slot capacity, the size of the IdWindow's first ring:
+// a run whose queue stays below it never regrows either vector.
+constexpr std::size_t kInitialEvents = 1024;
+
 }  // namespace
 
 Simulator::Simulator(std::uint64_t seed, NetworkConfig net_config)
-    : rng_(seed), net_(*this, net_config) {}
+    : rng_(seed), net_(*this, net_config) {
+  queue_.reserve(kInitialEvents);
+  slots_.reserve(kInitialEvents);
+}
 
 Simulator::~Simulator() = default;
 
@@ -27,8 +34,36 @@ Simulator::EventId Simulator::schedule_at(Time t, util::SmallFn fn, NodeId owner
   util::ensure(t >= now_, "Simulator::schedule_at: scheduling into the past");
   const EventId id = next_event_id_++;
   live_.push(id, cls);
-  queue_.push(Event{t, id, owner, std::move(fn), tracer_.context()});
+  const SlotIndex slot = take_slot();
+  Slot& s = slots_[slot];
+  s.owner = owner;
+  s.fn = std::move(fn);
+  s.ctx = tracer_.context();
+  queue_.push(EventKey{t, id, slot});
   return id;
+}
+
+Simulator::SlotIndex Simulator::take_slot() {
+  if (free_head_ != kNoSlot) {
+    const SlotIndex slot = free_head_;
+    free_head_ = slots_[slot].next_free;
+    return slot;
+  }
+  slots_.emplace_back();
+  return static_cast<SlotIndex>(slots_.size() - 1);
+}
+
+void Simulator::free_slot(SlotIndex slot) {
+  Slot& s = slots_[slot];
+  s.fn.reset();
+  s.next_free = free_head_;
+  free_head_ = slot;
+}
+
+void Simulator::reclaim(const EventKey& dead) {
+  util::ensure(lazy_dead_ > 0, "Simulator: dead-entry accounting drifted");
+  --lazy_dead_;
+  free_slot(dead.slot);
 }
 
 Simulator::EventId Simulator::schedule_after(Time delay, util::SmallFn fn, NodeId owner,
@@ -50,24 +85,26 @@ void Simulator::cancel(EventId id) {
 
 void Simulator::maybe_compact() {
   if (lazy_dead_ < kCompactFloor || lazy_dead_ * 2 <= queue_.size()) return;
-  const std::size_t removed =
-      queue_.compact([this](const Event& ev) { return !live_.is_live(ev.id); });
+  const std::size_t removed = queue_.compact([this](const EventKey& ev) {
+    if (live_.is_live(ev.id)) return false;
+    free_slot(ev.slot);
+    return true;
+  });
   util::ensure(removed == lazy_dead_, "Simulator: dead-entry accounting drifted");
   lazy_dead_ = 0;
 }
 
-bool Simulator::pop_live(Event& ev) {
+bool Simulator::pop_live(EventKey& ev) {
   while (!queue_.empty()) {
     ev = queue_.pop_min();
     if (live_.is_live(ev.id)) return true;
     // A cancelled entry surfaced before compaction kicked in: reclaim it.
-    util::ensure(lazy_dead_ > 0, "Simulator: dead-entry accounting drifted");
-    --lazy_dead_;
+    reclaim(ev);
   }
   return false;
 }
 
-bool Simulator::pop_next(Event& ev) {
+bool Simulator::pop_next(EventKey& ev) {
   if (!pop_live(ev)) return false;
   if (perturb_ == nullptr || !perturb_->config.tie_break) return true;
   if (queue_.empty() || queue_.min().time != ev.time) return true;
@@ -77,16 +114,16 @@ bool Simulator::pop_next(Event& ev) {
   // rest back (their ids stay live — only dispatch kills ids). Events the
   // chosen handler schedules for the same instant join the next draw, so
   // repeated draws walk a random interleaving of the ready set.
-  std::vector<Event> ties;
-  ties.push_back(std::move(ev));
+  std::vector<EventKey>& ties = ties_;
+  ties.clear();
+  ties.push_back(ev);
   while (!queue_.empty() && queue_.min().time == ties.front().time) {
-    Event next = queue_.pop_min();
+    const EventKey next = queue_.pop_min();
     if (!live_.is_live(next.id)) {
-      util::ensure(lazy_dead_ > 0, "Simulator: dead-entry accounting drifted");
-      --lazy_dead_;
+      reclaim(next);
       continue;
     }
-    ties.push_back(std::move(next));
+    ties.push_back(next);
   }
   std::size_t pick = 0;
   if (ties.size() > 1) {
@@ -97,9 +134,9 @@ bool Simulator::pop_next(Event& ev) {
                                               static_cast<std::uint32_t>(pick)});
   }
   for (std::size_t i = 0; i < ties.size(); ++i) {
-    if (i != pick) queue_.push(std::move(ties[i]));
+    if (i != pick) queue_.push(ties[i]);
   }
-  ev = std::move(ties[pick]);
+  ev = ties[pick];
   return true;
 }
 
@@ -121,7 +158,7 @@ const std::vector<TieDecision>& Simulator::tie_decisions() const {
   return perturb_ == nullptr ? kEmpty : perturb_->decisions;
 }
 
-void Simulator::dispatch(Event& ev) {
+void Simulator::dispatch(const EventKey& ev) {
   util::ensure(ev.time >= now_, "Simulator: time went backwards");
   now_ = ev.time;
   ++dispatched_;
@@ -132,12 +169,18 @@ void Simulator::dispatch(Event& ev) {
   schedule_digest_ = (schedule_digest_ ^ ev.id) * kFnvPrime;
   if (live_.kill(ev.id) == EventClass::Foreground) last_foreground_ = ev.time;
   obs::ProfScope prof(obs::CostCenter::SimDispatch);
-  obs::ContextScope scope(tracer_, ev.ctx);
+  // Take the payload and free the slot before the handler runs: the
+  // handler may schedule events, which can reuse the slot or regrow
+  // slots_ under any reference into it.
+  Slot& slot = slots_[ev.slot];
+  const NodeId owner = slot.owner;
+  util::SmallFn fn = std::move(slot.fn);
+  const obs::TraceContext ctx = slot.ctx;
+  free_slot(ev.slot);
+  obs::ContextScope scope(tracer_, ctx);
   // Owner-guarded events (timers, cpu slices) go silent once their node
   // crashes; the event itself still dispatches and counts.
-  if (ev.owner == kNoOwner || !processes_[static_cast<std::size_t>(ev.owner)]->crashed()) {
-    ev.fn();
-  }
+  if (owner == kNoOwner || !processes_[static_cast<std::size_t>(owner)]->crashed()) fn();
 }
 
 void Simulator::register_process(std::unique_ptr<Process> proc) {
@@ -194,7 +237,7 @@ std::size_t Simulator::run_horizon(Time t_end, std::optional<Time> quiet,
                                    std::size_t max_events) {
   const Time opened = now_;
   std::size_t executed = 0;
-  Event ev;
+  EventKey ev;
   while (!queue_.empty() && queue_.min().time <= t_end) {
     if (quiet.has_value() && live_.live_foreground() == 0 &&
         now_ - std::max(opened, last_foreground_) >= *quiet) {
@@ -205,7 +248,7 @@ std::size_t Simulator::run_horizon(Time t_end, std::optional<Time> quiet,
       // The live minimum can sit past t_end behind a dead entry that was
       // within it; the event belongs to a later horizon — push it back
       // (its id is still live in the window: only dispatch kills ids).
-      queue_.push(std::move(ev));
+      queue_.push(ev);
       break;
     }
     dispatch(ev);
@@ -219,7 +262,7 @@ std::size_t Simulator::run_horizon(Time t_end, std::optional<Time> quiet,
 
 std::size_t Simulator::run(std::size_t max_events) {
   std::size_t executed = 0;
-  Event ev;
+  EventKey ev;
   while (pop_next(ev)) {
     dispatch(ev);
     if (++executed > max_events) util::fail("Simulator::run: event budget exceeded");

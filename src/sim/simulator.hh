@@ -7,12 +7,14 @@
 // A simulator owns all of its run's mutable state and stays on the thread
 // that built it, so independent simulators may run on different threads.
 //
-// The event queue is a 4-ary min-heap with lazy deletion (sim/event_heap.hh):
-// cancel() flips a liveness flag in O(1) — validated against the id window,
-// so cancelling an already-executed or unknown id is a no-op — and dead
-// entries are reclaimed on pop or compacted in bulk when they outnumber
-// live ones. Pop order is byte-identical to the std::priority_queue this
-// replaced (fuzz-tested).
+// The event queue is a 4-ary min-heap with lazy deletion (sim/event_heap.hh)
+// over 24-byte {time, id, slot} keys; each event's handler, owner and trace
+// context wait in a slot of a free-listed vector, so heap sifts never move
+// a callable. cancel() flips a liveness flag in O(1) — validated against
+// the id window, so cancelling an already-executed or unknown id is a
+// no-op — and dead entries (with their slots) are reclaimed on pop or
+// compacted in bulk when they outnumber live ones. Pop order is
+// byte-identical to the std::priority_queue this replaced (fuzz-tested).
 //
 // Every event has a class (sim/event_heap.hh): background for the
 // self-re-arming liveness and observation events, foreground for the rest.
@@ -24,6 +26,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <type_traits>
 #include <vector>
 
 #include "obs/context.hh"
@@ -139,6 +142,11 @@ class Simulator {
   /// Events dispatched so far (the run's logical step counter).
   std::uint64_t events_dispatched() const { return dispatched_; }
 
+  /// Event slots allocated so far: the high-water mark of queued entries,
+  /// cancelled-but-unreclaimed ones included (slots are reused, never
+  /// released).
+  std::size_t event_slots() const { return slots_.size(); }
+
   /// Installs schedule perturbation. Must be called before any event has
   /// dispatched (the perturbed prefix could otherwise not be replayed).
   /// Off by default: an unperturbed run keeps the exact (time, id) order.
@@ -170,10 +178,21 @@ class Simulator {
   obs::LamportClocks& lamports() { return lamports_; }
 
  private:
-  struct Event {
+  using SlotIndex = std::uint32_t;
+  static constexpr SlotIndex kNoSlot = 0xFFFFFFFFu;
+
+  /// What the heap orders: trivially copyable, so a sift moves 24 bytes.
+  struct EventKey {
     Time time = 0;
     EventId id = 0;
-    NodeId owner = kNoOwner;  // crash-stop guard; kNoOwner fires always
+    SlotIndex slot = kNoSlot;
+  };
+  static_assert(sizeof(EventKey) == 24 && std::is_trivially_copyable_v<EventKey>);
+  /// What the heap does not move: the event's payload, from schedule_at
+  /// until dispatch (or until a cancelled entry is reclaimed).
+  struct Slot {
+    NodeId owner = kNoOwner;        // crash-stop guard; kNoOwner fires always
+    SlotIndex next_free = kNoSlot;  // free-list link while unused
     util::SmallFn fn;
     // The scheduling context propagates to the event: a timer or cpu slice
     // scheduled inside a traced request stays part of that trace.
@@ -190,16 +209,22 @@ class Simulator {
     explicit Perturb(const PerturbConfig& c) : config(c), rng(c.seed) {}
   };
 
-  /// Pops the next live event into `ev` (skipping and reclaiming dead
-  /// entries). Returns false when the queue holds no live event. With
+  /// Pops the next live event's key into `ev` (skipping and reclaiming
+  /// dead entries). Returns false when the queue holds no live event. With
   /// tie-break perturbation on, a random ready event runs first instead of
   /// the lowest-id one.
-  bool pop_next(Event& ev);
+  bool pop_next(EventKey& ev);
   /// The unperturbed part of pop_next: lowest (time, id) live event.
-  bool pop_live(Event& ev);
+  bool pop_live(EventKey& ev);
+  /// Reclaims a cancelled entry popped off the queue, with its slot.
+  void reclaim(const EventKey& dead);
+  SlotIndex take_slot();
+  /// Destroys the slot's handler and puts the slot on the free list.
+  void free_slot(SlotIndex slot);
   /// Checked dispatch shared by every run loop: asserts time never
-  /// rewinds, advances the clock, and runs the handler in its context.
-  void dispatch(Event& ev);
+  /// rewinds, advances the clock, frees the event's slot, and runs the
+  /// handler in its context.
+  void dispatch(const EventKey& ev);
   /// The loop behind run_until and run_until_quiet (no quiet window: run
   /// to the horizon).
   std::size_t run_horizon(Time t_end, std::optional<Time> quiet, std::size_t max_events);
@@ -211,7 +236,10 @@ class Simulator {
   std::uint64_t schedule_digest_ = 14695981039346656037ull;  // FNV-1a basis
   std::unique_ptr<Perturb> perturb_;
   EventId next_event_id_ = 1;
-  EventHeap<Event> queue_;
+  EventHeap<EventKey> queue_;
+  std::vector<Slot> slots_;        // indexed by EventKey::slot
+  SlotIndex free_head_ = kNoSlot;  // intrusive free list through Slot::next_free
+  std::vector<EventKey> ties_;     // pop_next's tie set, reused
   IdWindow live_;              // liveness per event id; validates cancels
   std::size_t lazy_dead_ = 0;  // cancelled entries still inside queue_
   std::vector<std::unique_ptr<Process>> processes_;
