@@ -284,11 +284,11 @@ int artifact_main() {
   }
 
   {  // cancel churn: 75% of events cancelled (crosses the bulk-compaction
-     // threshold), then one stale cancel per executed event — both the lazy
-     // reclamation and the stale-handle no-op path must stay O(1).
+     // threshold), then one stale cancel per executed event — both dropping
+     // dead keys and the stale-handle no-op path must stay O(1).
     constexpr std::uint64_t kBatches = 64;
     constexpr std::uint64_t kPerBatch = 1024;
-    std::vector<sim::Simulator::EventId> ids;
+    std::vector<sim::EventHandle> ids;
     const auto row = measure("sim.cancel_churn", kBatches, [&](std::uint64_t) {
       sim::Simulator sim(1);
       int counter = 0;

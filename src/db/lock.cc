@@ -19,11 +19,6 @@ LockManager::KeyLock& LockManager::lock_at(Id key) {
   return locks_[key];
 }
 
-LockManager::TxnState& LockManager::txn_at(Id txn) {
-  if (txn >= txns_.size()) txns_.resize(txn + 1);
-  return txns_[txn];
-}
-
 void LockManager::close_wait_span(Request& req, const char* outcome) {
   if (req.wait_span == obs::kNoSpan) return;
   auto& tracer = host_.sim().tracer();
@@ -35,7 +30,7 @@ void LockManager::close_wait_span(Request& req, const char* outcome) {
   req.wait_span = obs::kNoSpan;
 }
 
-bool LockManager::can_grant(const KeyLock& kl, Id txn, LockMode mode) const {
+bool LockManager::can_grant(const KeyLock& kl, const TxnState* txn, LockMode mode) {
   for (const auto& [holder, held_mode] : kl.holders) {
     if (holder == txn) continue;  // self-compatibility handled by caller
     if (mode == LockMode::Exclusive || held_mode == LockMode::Exclusive) return false;
@@ -46,20 +41,21 @@ bool LockManager::can_grant(const KeyLock& kl, Id txn, LockMode mode) const {
 void LockManager::acquire(const TxnId& txn, std::int64_t priority, const Key& key, LockMode mode,
                           GrantFn granted, AbortFn aborted) {
   obs::ProfScope prof(obs::CostCenter::LockMgr);
-  const Id txn_id = txn_names_.intern(txn);
+  const auto [entry, fresh] = txns_.try_emplace(txn);
+  TxnState* const state = &entry->second;
+  if (fresh) state->name = &entry->first;
   const Id key_id = key_names_.intern(key);
-  TxnState& ts = txn_at(txn_id);
-  util::ensure(ts.waiting_on == kNone,
+  util::ensure(state->waiting_on == kNone,
                "LockManager::acquire: transaction already has a pending request");
-  if (!ts.priority_set) {  // first-seen priority sticks
-    ts.priority = priority;
-    ts.priority_set = true;
+  if (!state->priority_set) {  // first-seen priority sticks
+    state->priority = priority;
+    state->priority_set = true;
   }
   KeyLock& kl = lock_at(key_id);
 
   // Re-entrant cases: already holding a sufficient lock.
   const auto held_it = std::find_if(kl.holders.begin(), kl.holders.end(),
-                                    [&](const auto& h) { return h.first == txn_id; });
+                                    [&](const auto& h) { return h.first == state; });
   if (held_it != kl.holders.end()) {
     if (held_it->second == LockMode::Exclusive || mode == LockMode::Shared) {
       obs::ProfScope cb(obs::CostCenter::Technique);
@@ -68,16 +64,16 @@ void LockManager::acquire(const TxnId& txn, std::int64_t priority, const Key& ke
     }
     // Upgrade S -> X: possible when we are the only holder and no waiter
     // already queued an upgrade.
-    if (kl.holders.size() == 1 && can_grant(kl, txn_id, LockMode::Exclusive)) {
+    if (kl.holders.size() == 1 && can_grant(kl, state, LockMode::Exclusive)) {
       held_it->second = LockMode::Exclusive;
       obs::ProfScope cb(obs::CostCenter::Technique);
       granted();
       return;
     }
-  } else if (kl.waiters.empty() && can_grant(kl, txn_id, mode)) {
+  } else if (kl.waiters.empty() && can_grant(kl, state, mode)) {
     // FIFO fairness: jump the queue only when it is empty.
-    kl.holders.emplace_back(txn_id, mode);
-    ts.held.push_back(key_id);
+    kl.holders.emplace_back(state, mode);
+    state->held.push_back(key_id);
     obs::ProfScope cb(obs::CostCenter::Technique);
     granted();
     return;
@@ -85,9 +81,9 @@ void LockManager::acquire(const TxnId& txn, std::int64_t priority, const Key& ke
 
   // Wait-die: die instead of waiting behind an older transaction's lock.
   for (const auto& [holder, held_mode] : kl.holders) {
-    if (holder == txn_id) continue;
+    if (holder == state) continue;
     const bool incompatible = mode == LockMode::Exclusive || held_mode == LockMode::Exclusive;
-    if (incompatible && priority > holder_priority(holder)) {
+    if (incompatible && priority > holder_priority(*holder)) {
       host_.sim().metrics().incr("db.lock.wait_die_aborts");
       host_.sim().tracer().instant(host_.id(), "db/lock.wait_die", host_.now(), txn,
                                    obs::Attrs{{"key", key}});
@@ -98,23 +94,23 @@ void LockManager::acquire(const TxnId& txn, std::int64_t priority, const Key& ke
   }
 
   Request req;
-  req.txn = txn_id;
+  req.txn = state;
   req.priority = priority;
   req.mode = mode;
   req.granted = std::move(granted);
   req.aborted = std::move(aborted);
-  req.timeout = host_.set_timer(kLockWaitTimeout, [this, key_id, txn_id] {
-    util::log_debug("lock: wait timeout, aborting ", txn_names_.str(txn_id));
-    abort_waiter(key_id, txn_id);
+  req.timeout = host_.set_timer(kLockWaitTimeout, [this, key_id, state] {
+    util::log_debug("lock: wait timeout, aborting ", *state->name);
+    abort_waiter(key_id, state);
   });
   auto& tracer = host_.sim().tracer();
   req.wait_span = tracer.begin(host_.id(), "db/lock.wait", host_.now(), txn);
   tracer.attr(req.wait_span, "key", key);
   tracer.attr(req.wait_span, "mode", mode == LockMode::Exclusive ? "X" : "S");
   kl.waiters.push_back(std::move(req));
-  ts.waiting_on = key_id;
+  state->waiting_on = key_id;
   ++waiting_count_;
-  detect_deadlock(txn_id);
+  detect_deadlock(state);
 }
 
 void LockManager::pump(Id key) {
@@ -140,7 +136,7 @@ void LockManager::pump(Id key) {
       if (!grantable) break;
       Request req = std::move(head);
       kl.waiters.pop_front();
-      txn_at(req.txn).held.push_back(key);
+      req.txn->held.push_back(key);
       host_.cancel_timer(req.timeout);
       close_wait_span(req, "granted");
       const auto hit = std::find_if(kl.holders.begin(), kl.holders.end(),
@@ -150,7 +146,7 @@ void LockManager::pump(Id key) {
       } else if (req.mode == LockMode::Exclusive) {
         hit->second = LockMode::Exclusive;
       }
-      txn_at(req.txn).waiting_on = kNone;
+      req.txn->waiting_on = kNone;
       --waiting_count_;
       granted.push_back(std::move(req));
     }
@@ -166,59 +162,58 @@ void LockManager::pump(Id key) {
 
 void LockManager::release_all(const TxnId& txn) {
   obs::ProfScope prof(obs::CostCenter::LockMgr);
-  const Id txn_id = txn_names_.find(txn);
-  if (txn_id == kNone || txn_id >= txns_.size()) return;
-  TxnState& ts = txns_[txn_id];
+  const auto entry = txns_.find(txn);
+  if (entry == txns_.end()) return;
+  TxnState* const state = &entry->second;
   // Cancel a pending request, if any.
-  if (ts.waiting_on != kNone) {
-    KeyLock& kl = lock_at(ts.waiting_on);
+  if (state->waiting_on != kNone) {
+    KeyLock& kl = lock_at(state->waiting_on);
     for (auto it = kl.waiters.begin(); it != kl.waiters.end(); ++it) {
-      if (it->txn == txn_id) {
+      if (it->txn == state) {
         host_.cancel_timer(it->timeout);
         close_wait_span(*it, "cancelled");
         kl.waiters.erase(it);
         break;
       }
     }
-    ts.waiting_on = kNone;
+    state->waiting_on = kNone;
     --waiting_count_;
   }
-  ts.priority_set = false;
+  state->priority_set = false;
   // Release held locks. `held` may list a key twice (grant then upgrade);
   // the second pass finds the holder already gone and just re-pumps.
-  std::vector<Id> held = std::move(ts.held);
-  ts.held.clear();
+  std::vector<Id> held = std::move(state->held);
+  state->held.clear();
   for (const Id key : held) {
     KeyLock& kl = lock_at(key);
-    std::erase_if(kl.holders, [&](const auto& h) { return h.first == txn_id; });
+    std::erase_if(kl.holders, [&](const auto& h) { return h.first == state; });
     pump(key);
   }
+  // Forget the transaction, unless a grant callback above acquired for it
+  // again. By key: those callbacks may have rehashed the map.
+  if (state->held.empty() && state->waiting_on == kNone) txns_.erase(txn);
 }
 
-std::int64_t LockManager::holder_priority(Id txn) const {
+std::int64_t LockManager::holder_priority(const TxnState& txn) {
   // Unknown priority counts as oldest, so the requester defers to it.
-  if (txn >= txns_.size() || !txns_[txn].priority_set)
-    return std::numeric_limits<std::int64_t>::min();
-  return txns_[txn].priority;
+  return txn.priority_set ? txn.priority : std::numeric_limits<std::int64_t>::min();
 }
 
 bool LockManager::holds(const TxnId& txn, const Key& key, LockMode mode) const {
-  const Id txn_id = txn_names_.find(txn);
+  const auto entry = txns_.find(txn);
   const Id key_id = key_names_.find(key);
-  if (txn_id == kNone || key_id == kNone || key_id >= locks_.size()) return false;
+  if (entry == txns_.end() || key_id == kNone || key_id >= locks_.size()) return false;
   const KeyLock& kl = locks_[key_id];
   for (const auto& [holder, held_mode] : kl.holders) {
-    if (holder != txn_id) continue;
+    if (holder != &entry->second) continue;
     return mode == LockMode::Shared || held_mode == LockMode::Exclusive;
   }
   return false;
 }
 
-bool LockManager::walk_cycle(Id txn, std::vector<Id>& path) const {
-  if (txn >= txns_.size() || txns_[txn].waiting_on == kNone) return false;
-  const Id key = txns_[txn].waiting_on;
-  if (key >= locks_.size()) return false;
-  for (const auto& [holder, mode] : locks_[key].holders) {
+bool LockManager::walk_cycle(const TxnState* txn, std::vector<TxnState*>& path) const {
+  if (txn->waiting_on == kNone) return false;
+  for (const auto& [holder, mode] : locks_[txn->waiting_on].holders) {
     if (holder == txn) continue;
     if (std::find(path.begin(), path.end(), holder) != path.end()) return true;  // cycle
     path.push_back(holder);
@@ -228,7 +223,7 @@ bool LockManager::walk_cycle(Id txn, std::vector<Id>& path) const {
   return false;
 }
 
-void LockManager::detect_deadlock(Id waiter) {
+void LockManager::detect_deadlock(TxnState* waiter) {
   // waits-for edges: each waiting txn -> every current holder of its key.
   // Follow the chain from `waiter`; if it loops back, abort the youngest
   // (largest priority number) waiter on the cycle. Paths are a few ids
@@ -238,11 +233,11 @@ void LockManager::detect_deadlock(Id waiter) {
   if (!walk_cycle(waiter, path_)) return;
 
   // Victim: the youngest transaction on the path that is actually waiting.
-  Id victim = kNone;
+  TxnState* victim = nullptr;
   std::int64_t victim_priority = std::numeric_limits<std::int64_t>::min();
-  for (const Id txn : path_) {
-    if (txn >= txns_.size() || txns_[txn].waiting_on == kNone) continue;
-    const KeyLock& kl = locks_[txns_[txn].waiting_on];
+  for (TxnState* const txn : path_) {
+    if (txn->waiting_on == kNone) continue;
+    const KeyLock& kl = locks_[txn->waiting_on];
     for (const auto& req : kl.waiters) {
       if (req.txn == txn && req.priority > victim_priority) {
         victim_priority = req.priority;
@@ -250,8 +245,8 @@ void LockManager::detect_deadlock(Id waiter) {
       }
     }
   }
-  util::ensure(victim != kNone, "LockManager: cycle without waiting victim");
-  const std::string& victim_txn = txn_names_.str(victim);  // de-intern at the boundary
+  util::ensure(victim != nullptr, "LockManager: cycle without waiting victim");
+  const std::string& victim_txn = *victim->name;
   util::log_info("lock: deadlock, aborting ", victim_txn);
   host_.sim().metrics().incr("db.lock.deadlocks");
   host_.sim().tracer().instant(host_.id(), "db/lock.deadlock", host_.now(), victim_txn,
@@ -259,11 +254,10 @@ void LockManager::detect_deadlock(Id waiter) {
   // Last, and path_ is not read after it: the callbacks it fires (grants,
   // then the victim's abort) may acquire and so re-enter this function,
   // which reuses path_.
-  abort_waiter(txns_[victim].waiting_on, victim);
+  abort_waiter(victim->waiting_on, victim);
 }
 
-void LockManager::abort_waiter(Id key, Id txn) {
-  if (key >= locks_.size()) return;
+void LockManager::abort_waiter(Id key, TxnState* txn) {
   KeyLock& kl = locks_[key];
   for (auto it = kl.waiters.begin(); it != kl.waiters.end(); ++it) {
     if (it->txn != txn) continue;
@@ -271,7 +265,7 @@ void LockManager::abort_waiter(Id key, Id txn) {
     close_wait_span(*it, "aborted");
     AbortFn aborted = std::move(it->aborted);
     kl.waiters.erase(it);
-    txn_at(txn).waiting_on = kNone;
+    txn->waiting_on = kNone;
     --waiting_count_;
     pump(key);
     obs::ProfScope cb(obs::CostCenter::Technique);

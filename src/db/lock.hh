@@ -15,17 +15,19 @@
 // a cycle of this shape that spans sites is invisible to every single lock
 // manager and is left to the wait timeout.
 //
-// Internally, keys and transaction ids are interned to dense uint32 ids
-// (util/intern.hh) and every table is a flat vector indexed by id — the
-// string-keyed std::maps this replaced re-compared key strings on every
-// lookup and allocated a node per insert. Strings appear only at the
-// public API (interned on entry) and at the trace/log boundary
-// (de-interned on exit); see docs/ARCHITECTURE.md "Interned keys".
+// Internally, keys are interned to dense uint32 ids (util/intern.hh) and
+// the lock table is a flat vector indexed by key id — the string-keyed
+// std::map this replaced re-compared key strings on every lookup and
+// allocated a node per insert; see docs/ARCHITECTURE.md "Interned keys".
+// A transaction is tracked from its first acquire until release_all, in a
+// map from txn id to its state: holders and waiters point at the state, so
+// a manager that has seen a million transactions keeps only the live ones.
 #pragma once
 
 #include <cstdint>
 #include <list>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "db/storage.hh"
@@ -60,18 +62,22 @@ class LockManager {
   void acquire(const TxnId& txn, std::int64_t priority, const Key& key, LockMode mode,
                GrantFn granted, AbortFn aborted);
 
-  /// Releases everything `txn` holds and cancels its pending request.
+  /// Releases everything `txn` holds, cancels its pending request and
+  /// forgets the transaction.
   void release_all(const TxnId& txn);
 
   bool holds(const TxnId& txn, const Key& key, LockMode mode) const;
   std::size_t waiting_count() const { return waiting_count_; }
+  /// Transactions holding or waiting for a lock.
+  std::size_t tracked_txns() const { return txns_.size(); }
 
  private:
   using Id = util::Interner::Id;
   static constexpr Id kNone = util::Interner::kNoId;
 
+  struct TxnState;
   struct Request {
-    Id txn = kNone;
+    TxnState* txn = nullptr;
     std::int64_t priority = 0;
     LockMode mode = LockMode::Shared;
     GrantFn granted;
@@ -82,43 +88,44 @@ class LockManager {
   struct KeyLock {
     // Holders in acquisition order; few per key, so linear scans beat the
     // node-based map they replaced.
-    std::vector<std::pair<Id, LockMode>> holders;
+    std::vector<std::pair<TxnState*, LockMode>> holders;
     std::list<Request> waiters;
   };
-  /// Per-transaction state, indexed by interned txn id. Cleared on
-  /// release_all (`held` is moved out, its buffer with it), so a recycled
-  /// txn id starts fresh.
+  /// A transaction from its first acquire until release_all erases it. The
+  /// map node keeps it in place for the holders and waiters that point at
+  /// it.
   struct TxnState {
-    std::vector<Id> held;     // keys locked, acquisition order
-    Id waiting_on = kNone;    // key of the pending request
+    const TxnId* name = nullptr;  // the map key
+    std::vector<Id> held;         // keys locked, acquisition order
+    Id waiting_on = kNone;        // key of the pending request
     std::int64_t priority = 0;
-    bool priority_set = false;  // first-seen priority sticks
+    // The first-seen priority sticks. Unset while release_all runs, so the
+    // rest of the txn's locks count as an oldest holder's.
+    bool priority_set = false;
   };
 
   static bool compatible(LockMode held, LockMode wanted) {
     return held == LockMode::Shared && wanted == LockMode::Shared;
   }
   KeyLock& lock_at(Id key);
-  TxnState& txn_at(Id txn);
-  bool can_grant(const KeyLock& kl, Id txn, LockMode mode) const;
-  std::int64_t holder_priority(Id txn) const;
+  static bool can_grant(const KeyLock& kl, const TxnState* txn, LockMode mode);
+  static std::int64_t holder_priority(const TxnState& txn);
   void pump(Id key);
   /// Builds waits-for edges and aborts the youngest transaction on a cycle.
-  void detect_deadlock(Id waiter);
+  void detect_deadlock(TxnState* waiter);
   /// DFS over waits-for edges; `path` is the txn chain walked so far.
-  bool walk_cycle(Id txn, std::vector<Id>& path) const;
-  void abort_waiter(Id key, Id txn);
+  bool walk_cycle(const TxnState* txn, std::vector<TxnState*>& path) const;
+  void abort_waiter(Id key, TxnState* txn);
   /// Ends a queued request's db/lock.wait span and records the wait time.
   void close_wait_span(Request& req, const char* outcome);
 
   sim::Process& host_;
   util::Interner key_names_;
-  util::Interner txn_names_;
-  std::vector<KeyLock> locks_;    // indexed by interned key id
-  std::vector<TxnState> txns_;    // indexed by interned txn id
+  std::vector<KeyLock> locks_;  // indexed by interned key id
+  std::unordered_map<TxnId, TxnState> txns_;
   /// The deadlock walk's path, cleared and reused per call, so the steady
   /// state allocates nothing.
-  std::vector<Id> path_;
+  std::vector<TxnState*> path_;
   /// pump's grant batch, reused across calls. pump takes it with
   /// std::exchange (a grant callback can re-enter pump) and hands it back.
   std::vector<Request> grant_buf_;

@@ -38,8 +38,8 @@ class Process {
 
   void send(NodeId to, wire::MessagePtr msg);
 
-  using TimerId = std::uint64_t;
-  static constexpr TimerId kNoTimer = 0;
+  using TimerId = EventHandle;
+  static constexpr TimerId kNoTimer{};
 
   /// One-shot timer; silently suppressed if this process crashes first.
   /// Liveness and observation timers pass EventClass::Background.

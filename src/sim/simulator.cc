@@ -10,13 +10,13 @@
 namespace repli::sim {
 namespace {
 
-// Bulk-compact the heap once dead entries both exceed this floor and
+// Bulk-compact the heap once dead keys both exceed this floor and
 // outnumber live ones; below the floor, pop-time skipping is cheaper than
 // an O(n) rebuild.
 constexpr std::size_t kCompactFloor = 64;
 
-// Initial queue and slot capacity, the size of the IdWindow's first ring:
-// a run whose queue stays below it never regrows either vector.
+// Initial queue and slot capacity: a run whose queue stays below it never
+// regrows either vector.
 constexpr std::size_t kInitialEvents = 1024;
 
 }  // namespace
@@ -29,18 +29,20 @@ Simulator::Simulator(std::uint64_t seed, NetworkConfig net_config)
 
 Simulator::~Simulator() = default;
 
-Simulator::EventId Simulator::schedule_at(Time t, util::SmallFn fn, NodeId owner,
-                                          EventClass cls) {
+EventHandle Simulator::schedule_at(Time t, util::SmallFn fn, NodeId owner, EventClass cls) {
   util::ensure(t >= now_, "Simulator::schedule_at: scheduling into the past");
   const EventId id = next_event_id_++;
-  live_.push(id, cls);
   const SlotIndex slot = take_slot();
   Slot& s = slots_[slot];
+  s.id = id;
   s.owner = owner;
+  s.cls = cls;
   s.fn = std::move(fn);
   s.ctx = tracer_.context();
+  ++live_;
+  if (cls == EventClass::Foreground) ++live_foreground_;
   queue_.push(EventKey{t, id, slot});
-  return id;
+  return EventHandle{id, slot};
 }
 
 Simulator::SlotIndex Simulator::take_slot() {
@@ -53,53 +55,42 @@ Simulator::SlotIndex Simulator::take_slot() {
   return static_cast<SlotIndex>(slots_.size() - 1);
 }
 
-void Simulator::free_slot(SlotIndex slot) {
+util::SmallFn Simulator::free_slot(SlotIndex slot) {
   Slot& s = slots_[slot];
-  s.fn.reset();
+  --live_;
+  if (s.cls == EventClass::Foreground) --live_foreground_;
+  s.id = 0;
   s.next_free = free_head_;
   free_head_ = slot;
+  return std::move(s.fn);
 }
 
-void Simulator::reclaim(const EventKey& dead) {
-  util::ensure(lazy_dead_ > 0, "Simulator: dead-entry accounting drifted");
-  --lazy_dead_;
-  free_slot(dead.slot);
-}
-
-Simulator::EventId Simulator::schedule_after(Time delay, util::SmallFn fn, NodeId owner,
-                                             EventClass cls) {
+EventHandle Simulator::schedule_after(Time delay, util::SmallFn fn, NodeId owner,
+                                      EventClass cls) {
   util::ensure(delay >= 0, "Simulator::schedule_after: negative delay");
   return schedule_at(now_ + delay, std::move(fn), owner, cls);
 }
 
-void Simulator::cancel(EventId id) {
-  // Only a currently-queued event can be cancelled; ids that already
-  // executed, were already cancelled, or were never issued are no-ops.
-  // (The previous implementation recorded every cancel in a set forever,
-  // so stale timer handles leaked an entry each.)
-  if (id == kNoEvent || !live_.is_live(id)) return;
-  live_.kill(id);
-  ++lazy_dead_;
+void Simulator::cancel(EventHandle ev) {
+  // Only a queued event can be cancelled: once its event ran or was
+  // cancelled, a handle's slot is free (id 0) or holds a newer id.
+  if (ev.id == 0 || ev.slot >= slots_.size() || slots_[ev.slot].id != ev.id) return;
+  // The key stays behind, dead. The captures die at the closing brace,
+  // once the slot is back on the free list: a destructor may schedule.
+  const util::SmallFn doomed = free_slot(ev.slot);
   maybe_compact();
 }
 
 void Simulator::maybe_compact() {
-  if (lazy_dead_ < kCompactFloor || lazy_dead_ * 2 <= queue_.size()) return;
-  const std::size_t removed = queue_.compact([this](const EventKey& ev) {
-    if (live_.is_live(ev.id)) return false;
-    free_slot(ev.slot);
-    return true;
-  });
-  util::ensure(removed == lazy_dead_, "Simulator: dead-entry accounting drifted");
-  lazy_dead_ = 0;
+  const std::size_t dead = queue_.size() - live_;
+  if (dead < kCompactFloor || dead * 2 <= queue_.size()) return;
+  queue_.compact([this](const EventKey& ev) { return !is_live(ev); });
 }
 
 bool Simulator::pop_live(EventKey& ev) {
   while (!queue_.empty()) {
     ev = queue_.pop_min();
-    if (live_.is_live(ev.id)) return true;
-    // A cancelled entry surfaced before compaction kicked in: reclaim it.
-    reclaim(ev);
+    if (is_live(ev)) return true;
   }
   return false;
 }
@@ -111,19 +102,15 @@ bool Simulator::pop_next(EventKey& ev) {
 
   // Two or more events are ready at the same instant: gather the whole tie
   // set, pick one uniformly from the schedule-choice stream, and push the
-  // rest back (their ids stay live — only dispatch kills ids). Events the
-  // chosen handler schedules for the same instant join the next draw, so
-  // repeated draws walk a random interleaving of the ready set.
+  // rest back (still live: only dispatch or cancel frees a slot). Events
+  // the chosen handler schedules for the same instant join the next draw,
+  // so repeated draws walk a random interleaving of the ready set.
   std::vector<EventKey>& ties = ties_;
   ties.clear();
   ties.push_back(ev);
   while (!queue_.empty() && queue_.min().time == ties.front().time) {
     const EventKey next = queue_.pop_min();
-    if (!live_.is_live(next.id)) {
-      reclaim(next);
-      continue;
-    }
-    ties.push_back(next);
+    if (is_live(next)) ties.push_back(next);
   }
   std::size_t pick = 0;
   if (ties.size() > 1) {
@@ -167,16 +154,15 @@ void Simulator::dispatch(const EventKey& ev) {
   constexpr std::uint64_t kFnvPrime = 1099511628211ull;
   schedule_digest_ = (schedule_digest_ ^ static_cast<std::uint64_t>(ev.time)) * kFnvPrime;
   schedule_digest_ = (schedule_digest_ ^ ev.id) * kFnvPrime;
-  if (live_.kill(ev.id) == EventClass::Foreground) last_foreground_ = ev.time;
+  Slot& slot = slots_[ev.slot];
+  if (slot.cls == EventClass::Foreground) last_foreground_ = ev.time;
   obs::ProfScope prof(obs::CostCenter::SimDispatch);
   // Take the payload and free the slot before the handler runs: the
   // handler may schedule events, which can reuse the slot or regrow
   // slots_ under any reference into it.
-  Slot& slot = slots_[ev.slot];
   const NodeId owner = slot.owner;
-  util::SmallFn fn = std::move(slot.fn);
   const obs::TraceContext ctx = slot.ctx;
-  free_slot(ev.slot);
+  util::SmallFn fn = free_slot(ev.slot);
   obs::ContextScope scope(tracer_, ctx);
   // Owner-guarded events (timers, cpu slices) go silent once their node
   // crashes; the event itself still dispatches and counts.
@@ -239,7 +225,7 @@ std::size_t Simulator::run_horizon(Time t_end, std::optional<Time> quiet,
   std::size_t executed = 0;
   EventKey ev;
   while (!queue_.empty() && queue_.min().time <= t_end) {
-    if (quiet.has_value() && live_.live_foreground() == 0 &&
+    if (quiet.has_value() && live_foreground_ == 0 &&
         now_ - std::max(opened, last_foreground_) >= *quiet) {
       return executed;  // quiescent: only background events remain
     }
@@ -247,7 +233,7 @@ std::size_t Simulator::run_horizon(Time t_end, std::optional<Time> quiet,
     if (ev.time > t_end) {
       // The live minimum can sit past t_end behind a dead entry that was
       // within it; the event belongs to a later horizon — push it back
-      // (its id is still live in the window: only dispatch kills ids).
+      // (its slot still holds it: only dispatch or cancel frees a slot).
       queue_.push(ev);
       break;
     }

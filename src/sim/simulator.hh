@@ -8,13 +8,14 @@
 // that built it, so independent simulators may run on different threads.
 //
 // The event queue is a 4-ary min-heap with lazy deletion (sim/event_heap.hh)
-// over 24-byte {time, id, slot} keys; each event's handler, owner and trace
-// context wait in a slot of a free-listed vector, so heap sifts never move
-// a callable. cancel() flips a liveness flag in O(1) — validated against
-// the id window, so cancelling an already-executed or unknown id is a
-// no-op — and dead entries (with their slots) are reclaimed on pop or
-// compacted in bulk when they outnumber live ones. Pop order is
-// byte-identical to the std::priority_queue this replaced (fuzz-tested).
+// over 24-byte {time, id, slot} keys. The slot, in a free-listed vector, is
+// the event's only record: its id, class, owner, handler and trace context.
+// Heap sifts never move a callable, and a key is live while its slot holds
+// its id. cancel(handle) frees the slot, captures included, in O(1); a
+// handle whose event already ran or was cancelled is a no-op. The dead key
+// is dropped when popped, or compacted in bulk once dead keys outnumber
+// live ones. Pop order is byte-identical to the std::priority_queue this
+// replaced (fuzz-tested).
 //
 // Every event has a class (sim/event_heap.hh): background for the
 // self-re-arming liveness and observation events, foreground for the rest.
@@ -74,7 +75,7 @@ class Simulator {
   Time now() const { return now_; }
 
   using EventId = std::uint64_t;
-  static constexpr EventId kNoEvent = 0;
+  static constexpr EventHandle kNoEvent{};
 
   /// No owner: the event fires unconditionally.
   static constexpr NodeId kNoOwner = -1;
@@ -85,15 +86,15 @@ class Simulator {
   /// hoisted here so callers don't wrap `fn` in a guard lambda (a SmallFn
   /// never fits inside another SmallFn's inline buffer). `cls` is the
   /// event's class; only liveness and observation events pass Background.
-  EventId schedule_at(Time t, util::SmallFn fn, NodeId owner = kNoOwner,
-                      EventClass cls = EventClass::Foreground);
-  EventId schedule_after(Time delay, util::SmallFn fn, NodeId owner = kNoOwner,
-                         EventClass cls = EventClass::Foreground);
+  EventHandle schedule_at(Time t, util::SmallFn fn, NodeId owner = kNoOwner,
+                          EventClass cls = EventClass::Foreground);
+  EventHandle schedule_after(Time delay, util::SmallFn fn, NodeId owner = kNoOwner,
+                             EventClass cls = EventClass::Foreground);
 
-  /// Cancels a scheduled event. Safe for any id: an already-executed,
-  /// already-cancelled, or never-issued id is an O(1) no-op (stale timer
-  /// handles from long-lived processes cannot leak queue state).
-  void cancel(EventId id);
+  /// Cancels a queued event and destroys its handler at once. Safe for any
+  /// handle: one whose event already ran or was cancelled, whose slot now
+  /// holds a newer event, or that was never issued is an O(1) no-op.
+  void cancel(EventHandle ev);
 
   /// Constructs a process of type T, registers it, and returns a reference.
   /// NodeIds are assigned densely in spawn order, so a fixed construction
@@ -133,17 +134,17 @@ class Simulator {
   /// Runs until the event queue is empty.
   std::size_t run(std::size_t max_events = 50'000'000);
 
-  /// Live events currently queued — cancelled-but-unreclaimed entries are
+  /// Live events currently queued — the dead keys of cancelled events are
   /// excluded, so the `queue.events` gauge reports true queue depth.
-  std::size_t pending_events() const { return live_.live_count(); }
+  std::size_t pending_events() const { return live_; }
   /// Live foreground events currently queued (exact: cancels count at once).
-  std::size_t pending_foreground() const { return live_.live_foreground(); }
+  std::size_t pending_foreground() const { return live_foreground_; }
 
   /// Events dispatched so far (the run's logical step counter).
   std::uint64_t events_dispatched() const { return dispatched_; }
 
-  /// Event slots allocated so far: the high-water mark of queued entries,
-  /// cancelled-but-unreclaimed ones included (slots are reused, never
+  /// Event slots allocated so far: the high-water mark of live queued
+  /// events (a cancel frees its slot at once; slots are reused, never
   /// released).
   std::size_t event_slots() const { return slots_.size(); }
 
@@ -188,15 +189,17 @@ class Simulator {
     SlotIndex slot = kNoSlot;
   };
   static_assert(sizeof(EventKey) == 24 && std::is_trivially_copyable_v<EventKey>);
-  /// What the heap does not move: the event's payload, from schedule_at
-  /// until dispatch (or until a cancelled entry is reclaimed).
+  /// What the heap does not move: the event itself, from schedule_at until
+  /// dispatch or cancel.
   struct Slot {
+    EventId id = 0;                 // the queued event's id; 0 while free
     NodeId owner = kNoOwner;        // crash-stop guard; kNoOwner fires always
     SlotIndex next_free = kNoSlot;  // free-list link while unused
     util::SmallFn fn;
     // The scheduling context propagates to the event: a timer or cpu slice
     // scheduled inside a traced request stays part of that trace.
     obs::TraceContext ctx;
+    EventClass cls = EventClass::Foreground;  // last: it fits the tail padding
   };
 
   NodeId next_node_id() const { return static_cast<NodeId>(processes_.size()); }
@@ -209,18 +212,19 @@ class Simulator {
     explicit Perturb(const PerturbConfig& c) : config(c), rng(c.seed) {}
   };
 
-  /// Pops the next live event's key into `ev` (skipping and reclaiming
-  /// dead entries). Returns false when the queue holds no live event. With
-  /// tie-break perturbation on, a random ready event runs first instead of
-  /// the lowest-id one.
+  /// Pops the next live event's key into `ev` (dropping dead keys).
+  /// Returns false when the queue holds no live event. With tie-break
+  /// perturbation on, a random ready event runs first instead of the
+  /// lowest-id one.
   bool pop_next(EventKey& ev);
   /// The unperturbed part of pop_next: lowest (time, id) live event.
   bool pop_live(EventKey& ev);
-  /// Reclaims a cancelled entry popped off the queue, with its slot.
-  void reclaim(const EventKey& dead);
+  bool is_live(const EventKey& ev) const { return slots_[ev.slot].id == ev.id; }
   SlotIndex take_slot();
-  /// Destroys the slot's handler and puts the slot on the free list.
-  void free_slot(SlotIndex slot);
+  /// Ends the slot's event (dispatch or cancel): uncounts it, puts the slot
+  /// on the free list and hands back the handler, which the caller destroys
+  /// once the slot is free (a capture's destructor may schedule).
+  util::SmallFn free_slot(SlotIndex slot);
   /// Checked dispatch shared by every run loop: asserts time never
   /// rewinds, advances the clock, frees the event's slot, and runs the
   /// handler in its context.
@@ -240,8 +244,8 @@ class Simulator {
   std::vector<Slot> slots_;        // indexed by EventKey::slot
   SlotIndex free_head_ = kNoSlot;  // intrusive free list through Slot::next_free
   std::vector<EventKey> ties_;     // pop_next's tie set, reused
-  IdWindow live_;              // liveness per event id; validates cancels
-  std::size_t lazy_dead_ = 0;  // cancelled entries still inside queue_
+  std::size_t live_ = 0;             // live events; the rest of queue_ is dead keys
+  std::size_t live_foreground_ = 0;  // the foreground ones among them
   std::vector<std::unique_ptr<Process>> processes_;
   util::Rng rng_;
   obs::Registry metrics_;

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "sim/simulator.hh"
 
 namespace repli::db {
@@ -296,6 +298,36 @@ TEST(LockManager, WaitDiePriorityIsSticky) {
   lm.acquire("t2", 1, "k", LockMode::Exclusive, [] {}, [&] { died = true; });
   EXPECT_FALSE(died);
   EXPECT_EQ(lm.waiting_count(), 1u);
+}
+
+// A transaction is tracked only while it holds or waits for a lock: after
+// 10k distinct transactions — granted at once, granted after a wait, or
+// released while still waiting — the manager keeps none of them, and
+// every wait timeout was cancelled.
+TEST(LockManager, ReleaseAllForgetsTheTransaction) {
+  Fixture f;
+  auto& lm = f.lm;
+  int grants = 0;
+  for (int i = 0; i < 10'000; i += 4) {
+    const auto txn = [i](int k) { return "t" + std::to_string(i + k); };
+    const std::string key = "k" + std::to_string(i % 32);
+    lm.acquire(txn(0), 4, key, LockMode::Exclusive, [&] { ++grants; }, [] { FAIL(); });
+    lm.acquire(txn(1), 3, key, LockMode::Shared, [&] { ++grants; }, [] { FAIL(); });
+    lm.acquire(txn(2), 2, key, LockMode::Shared, [&] { ++grants; }, [] { FAIL(); });
+    lm.acquire(txn(3), 1, key, LockMode::Exclusive, [&] { ++grants; }, [] { FAIL(); });
+    EXPECT_EQ(lm.waiting_count(), 3u);
+    EXPECT_EQ(lm.tracked_txns(), 4u);
+    lm.release_all(txn(3));  // still waiting
+    lm.release_all(txn(0));  // grants both readers
+    lm.release_all(txn(1));
+    lm.release_all(txn(2));
+  }
+  EXPECT_EQ(grants, 10'000 / 4 * 3);
+  EXPECT_EQ(lm.waiting_count(), 0u);
+  EXPECT_EQ(lm.tracked_txns(), 0u);
+  EXPECT_EQ(f.sim.pending_events(), 0u);
+  lm.release_all("t0");  // already forgotten: a no-op
+  EXPECT_FALSE(lm.holds("t0", "k0", LockMode::Shared));
 }
 
 }  // namespace

@@ -101,86 +101,6 @@ TEST(EventHeap, CompactDropsDeadAndKeepsOrder) {
   }
 }
 
-TEST(IdWindow, TracksLiveness) {
-  IdWindow w;
-  w.push(1);
-  w.push(2);
-  w.push(3);
-  EXPECT_EQ(w.live_count(), 3u);
-  EXPECT_TRUE(w.is_live(2));
-  w.kill(2);
-  EXPECT_FALSE(w.is_live(2));
-  EXPECT_EQ(w.live_count(), 2u);
-  EXPECT_FALSE(w.is_live(0));   // never issued
-  EXPECT_FALSE(w.is_live(99));  // not issued yet
-  EXPECT_THROW(w.kill(2), util::InvariantViolation);  // already dead
-}
-
-TEST(IdWindow, BaseAdvancesPastDeadPrefix) {
-  IdWindow w;
-  for (IdWindow::Id id = 1; id <= 2000; ++id) w.push(id);
-  // Kill in issue order: the window's span must track the live ids left,
-  // not the total ids ever issued.
-  for (IdWindow::Id id = 1; id <= 1990; ++id) w.kill(id);
-  EXPECT_EQ(w.live_count(), 10u);
-  EXPECT_EQ(w.window_span(), 10u);
-  for (IdWindow::Id id = 1991; id <= 2000; ++id) EXPECT_TRUE(w.is_live(id));
-}
-
-TEST(IdWindow, RejectsNonIncreasingIds) {
-  IdWindow w;
-  w.push(5);
-  EXPECT_THROW(w.push(5), util::InvariantViolation);
-  EXPECT_THROW(w.push(3), util::InvariantViolation);
-}
-
-TEST(IdWindow, CountsForegroundThroughPushKillAndCancel) {
-  IdWindow w;
-  w.push(1, EventClass::Foreground);
-  w.push(2, EventClass::Background);
-  w.push(3, EventClass::Foreground);
-  w.push(4, EventClass::Background);
-  EXPECT_EQ(w.live_count(), 4u);
-  EXPECT_EQ(w.live_foreground(), 2u);
-  EXPECT_EQ(w.kill(2), EventClass::Background);  // a cancelled background event
-  EXPECT_EQ(w.live_foreground(), 2u);
-  EXPECT_EQ(w.kill(3), EventClass::Foreground);
-  EXPECT_EQ(w.live_foreground(), 1u);
-  EXPECT_EQ(w.kill(1), EventClass::Foreground);
-  EXPECT_EQ(w.live_foreground(), 0u);
-  EXPECT_EQ(w.live_count(), 1u);  // the background event 4 is still live
-  EXPECT_TRUE(w.is_live(4));
-}
-
-// The foreground count must equal a reference set's under any interleaving
-// of pushes, kills (dispatch or cancel) and window growth.
-TEST(IdWindow, ForegroundCountMatchesReferenceSetUnderFuzz) {
-  util::Rng rng(2024);
-  IdWindow w;
-  std::map<IdWindow::Id, EventClass> live;  // the reference
-  IdWindow::Id next = 1;
-  for (int step = 0; step < 50000; ++step) {
-    if (live.empty() || rng.bernoulli(0.55)) {
-      const auto cls = rng.bernoulli(0.4) ? EventClass::Background : EventClass::Foreground;
-      w.push(next, cls);
-      live.emplace(next, cls);
-      ++next;
-    } else {
-      // Kill a random live id: old ones (like a long timer) as well as fresh.
-      auto it = live.lower_bound(static_cast<IdWindow::Id>(rng.uniform(1, next - 1)));
-      if (it == live.end()) it = live.begin();
-      ASSERT_TRUE(w.is_live(it->first));
-      ASSERT_EQ(w.kill(it->first), it->second);
-      live.erase(it);
-    }
-    ASSERT_EQ(w.live_count(), live.size()) << "step " << step;
-    if (step % 64 != 0) continue;
-    const auto fg = static_cast<std::size_t>(std::count_if(
-        live.begin(), live.end(), [](const auto& e) { return e.second == EventClass::Foreground; }));
-    ASSERT_EQ(w.live_foreground(), fg) << "step " << step;
-  }
-}
-
 // --- Simulator event-lifecycle regressions -------------------------------
 
 // Regression: cancelling an id that already executed (a stale timer handle)
@@ -194,7 +114,8 @@ TEST(SimulatorLifecycle, StaleCancelIsNoOp) {
   EXPECT_EQ(runs, 1);
   for (int i = 0; i < 100; ++i) sim.cancel(id);  // executed: no-op
   sim.cancel(Simulator::kNoEvent);               // null handle: no-op
-  sim.cancel(123456);                            // never issued: no-op
+  sim.cancel({123456, 0});                       // never issued: no-op
+  sim.cancel({id.id, 99});                       // slot never allocated: no-op
   EXPECT_EQ(sim.pending_events(), 0u);
   // The stale cancels must not poison later events.
   sim.schedule_at(20, [&] { ++runs; });
@@ -217,7 +138,7 @@ TEST(SimulatorLifecycle, DoubleCancelIsNoOp) {
 // cancelled-but-unpopped entries — the queue.events gauge read too high.
 TEST(SimulatorLifecycle, PendingEventsCountsLiveOnly) {
   Simulator sim(1);
-  std::vector<Simulator::EventId> ids;
+  std::vector<EventHandle> ids;
   for (int i = 0; i < 10; ++i) ids.push_back(sim.schedule_at(10 + i, [] {}));
   EXPECT_EQ(sim.pending_events(), 10u);
   for (int i = 0; i < 4; ++i) sim.cancel(ids[static_cast<std::size_t>(i)]);
@@ -232,7 +153,7 @@ TEST(SimulatorLifecycle, CancelChurnStillRunsSurvivorsInOrder) {
   Simulator sim(1);
   util::Rng rng(7);
   std::vector<Time> ran;
-  std::vector<Simulator::EventId> ids;
+  std::vector<EventHandle> ids;
   std::vector<Time> expect;
   for (int i = 0; i < 2000; ++i) {
     const Time t = rng.uniform(1, 1000);
@@ -270,13 +191,78 @@ TEST(SimulatorLifecycle, RunUntilRequeuesLiveEventPastHorizonBehindDeadMin) {
   EXPECT_EQ(sim.now(), 200);
 }
 
+// pending_events() and pending_foreground() must equal a reference set's
+// counts under any interleaving of schedules, cancels, stale cancels
+// (handles whose event ran or was cancelled, and whose slot a newer event
+// may hold) and partial runs; every handler runs once, on time, while live.
+TEST(SimulatorLifecycle, PendingCountsMatchReferenceSetUnderFuzz) {
+  Simulator sim(1);
+  util::Rng rng(2024);
+  struct Live {
+    EventHandle handle;
+    EventClass cls = EventClass::Foreground;
+    Time time = 0;
+  };
+  std::map<int, Live> live;  // the reference, by schedule serial
+  std::vector<EventHandle> stale;
+  int bad_runs = 0;
+  const auto foreground = [&] {
+    return static_cast<std::size_t>(std::count_if(live.begin(), live.end(), [](const auto& e) {
+      return e.second.cls == EventClass::Foreground;
+    }));
+  };
+  for (int step = 0; step < 50000; ++step) {
+    const double op = rng.uniform01();
+    if (live.empty() || op < 0.45) {
+      const auto cls = rng.bernoulli(0.4) ? EventClass::Background : EventClass::Foreground;
+      const Time t = sim.now() + rng.uniform(0, 500);
+      const auto handle = sim.schedule_at(t, [&, step] {
+        const auto it = live.find(step);
+        if (it == live.end() || it->second.time != sim.now()) {
+          ++bad_runs;
+          return;
+        }
+        stale.push_back(it->second.handle);
+        live.erase(it);
+      }, Simulator::kNoOwner, cls);
+      live.emplace(step, Live{handle, cls, t});
+    } else if (op < 0.7) {
+      // Cancel a random live event: old ones (like a long timer) as well as fresh.
+      auto it = live.lower_bound(static_cast<int>(rng.uniform(0, step)));
+      if (it == live.end()) it = live.begin();
+      sim.cancel(it->second.handle);
+      stale.push_back(it->second.handle);
+      live.erase(it);
+    } else if (op < 0.85) {
+      if (!stale.empty()) {
+        sim.cancel(stale[static_cast<std::size_t>(
+            rng.uniform(0, static_cast<std::int64_t>(stale.size()) - 1))]);
+      }
+    } else {
+      sim.run_until(sim.now() + rng.uniform(0, 100));
+      for (const auto& [serial, e] : live) {
+        ASSERT_GT(e.time, sim.now()) << "step " << step;
+      }
+    }
+    ASSERT_EQ(sim.pending_events(), live.size()) << "step " << step;
+    if (step % 16 == 0) {
+      ASSERT_EQ(sim.pending_foreground(), foreground()) << "step " << step;
+    }
+  }
+  sim.run();
+  EXPECT_TRUE(live.empty());
+  EXPECT_EQ(sim.pending_events(), 0u);
+  EXPECT_EQ(sim.pending_foreground(), 0u);
+  EXPECT_EQ(bad_runs, 0);
+}
+
 // run() and run_until() share one checked dispatch path: time never moves
 // backwards across the boundary between the two, with cancels interleaved.
 TEST(SimulatorLifecycle, RunAfterRunUntilKeepsTimeMonotone) {
   Simulator sim(1);
   util::Rng rng(21);
   std::vector<Time> ran;
-  std::vector<Simulator::EventId> ids;
+  std::vector<EventHandle> ids;
   for (int i = 0; i < 200; ++i) {
     const Time t = rng.uniform(1, 400);
     ids.push_back(sim.schedule_at(t, [&ran, &sim] { ran.push_back(sim.now()); }));

@@ -1,17 +1,20 @@
 // Event slots and dense network accounting.
 //
-// The event heap orders 24-byte keys; each event's handler, owner and trace
-// context wait in a reusable slot. These tests hold the slot lifecycle to
-// its contract: a handler may schedule (and so regrow the slot vector)
-// during its own dispatch, cancelled entries give their slots back however
-// they are reclaimed, and the slot count tracks the queue's high-water mark,
-// not run length. The network tests hold the per-type table and the
-// per-link in-flight table to the maps they replaced.
+// The event heap orders 24-byte keys; each event's id, class, handler,
+// owner and trace context wait in a reusable slot, the event's only record.
+// These tests hold the slot lifecycle to its contract: a handler may
+// schedule (and so regrow the slot vector) during its own dispatch, a
+// cancel gives the slot and its captures back at once, a stale handle
+// cannot cancel the newer event that reuses its slot, and the slot count
+// tracks the live events' high-water mark, not run length. The network
+// tests hold the per-type table and the per-link in-flight table to the
+// maps they replaced.
 #include <gtest/gtest.h>
 
 #include <map>
 #include <memory>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "sim/network.hh"
@@ -78,11 +81,10 @@ TEST(EventSlots, ScheduleCancelCyclesKeepTheSlotCountBounded) {
     peak_pending = std::max(peak_pending, sim.pending_events());
     sim.cancel(id);
   }
-  // Dead entries stay queued until bulk compaction (once 64 of them
-  // outnumber the live ones), so the queue — and with it the slot count —
-  // peaks at the live events plus that many dead ones.
+  // Dead keys stay queued until bulk compaction, but each cancel frees its
+  // slot at once: the churn reuses one slot.
   EXPECT_EQ(peak_pending, static_cast<std::size_t>(kLive) + 1);
-  EXPECT_LE(sim.event_slots(), 2 * peak_pending + 64);
+  EXPECT_EQ(sim.event_slots(), static_cast<std::size_t>(kLive) + 1);
   sim.run();
   EXPECT_EQ(ran, kLive);
 }
@@ -90,21 +92,79 @@ TEST(EventSlots, ScheduleCancelCyclesKeepTheSlotCountBounded) {
 TEST(EventSlots, CancelledTiesUnderTieBreakAreReclaimed) {
   Simulator sim(1);
   sim.enable_perturbation(PerturbConfig{.seed = 9, .tie_break = true});
-  constexpr int kTies = 40;  // below the compaction floor: the gather reclaims
+  constexpr int kTies = 40;  // below the compaction floor: the gather drops dead keys
   int ran = 0;
-  std::vector<Simulator::EventId> ids;
+  std::vector<EventHandle> ids;
   for (int i = 0; i < kTies; ++i) ids.push_back(sim.schedule_at(10, [&ran] { ++ran; }));
   for (int i = 1; i < kTies; i += 2) sim.cancel(ids[static_cast<std::size_t>(i)]);
   sim.run();
   EXPECT_EQ(ran, kTies / 2);
   EXPECT_FALSE(sim.tie_decisions().empty());
   EXPECT_EQ(sim.event_slots(), static_cast<std::size_t>(kTies));
-  // Every slot came back, the cancelled ones included: a second round of
-  // the same size takes no new slot.
+  // Every slot came back, the cancelled ones at the cancel: a second round
+  // of the same size takes no new slot.
   for (int i = 0; i < kTies; ++i) sim.schedule_at(20, [&ran] { ++ran; });
   EXPECT_EQ(sim.event_slots(), static_cast<std::size_t>(kTies));
   sim.run();
   EXPECT_EQ(ran, kTies / 2 + kTies);
+}
+
+TEST(EventSlots, StaleHandleDoesNotCancelTheNewerEventInItsSlot) {
+  Simulator sim(1);
+  int ran = 0;
+  // A cancelled event's slot goes to the next schedule.
+  const auto cancelled = sim.schedule_at(10, [&ran] { ran += 100; });
+  sim.cancel(cancelled);
+  const auto reuser = sim.schedule_at(10, [&ran] { ++ran; });
+  ASSERT_EQ(reuser.slot, cancelled.slot);
+  ASSERT_NE(reuser.id, cancelled.id);
+  sim.cancel(cancelled);
+  EXPECT_EQ(sim.pending_events(), 1u);
+  // So does an executed event's.
+  sim.run();
+  EXPECT_EQ(ran, 1);
+  const auto next = sim.schedule_at(20, [&ran] { ++ran; });
+  ASSERT_EQ(next.slot, reuser.slot);
+  sim.cancel(reuser);
+  sim.cancel(cancelled);
+  EXPECT_EQ(sim.pending_events(), 1u);
+  sim.run();
+  EXPECT_EQ(ran, 2);
+}
+
+TEST(EventSlots, CancelDestroysTheCapturesAtOnce) {
+  Simulator sim(1);
+  std::weak_ptr<int> watch;
+  EventHandle handle;
+  {
+    auto probe = std::make_shared<int>(1);
+    watch = probe;
+    handle = sim.schedule_at(500'000, [probe] { (void)probe; });
+  }
+  sim.schedule_at(10, [] {});
+  EXPECT_FALSE(watch.expired());
+  sim.cancel(handle);
+  EXPECT_TRUE(watch.expired());  // not when the dead key surfaces at 500 ms
+  EXPECT_EQ(sim.pending_events(), 1u);
+  // A capture whose destructor schedules: the cancelled slot is already
+  // free, so the new event may take it.
+  struct ScheduleOnDestroy {
+    Simulator* sim;
+    int* ran;
+    ScheduleOnDestroy(Simulator* s, int* r) : sim(s), ran(r) {}
+    ScheduleOnDestroy(ScheduleOnDestroy&& o) noexcept : sim(std::exchange(o.sim, nullptr)), ran(o.ran) {}
+    ~ScheduleOnDestroy() {
+      if (sim != nullptr) sim->schedule_at(20, [r = ran] { ++*r; });
+    }
+    void operator()() const {}
+  };
+  int ran = 0;
+  const auto doomed = sim.schedule_at(30, ScheduleOnDestroy(&sim, &ran));
+  sim.cancel(doomed);
+  EXPECT_EQ(sim.pending_events(), 2u);
+  sim.run();
+  EXPECT_EQ(ran, 1);
+  EXPECT_EQ(sim.events_dispatched(), 2u);
 }
 
 TEST(EventSlots, CrashedOwnersEventStillDispatchesAndCounts) {
