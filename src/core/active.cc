@@ -24,37 +24,35 @@ ActiveReplica::ActiveReplica(sim::NodeId id, sim::Simulator& sim, ReplicaEnv env
   choices_ = std::make_unique<db::LocalRandomChoices>(*exec_rng_);
 
   abcast_->set_deliver([this](sim::NodeId /*origin*/, wire::MessagePtr msg) {
-    const auto request = wire::message_cast<ClientRequest>(msg);
-    if (request) on_request(*request);
+    if (const auto request = wire::message_cast<ClientRequest>(msg)) on_request(request);
   });
 }
 
-void ActiveReplica::on_request(const ClientRequest& request) {
+void ActiveReplica::on_request(const RequestPtr& request) {
   // Client retries re-enter the ABCAST; total order makes the dedup
   // decision identical at every replica. Re-replying from the cache covers
   // the case where every original reply was lost.
-  if (!seen_.insert(request.request_id).second) {
-    replay_cached_reply(request.client, request.request_id);
+  if (!seen_.insert(request->request_id).second) {
+    replay_cached_reply(request->client, request->request_id);
     return;
   }
-  util::ensure(request.ops.size() == 1,
+  util::ensure(request->ops.size() == 1,
                "active replication implements the single-operation model (§2.2)");
-  phase_now(request.request_id, sim::Phase::ServerCoord);
+  phase_now(request->request_id, sim::Phase::ServerCoord);
 
-  const db::Operation op = request.ops.front();
   const auto exec_start = now();
-  cpu_execute(kExecCost, [this, request, op, exec_start] {
-    const auto outcome =
-        db::execute_and_commit(registry(), op, storage_, *choices_, request.request_id);
-    phase(request.request_id, sim::Phase::Execution, exec_start, now());
-    exec_span(op, exec_start, request.request_id);
+  cpu_execute(kExecCost, [this, request, exec_start] {
+    const db::Operation& op = request->ops.front();
+    const std::string& id = request->request_id;
+    const auto outcome = db::execute_and_commit(registry(), op, storage_, *choices_, id);
+    phase(id, sim::Phase::Execution, exec_start, now());
+    exec_span(op, exec_start, id);
     if (!outcome.writes.empty()) {
-      record_commit(request.request_id, outcome.writes, outcome.read_versions,
-                    outcome.commit_seq);
+      record_commit(id, outcome.writes, outcome.read_versions, outcome.commit_seq);
     }
-    cache_reply(request.request_id, true, outcome.result);
+    cache_reply(id, true, outcome.result);
     // Every replica answers; the client keeps the first reply (§3.2 step 5).
-    reply(request.client, request.request_id, true, outcome.result);
+    reply(request->client, id, true, outcome.result);
   });
 }
 

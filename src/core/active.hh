@@ -31,7 +31,7 @@ class ActiveReplica : public ReplicaBase {
                 AbcastImpl impl = AbcastImpl::Sequencer);
 
  private:
-  void on_request(const ClientRequest& request);
+  void on_request(const RequestPtr& request);
 
   gcs::FailureDetector fd_;
   std::unique_ptr<gcs::AtomicBroadcast> abcast_;

@@ -24,72 +24,71 @@ CertificationReplica::CertificationReplica(sim::NodeId id, sim::Simulator& sim, 
 }
 
 void CertificationReplica::on_unhandled(sim::NodeId /*from*/, wire::MessagePtr msg) {
-  const auto request = wire::message_cast<ClientRequest>(msg);
-  if (!request) return;
-  on_request(*request);
+  if (const auto request = wire::message_cast<ClientRequest>(msg)) on_request(request);
 }
 
-void CertificationReplica::on_request(const ClientRequest& request) {
-  if (replay_cached_reply(request.client, request.request_id)) return;
-  if (driving_.contains(request.request_id)) return;  // retry of an in-flight txn
-  if (config_.local_reads && request.read_only()) {
+void CertificationReplica::on_request(const RequestPtr& request) {
+  if (replay_cached_reply(request->client, request->request_id)) return;
+  if (driving_.contains(request->request_id)) return;  // retry of an in-flight txn
+  if (config_.local_reads && request->read_only()) {
     // [KA98] local reads: no broadcast, no certification — answer from the
     // local copy's committed state.
     const auto exec_start = now();
-    cpu_execute(kExecCost * static_cast<sim::Time>(request.ops.size()),
+    cpu_execute(kExecCost * static_cast<sim::Time>(request->ops.size()),
                 [this, request, exec_start] {
-      db::TxnExec txn(request.request_id, storage_);
-      db::SeededChoices choices(wire::fnv1a(request.request_id));
+      const std::string& id = request->request_id;
+      db::TxnExec txn(id, storage_);
+      db::SeededChoices choices(wire::fnv1a(id));
       std::string result;
       try {
-        for (const auto& op : request.ops) result = txn.run(registry(), op, choices);
+        for (const auto& op : request->ops) result = txn.run(registry(), op, choices);
       } catch (const std::exception& e) {
-        reply(request.client, request.request_id, false, e.what());
+        reply(request->client, id, false, e.what());
         return;
       }
-      phase(request.request_id, sim::Phase::Execution, exec_start, now());
-      exec_span(request.ops.back(), exec_start, request.request_id);
-      cache_reply(request.request_id, true, result);
-      reply(request.client, request.request_id, true, result);
+      phase(id, sim::Phase::Execution, exec_start, now());
+      exec_span(request->ops.back(), exec_start, id);
+      cache_reply(id, true, result);
+      reply(request->client, id, true, result);
     });
     return;
   }
-  driving_.emplace(request.request_id, request);
+  driving_.emplace(request->request_id, request);
   execute_and_broadcast(request, 1);
 }
 
-void CertificationReplica::execute_and_broadcast(const ClientRequest& request, int attempt) {
+void CertificationReplica::execute_and_broadcast(const RequestPtr& request, int attempt) {
   const auto exec_start = now();
-  cpu_execute(kExecCost * static_cast<sim::Time>(request.ops.size()),
+  cpu_execute(kExecCost * static_cast<sim::Time>(request->ops.size()),
               [this, request, attempt, exec_start] {
-    if (!driving_.contains(request.request_id)) return;  // resolved meanwhile
+    const std::string& id = request->request_id;
+    if (!driving_.contains(id)) return;  // resolved meanwhile
     // Optimistic execution on shadow copies (no coordination yet).
-    db::TxnExec txn(request.request_id, storage_);
-    db::SeededChoices choices(wire::fnv1a(request.request_id) + static_cast<std::uint64_t>(attempt));
+    db::TxnExec txn(id, storage_);
+    db::SeededChoices choices(wire::fnv1a(id) + static_cast<std::uint64_t>(attempt));
     std::string result;
     try {
-      for (const auto& op : request.ops) result = txn.run(registry(), op, choices);
+      for (const auto& op : request->ops) result = txn.run(registry(), op, choices);
     } catch (const std::exception& e) {
-      reply(request.client, request.request_id, false, e.what());
-      driving_.erase(request.request_id);
+      reply(request->client, id, false, e.what());
+      driving_.erase(id);
       return;
     }
-    phase(request.request_id, sim::Phase::Execution, exec_start, now());
-    exec_span(request.ops.back(), exec_start, request.request_id);
+    phase(id, sim::Phase::Execution, exec_start, now());
+    exec_span(request->ops.back(), exec_start, id);
 
     CtCertify cert;
-    cert.txn = request.request_id;
+    cert.txn = id;
     cert.attempt = static_cast<std::uint32_t>(attempt);
-    cert.delegate = id();
-    cert.client = request.client;
+    cert.delegate = this->id();
+    cert.client = request->client;
     cert.result = result;
     cert.read_versions = txn.read_versions();
     cert.writes = txn.writes();
     // Delegate-side AC span: open now, closed when the certification verdict
     // arrives back through the total order.
-    ac_spans_[request.request_id] =
-        tracer().begin(id(), "core/ac.certify", now(), request.request_id);
-    tracer().attr(ac_spans_[request.request_id], "attempt", std::to_string(attempt));
+    ac_spans_[id] = tracer().begin(this->id(), "core/ac.certify", now(), id);
+    tracer().attr(ac_spans_[id], "attempt", std::to_string(attempt));
     abcast_.abcast(cert);
   });
 }

@@ -62,8 +62,8 @@ class CertificationReplica : public ReplicaBase {
   void on_unhandled(sim::NodeId from, wire::MessagePtr msg) override;
 
  private:
-  void on_request(const ClientRequest& request);
-  void execute_and_broadcast(const ClientRequest& request, int attempt);
+  void on_request(const RequestPtr& request);
+  void execute_and_broadcast(const RequestPtr& request, int attempt);
   void on_delivered(const CtCertify& cert);
   void close_ac_span(const std::string& txn, const char* verdict);
 
@@ -71,7 +71,7 @@ class CertificationReplica : public ReplicaBase {
   gcs::SequencerAbcast abcast_;
   CertificationConfig config_;
 
-  std::map<std::string, ClientRequest> driving_;  // delegate-side, for retries
+  std::map<std::string, RequestPtr> driving_;  // delegate-side, for retries
   std::set<std::string> decided_;                 // txns certified (either way)
   std::map<std::string, obs::SpanId> ac_spans_;   // delegate: broadcast -> verdict
 };

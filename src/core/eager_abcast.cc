@@ -15,13 +15,11 @@ EagerAbcastReplica::EagerAbcastReplica(sim::NodeId id, sim::Simulator& sim, Repl
   add_component(fd_);
   add_component(abcast_);
   abcast_.set_deliver([this](sim::NodeId /*origin*/, wire::MessagePtr msg) {
-    const auto fwd = wire::message_cast<EaForward>(msg);
-    if (fwd) on_delivered(*fwd);
+    if (const auto fwd = wire::message_cast<EaForward>(msg)) on_delivered(fwd);
   });
   if (config_.optimistic_execution) {
     abcast_.set_opt_deliver([this](sim::NodeId /*origin*/, wire::MessagePtr msg) {
-      const auto fwd = wire::message_cast<EaForward>(msg);
-      if (fwd) on_optimistic(*fwd);
+      if (const auto fwd = wire::message_cast<EaForward>(msg)) on_optimistic(fwd);
     });
   }
 }
@@ -40,25 +38,26 @@ void EagerAbcastReplica::on_unhandled(sim::NodeId /*from*/, wire::MessagePtr msg
   abcast_.abcast(fwd);
 }
 
-void EagerAbcastReplica::on_optimistic(const EaForward& fwd) {
+void EagerAbcastReplica::on_optimistic(const std::shared_ptr<const EaForward>& fwd) {
   // Tentative execution, overlapping the ordering round. The CPU work is
   // the same; what we buy is that it happens *now* instead of after the
   // sequencer's round trip.
-  const ClientRequest request = fwd.request;
-  if (seen_.contains(request.request_id) || tentative_.contains(request.request_id)) return;
-  tentative_.emplace(request.request_id, Tentative{});
+  // Shares the delivered forward: closures below hold it, not a copy.
+  const RequestPtr request(fwd, &fwd->request);
+  if (seen_.contains(request->request_id) || tentative_.contains(request->request_id)) return;
+  tentative_.emplace(request->request_id, Tentative{});
   cpu_execute(kExecCost, [this, request] {
     // Note: the final delivery may already have *arrived* — that is fine,
     // its commit task sits behind this one on the CPU queue and will pick
     // the tentative result up. Only a finished transaction (entry erased)
     // makes this work pointless.
-    const auto it = tentative_.find(request.request_id);
+    const auto it = tentative_.find(request->request_id);
     if (it == tentative_.end()) return;
     Tentative& t = it->second;
-    db::TxnExec txn(request.request_id, storage_);
-    db::SeededChoices choices(wire::fnv1a(request.request_id));
+    db::TxnExec txn(request->request_id, storage_);
+    db::SeededChoices choices(wire::fnv1a(request->request_id));
     try {
-      t.result = txn.run(registry(), request.ops.front(), choices);
+      t.result = txn.run(registry(), request->ops.front(), choices);
     } catch (const std::exception&) {
       tentative_.erase(it);  // fall back to the final-delivery path
       return;
@@ -69,11 +68,12 @@ void EagerAbcastReplica::on_optimistic(const EaForward& fwd) {
   });
 }
 
-void EagerAbcastReplica::on_delivered(const EaForward& fwd) {
-  const ClientRequest request = fwd.request;
-  if (!seen_.insert(request.request_id).second) return;  // duplicate forward
-  phase_now(request.request_id, sim::Phase::ServerCoord);
-  const auto delegate = fwd.delegate;
+void EagerAbcastReplica::on_delivered(const std::shared_ptr<const EaForward>& fwd) {
+  // Shares the delivered forward: closures below hold it, not a copy.
+  const RequestPtr request(fwd, &fwd->request);
+  if (!seen_.insert(request->request_id).second) return;  // duplicate forward
+  phase_now(request->request_id, sim::Phase::ServerCoord);
+  const auto delegate = fwd->delegate;
 
   // A tentative execution validates iff everything it read is unchanged
   // (certification-style): then its effects equal what executing at the
@@ -90,31 +90,31 @@ void EagerAbcastReplica::on_delivered(const EaForward& fwd) {
   // A tentative entry — even one whose execution is still queued — will be
   // complete by the time our task reaches the front of the (FIFO) CPU
   // queue, so its existence predicts a hit; validation happens in-task.
-  const bool predicted_hit = tentative_.contains(request.request_id);
+  const bool predicted_hit = tentative_.contains(request->request_id);
   const auto exec_start = now();
 
   auto commit = [this, request, delegate, exec_start](std::map<db::Key, db::Value> writes,
                                                       std::map<db::Key, std::uint64_t> reads,
                                                       std::string result) {
-    tentative_.erase(request.request_id);
+    tentative_.erase(request->request_id);
     if (!writes.empty()) {
       const auto commit_seq = storage_.next_commit_seq();
       for (const auto& [key, value] : writes) {
-        storage_.put(key, value, commit_seq, request.request_id);
+        storage_.put(key, value, commit_seq, request->request_id);
       }
-      record_commit(request.request_id, writes, reads, commit_seq);
+      record_commit(request->request_id, writes, reads, commit_seq);
     }
-    phase(request.request_id, sim::Phase::Execution, exec_start, now());
-    exec_span(request.ops.front(), exec_start, request.request_id);
-    cache_reply(request.request_id, true, result);
+    phase(request->request_id, sim::Phase::Execution, exec_start, now());
+    exec_span(request->ops.front(), exec_start, request->request_id);
+    cache_reply(request->request_id, true, result);
     if (delegate == id()) {
-      reply(request.client, request.request_id, true, result);
+      reply(request->client, request->request_id, true, result);
     }
   };
   auto execute_now = [this, request, commit] {
-    db::TxnExec txn(request.request_id, storage_);
-    db::SeededChoices choices(wire::fnv1a(request.request_id));
-    const auto result = txn.run(registry(), request.ops.front(), choices);
+    db::TxnExec txn(request->request_id, storage_);
+    db::SeededChoices choices(wire::fnv1a(request->request_id));
+    const auto result = txn.run(registry(), request->ops.front(), choices);
     if (config_.optimistic_execution) {
       sim().metrics().incr("optimistic.misses");
     }
@@ -126,7 +126,7 @@ void EagerAbcastReplica::on_delivered(const EaForward& fwd) {
     return;
   }
   cpu_execute(kApplyCost, [this, request, validates, commit, execute_now] {
-    const auto it = tentative_.find(request.request_id);
+    const auto it = tentative_.find(request->request_id);
     if (it != tentative_.end() && validates(it->second)) {
       sim().metrics().incr("optimistic.hits");
       commit(std::move(it->second.writes), std::move(it->second.reads),

@@ -49,8 +49,8 @@ class EagerAbcastReplica : public ReplicaBase {
   void on_unhandled(sim::NodeId from, wire::MessagePtr msg) override;
 
  private:
-  void on_optimistic(const EaForward& fwd);
-  void on_delivered(const EaForward& fwd);
+  void on_optimistic(const std::shared_ptr<const EaForward>& fwd);
+  void on_delivered(const std::shared_ptr<const EaForward>& fwd);
 
   struct Tentative {
     bool done = false;

@@ -25,7 +25,7 @@ EagerLockingReplica::EagerLockingReplica(sim::NodeId id, sim::Simulator& sim, Re
   add_component(link_);
   add_component(tpc_);
 
-  link_.set_deliver([this](sim::NodeId from, wire::MessagePtr msg) {
+  link_.set_deliver([this](sim::NodeId from, wire::MessagePtr msg, std::string_view) {
     if (const auto acquire = wire::message_cast<LkAcquire>(msg)) {
       local_acquire(from, *acquire);
       return;

@@ -26,35 +26,33 @@ LazyEverywhereReplica::LazyEverywhereReplica(sim::NodeId id, sim::Simulator& sim
 }
 
 void LazyEverywhereReplica::on_unhandled(sim::NodeId /*from*/, wire::MessagePtr msg) {
-  const auto request = wire::message_cast<ClientRequest>(msg);
-  if (!request) return;
-  on_request(*request);
+  if (const auto request = wire::message_cast<ClientRequest>(msg)) on_request(request);
 }
 
-void LazyEverywhereReplica::on_request(const ClientRequest& request) {
-  if (replay_cached_reply(request.client, request.request_id)) return;
+void LazyEverywhereReplica::on_request(const RequestPtr& request) {
+  if (replay_cached_reply(request->client, request->request_id)) return;
   const auto exec_start = now();
-  cpu_execute(kExecCost * static_cast<sim::Time>(request.ops.size()),
+  cpu_execute(kExecCost * static_cast<sim::Time>(request->ops.size()),
               [this, request, exec_start] {
-    db::TxnExec txn(request.request_id, storage_);
-    db::SeededChoices choices(wire::fnv1a(request.request_id));
+    db::TxnExec txn(request->request_id, storage_);
+    db::SeededChoices choices(wire::fnv1a(request->request_id));
     std::string result;
     try {
-      for (const auto& op : request.ops) result = txn.run(registry(), op, choices);
+      for (const auto& op : request->ops) result = txn.run(registry(), op, choices);
     } catch (const std::exception& e) {
-      reply(request.client, request.request_id, false, e.what());
+      reply(request->client, request->request_id, false, e.what());
       return;
     }
-    phase(request.request_id, sim::Phase::Execution, exec_start, now());
-    exec_span(request.ops.back(), exec_start, request.request_id);
+    phase(request->request_id, sim::Phase::Execution, exec_start, now());
+    exec_span(request->ops.back(), exec_start, request->request_id);
 
     const auto writes = txn.writes();
     if (!writes.empty()) {
       // Optimistic local commit: visible to local reads immediately.
       const auto seq = txn.commit_into(storage_);
-      record_commit(request.request_id, writes, txn.read_versions(), seq);
+      record_commit(request->request_id, writes, txn.read_versions(), seq);
       if (config_.reconciliation == Reconciliation::AbcastOrder) {
-        for (const auto& [key, value] : writes) local_pending_[key] = request.request_id;
+        for (const auto& [key, value] : writes) local_pending_[key] = request->request_id;
       } else {
         const Stamp mine{now(), id()};
         for (const auto& [key, value] : writes) {
@@ -63,13 +61,13 @@ void LazyEverywhereReplica::on_request(const ClientRequest& request) {
         }
       }
     }
-    cache_reply(request.request_id, true, result);
+    cache_reply(request->request_id, true, result);
     // END before AC: reply now, reconcile later.
-    reply(request.client, request.request_id, true, result);
+    reply(request->client, request->request_id, true, result);
 
     if (!writes.empty()) {
       LeUpdate update;
-      update.txn = request.request_id;
+      update.txn = request->request_id;
       update.origin = id();
       update.writes = writes;
       update.committed_at = now();

@@ -48,7 +48,7 @@ class LazyEverywhereReplica : public ReplicaBase {
   void on_unhandled(sim::NodeId from, wire::MessagePtr msg) override;
 
  private:
-  void on_request(const ClientRequest& request);
+  void on_request(const RequestPtr& request);
   void on_ordered(const LeUpdate& update);  // AbcastOrder policy
   void on_lww(const LeUpdate& update);      // TimestampLww policy
   void count_undone(const std::string& txn);

@@ -19,54 +19,52 @@ LazyPrimaryReplica::LazyPrimaryReplica(sim::NodeId id, sim::Simulator& sim, Repl
 }
 
 void LazyPrimaryReplica::on_unhandled(sim::NodeId /*from*/, wire::MessagePtr msg) {
-  const auto request = wire::message_cast<ClientRequest>(msg);
-  if (!request) return;
-  on_request(*request);
+  if (const auto request = wire::message_cast<ClientRequest>(msg)) on_request(request);
 }
 
-void LazyPrimaryReplica::on_request(const ClientRequest& request) {
-  if (replay_cached_reply(request.client, request.request_id)) return;
-  if (!request.read_only() && !is_primary()) {
+void LazyPrimaryReplica::on_request(const RequestPtr& request) {
+  if (replay_cached_reply(request->client, request->request_id)) return;
+  if (!request->read_only() && !is_primary()) {
     // Updates belong at the primary copy.
     auto redirect = std::make_shared<Redirect>();
-    redirect->request_id = request.request_id;
+    redirect->request_id = request->request_id;
     redirect->try_instead = group().members().front();
-    send(request.client, std::move(redirect));
+    send(request->client, std::move(redirect));
     return;
   }
   const auto exec_start = now();
-  cpu_execute(kExecCost * static_cast<sim::Time>(request.ops.size()),
+  cpu_execute(kExecCost * static_cast<sim::Time>(request->ops.size()),
               [this, request, exec_start] {
     // Execute the whole transaction locally (for lazy replication it makes
     // no difference whether it has one or many operations, §5.3).
-    db::TxnExec txn(request.request_id, storage_);
-    db::SeededChoices choices(wire::fnv1a(request.request_id));
+    db::TxnExec txn(request->request_id, storage_);
+    db::SeededChoices choices(wire::fnv1a(request->request_id));
     std::string result;
     try {
-      for (const auto& op : request.ops) result = txn.run(registry(), op, choices);
+      for (const auto& op : request->ops) result = txn.run(registry(), op, choices);
     } catch (const std::exception& e) {
-      reply(request.client, request.request_id, false, e.what());
+      reply(request->client, request->request_id, false, e.what());
       return;
     }
-    phase(request.request_id, sim::Phase::Execution, exec_start, now());
-    exec_span(request.ops.back(), exec_start, request.request_id);
+    phase(request->request_id, sim::Phase::Execution, exec_start, now());
+    exec_span(request->ops.back(), exec_start, request->request_id);
 
     const auto writes = txn.writes();
     if (!writes.empty()) {
       const auto seq = txn.commit_into(storage_);
-      record_commit(request.request_id, writes, txn.read_versions(), seq);
+      record_commit(request->request_id, writes, txn.read_versions(), seq);
     }
-    cache_reply(request.request_id, true, result);
+    cache_reply(request->request_id, true, result);
     // END before AC: the client hears back *before* any replica coordination.
-    reply(request.client, request.request_id, true, result);
+    reply(request->client, request->request_id, true, result);
 
     if (!writes.empty()) {
       LzUpdate update;
-      update.txn = request.request_id;
+      update.txn = request->request_id;
       update.writes = writes;
       update.committed_at = now();
       set_timer(config_.propagation_delay, [this, update, request] {
-        phase_now(request.request_id, sim::Phase::AgreementCoord);
+        phase_now(request->request_id, sim::Phase::AgreementCoord);
         for (const auto m : group().members()) {
           if (m != id()) ship_.send_fifo(m, update);
         }

@@ -55,7 +55,7 @@ class LazyPrimaryReplica : public ReplicaBase {
   void on_unhandled(sim::NodeId from, wire::MessagePtr msg) override;
 
  private:
-  void on_request(const ClientRequest& request);
+  void on_request(const RequestPtr& request);
   void on_update(const LzUpdate& update);
 
   gcs::FifoChannel ship_;

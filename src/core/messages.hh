@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -33,6 +34,11 @@ struct ClientRequest : wire::MessageBase<ClientRequest> {
     return true;
   }
 };
+
+/// A delivered request, shared with the message pool that decoded it: work
+/// that outlives a delivery (a CPU task, a timer, a retry table) holds this
+/// pointer rather than a copy of the request and its operations.
+using RequestPtr = std::shared_ptr<const ClientRequest>;
 
 struct ClientReply : wire::MessageBase<ClientReply> {
   static constexpr const char* kTypeName = "core.ClientReply";

@@ -18,7 +18,7 @@ PassiveReplica::PassiveReplica(sim::NodeId id, sim::Simulator& sim, ReplicaEnv e
   add_component(fd_);
   add_component(vg_);
   add_component(ack_link_);
-  ack_link_.set_deliver([this](sim::NodeId from, wire::MessagePtr msg) {
+  ack_link_.set_deliver([this](sim::NodeId from, wire::MessagePtr msg, std::string_view) {
     const auto ack = wire::message_cast<PbUpdateAck>(msg);
     if (ack) on_ack(from, *ack);
   });

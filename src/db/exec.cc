@@ -25,36 +25,36 @@ Value ProcCtx::get(const Key& key) {
   const bool declared =
       std::find(op_.read_set.begin(), op_.read_set.end(), key) != op_.read_set.end() ||
       std::find(op_.write_set.begin(), op_.write_set.end(), key) != op_.write_set.end();
-  util::ensure(declared, "ProcCtx::get: undeclared read of '" + key + "' by " + op_.proc);
+  if (!declared) util::fail("ProcCtx::get: undeclared read of '" + key + "' by " + op_.proc);
   return txn_.read(key);
 }
 
 void ProcCtx::put(const Key& key, Value value) {
   const bool declared =
       std::find(op_.write_set.begin(), op_.write_set.end(), key) != op_.write_set.end();
-  util::ensure(declared, "ProcCtx::put: undeclared write of '" + key + "' by " + op_.proc);
+  if (!declared) util::fail("ProcCtx::put: undeclared write of '" + key + "' by " + op_.proc);
   txn_.write(key, std::move(value));
 }
 
 const std::string& ProcCtx::arg(std::size_t i) const {
-  util::ensure(i < op_.args.size(), "ProcCtx::arg: index out of range for " + op_.proc);
+  if (i >= op_.args.size()) util::fail("ProcCtx::arg: index out of range for " + op_.proc);
   return op_.args[i];
 }
 
 void ProcRegistry::add(const std::string& name, ProcFn fn, bool deterministic) {
-  util::ensure(!procs_.contains(name), "ProcRegistry: duplicate procedure " + name);
+  if (procs_.contains(name)) util::fail("ProcRegistry: duplicate procedure " + name);
   procs_.emplace(name, Entry{std::move(fn), deterministic});
 }
 
 const ProcFn& ProcRegistry::fn(const std::string& name) const {
   const auto it = procs_.find(name);
-  util::ensure(it != procs_.end(), "ProcRegistry: unknown procedure " + name);
+  if (it == procs_.end()) util::fail("ProcRegistry: unknown procedure " + name);
   return it->second.fn;
 }
 
 bool ProcRegistry::deterministic(const std::string& name) const {
   const auto it = procs_.find(name);
-  util::ensure(it != procs_.end(), "ProcRegistry: unknown procedure " + name);
+  if (it == procs_.end()) util::fail("ProcRegistry: unknown procedure " + name);
   return it->second.deterministic;
 }
 

@@ -40,7 +40,7 @@ std::optional<Record> Storage::get(const Key& key) const {
 
 void Storage::put(const Key& key, Value value, std::uint64_t version, std::string writer_txn) {
   Record& rec = slot_for(key).rec;
-  util::ensure(version >= rec.version, "Storage::put: version regression on key " + key);
+  if (version < rec.version) util::fail("Storage::put: version regression on key " + key);
   rec.value = std::move(value);
   rec.version = version;
   rec.writer_txn = std::move(writer_txn);

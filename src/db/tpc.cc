@@ -34,7 +34,7 @@ TwoPhaseCommit::TwoPhaseCommit(sim::Process& host, std::uint32_t channel)
 void TwoPhaseCommit::coordinate(const std::string& txn,
                                 const std::vector<sim::NodeId>& participants,
                                 const std::string& payload, OutcomeFn done) {
-  util::ensure(!coordinating_.contains(txn), "TwoPhaseCommit: txn already coordinated: " + txn);
+  if (coordinating_.contains(txn)) util::fail("TwoPhaseCommit: txn already coordinated: " + txn);
   Pending& p = coordinating_[txn];
   p.participants = participants;
   p.done = std::move(done);
@@ -90,7 +90,7 @@ void TwoPhaseCommit::deliver_prepare(sim::NodeId coordinator, const TpcPrepare& 
 
 void TwoPhaseCommit::decide(const std::string& txn, bool commit) {
   const auto it = coordinating_.find(txn);
-  util::ensure(it != coordinating_.end(), "TwoPhaseCommit::decide: unknown txn " + txn);
+  if (it == coordinating_.end()) util::fail("TwoPhaseCommit::decide: unknown txn " + txn);
   Pending& p = it->second;
   if (p.decided) return;
   p.decided = true;

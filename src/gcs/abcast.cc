@@ -7,7 +7,7 @@ namespace repli::gcs {
 
 AtomicBroadcast::AtomicBroadcast(sim::Process& host, sim::BatchPolicy batch)
     : abcast_host_(host),
-      batcher_(batch, host, [this](std::vector<std::string> p) { flush_batch(std::move(p)); }) {}
+      batcher_(batch, host, [this](std::vector<wire::Blob> p) { flush_batch(std::move(p)); }) {}
 
 void AtomicBroadcast::abcast(const wire::Message& msg) {
   obs::ProfScope prof(obs::CostCenter::GcsAbcast);
@@ -15,10 +15,10 @@ void AtomicBroadcast::abcast(const wire::Message& msg) {
     abcast_now(msg);
     return;
   }
-  batcher_.add(wire::to_blob(msg));
+  batcher_.add(wire::share_blob(msg));
 }
 
-void AtomicBroadcast::flush_batch(std::vector<std::string> payloads) {
+void AtomicBroadcast::flush_batch(std::vector<wire::Blob> payloads) {
   obs::ProfScope prof(obs::CostCenter::GcsAbcast);
   AbEnvelope env;
   env.payloads = std::move(payloads);
@@ -30,7 +30,7 @@ void AtomicBroadcast::flush_batch(std::vector<std::string> payloads) {
   if (env.payloads.size() == 1) {
     // A lone payload skips the envelope: same bytes on the wire as an
     // unbatched submission (only the flush-window delay differs).
-    abcast_now(*wire::from_blob(env.payloads.front()));
+    abcast_now(*wire::from_blob(*env.payloads.front()));
     return;
   }
   abcast_now(env);
@@ -41,7 +41,7 @@ void AtomicBroadcast::unpack_into(sim::NodeId origin, const wire::MessagePtr& ms
   if (!fn) return;
   if (const auto env = wire::message_cast<AbEnvelope>(msg)) {
     for (const auto& blob : env->payloads) {
-      const auto payload = wire::from_blob(blob);
+      const auto payload = wire::from_blob(*blob);
       obs::ProfScope prof(obs::CostCenter::Technique);
       fn(origin, payload);
     }

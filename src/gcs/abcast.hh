@@ -40,7 +40,7 @@ struct AbData : wire::MessageBase<AbData> {
 /// unit the submission batcher hands to the ordering protocol.
 struct AbEnvelope : wire::MessageBase<AbEnvelope> {
   static constexpr const char* kTypeName = "gcs.AbEnvelope";
-  std::vector<std::string> payloads;  // to_blob'ed application messages
+  std::vector<wire::Blob> payloads;  // encoded application messages
   template <class Ar>
   void fields(Ar& ar) {
     ar(payloads);
@@ -77,9 +77,9 @@ class AtomicBroadcast : public Component {
   sim::Process& abcast_host_;
 
  private:
-  void flush_batch(std::vector<std::string> payloads);
+  void flush_batch(std::vector<wire::Blob> payloads);
 
-  sim::Batcher<std::string> batcher_;  // to_blob'ed payloads awaiting flush
+  sim::Batcher<wire::Blob> batcher_;  // encoded payloads awaiting flush
   DeliverFn deliver_;
 };
 

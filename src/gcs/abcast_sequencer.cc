@@ -36,11 +36,45 @@ bool SequencerAbcast::may_sequence() const {
 
 sim::NodeId SequencerAbcast::current_sequencer() const { return fd_.lowest_trusted(); }
 
+std::size_t SequencerAbcast::held() const {
+  std::size_t n = 0;
+  for (const auto& log : table_) n += log.size();
+  return n;
+}
+
+bool SequencerAbcast::delivered(const MsgId& id) const {
+  if (static_cast<std::size_t>(id.first) >= table_.size()) return false;
+  const auto& log = table_[static_cast<std::size_t>(id.first)];
+  if (id.second < log.base()) return true;
+  return log.contains(id.second) && log[id.second].delivered;
+}
+
+bool SequencerAbcast::ordered(const MsgId& id) const {
+  if (delivered(id)) return true;
+  if (static_cast<std::size_t>(id.first) >= table_.size()) return false;
+  const auto& log = table_[static_cast<std::size_t>(id.first)];
+  return log.contains(id.second) && log[id.second].gseq != 0;
+}
+
+SequencerAbcast::Entry& SequencerAbcast::entry(const MsgId& id) {
+  const auto origin = static_cast<std::size_t>(id.first);
+  if (table_.size() <= origin) table_.resize(origin + 1, util::SeqRing<Entry>(1));
+  return table_[origin].extend_to(id.second);
+}
+
+void SequencerAbcast::mark_delivered(const MsgId& id) {
+  auto& log = table_[static_cast<std::size_t>(id.first)];
+  Entry& e = log[id.second];
+  e = Entry{};
+  e.delivered = true;
+  while (!log.empty() && log.front().delivered) log.pop_front();
+}
+
 void SequencerAbcast::abcast_now(const wire::Message& msg) {
-  AbData data;
+  AbData& data = outgoing_;
   data.origin = host_.id();
   data.lseq = next_lseq_++;
-  data.payload = wire::to_blob(msg);
+  wire::assign_blob(data.payload, msg);
   flood_.rbcast(data);
 }
 
@@ -48,24 +82,25 @@ void SequencerAbcast::on_flood(wire::MessagePtr msg) {
   obs::ProfScope prof(obs::CostCenter::GcsAbcast);
   if (const auto data = wire::message_cast<AbData>(msg)) {
     const MsgId id{data->origin, data->lseq};
-    const bool fresh = payloads_.emplace(id, data->payload).second;
-    if (fresh) {
+    Entry* e = delivered(id) ? nullptr : &entry(id);
+    if (e != nullptr && e->data == nullptr) {  // the payload's first arrival
       auto& tracer = host_.sim().tracer();
       // Remember the causal trace the payload arrived under: try_deliver
       // drains in gseq order, so this payload may be delivered later, from
       // an event belonging to a different broadcast's trace.
-      trace_of_[id] = tracer.context().trace_id;
+      e->trace = tracer.context().trace_id;
       // Payload seen; the span stays open until its global order is known
       // and it is delivered — the width is the ordering latency.
-      const obs::SpanId span = tracer.begin(host_.id(), "gcs/abcast.order", host_.now());
-      tracer.attr(span, "origin", std::to_string(id.first));
-      tracer.attr(span, "lseq", std::to_string(id.second));
-      order_spans_[id] = span;
+      e->span = tracer.begin(host_.id(), "gcs/abcast.order", host_.now());
+      tracer.attr(e->span, "origin", std::to_string(id.first));
+      tracer.attr(e->span, "lseq", std::to_string(id.second));
+      e->data = data;
+      // Opt-delivery may broadcast, which can move `e`: it is not used after.
       if (opt_deliver_) {
         unpack_into(data->origin, wire::from_blob(data->payload), opt_deliver_);
       }
     }
-    if (may_sequence() && !ordered_.contains(id)) assign(id);
+    if (may_sequence() && !ordered(id)) assign(id);
     try_deliver();
     return;
   }
@@ -81,24 +116,29 @@ void SequencerAbcast::on_flood(wire::MessagePtr msg) {
 
 void SequencerAbcast::apply_order(const AbOrder& order) {
   const MsgId id{order.origin, order.lseq};
-  assign_pending_.erase(id);
-  if (ordered_.contains(id)) return;  // late duplicate order (failover race)
-  if (order_.contains(order.gseq)) {
+  if (delivered(id)) return;  // late duplicate order (failover race)
+  Entry& e = entry(id);
+  e.assign_pending = false;
+  if (e.gseq != 0) return;  // late duplicate order (failover race)
+  if (order.gseq < order_.base() ||
+      (order_.contains(order.gseq) && order_[order.gseq].second != 0)) {
     // gseq collision from a failover race: the first-received order wins;
     // if we are the sequencer, give the losing message a fresh slot.
     if (may_sequence()) assign(id);
     return;
   }
-  ordered_.insert(id);
-  order_.emplace(order.gseq, id);
+  e.gseq = order.gseq;
+  order_.extend_to(order.gseq) = id;
   next_gseq_ = std::max(next_gseq_, order.gseq + 1);
   try_deliver();
 }
 
 void SequencerAbcast::assign(const MsgId& id) {
-  // A buffered-but-unflooded assignment is not in ordered_ yet; assigning
-  // the id a second slot would leave a gseq hole that stalls delivery.
-  if (assign_pending_.contains(id)) return;
+  // A buffered-but-unflooded assignment has no gseq in its entry yet;
+  // assigning the id a second slot would leave a gseq hole that stalls
+  // delivery.
+  Entry& e = entry(id);
+  if (e.assign_pending) return;
   AbOrder order;
   order.origin = id.first;
   order.lseq = id.second;
@@ -111,7 +151,7 @@ void SequencerAbcast::assign(const MsgId& id) {
   }
   // Batched ordering: gather assignments for a flush window and flood them
   // as one AbOrderBatch — one ordering flood amortized over the window.
-  assign_pending_.insert(id);
+  e.assign_pending = true;
   order_batcher_.add(order);
 }
 
@@ -129,46 +169,45 @@ void SequencerAbcast::flush_orders(std::vector<AbOrder> orders) {
 
 void SequencerAbcast::sequence_backlog() {
   if (!may_sequence()) return;
-  // New sequencer: order every known-but-unordered message deterministically.
+  // New sequencer: order every known-but-unordered message, by (origin, lseq).
   std::vector<MsgId> backlog;
-  for (const auto& [id, payload] : payloads_) {
-    if (!ordered_.contains(id)) backlog.push_back(id);
+  for (std::size_t origin = 0; origin < table_.size(); ++origin) {
+    const auto& log = table_[origin];
+    for (std::uint64_t lseq = log.base(); lseq < log.end(); ++lseq) {
+      const Entry& e = log[lseq];
+      if (e.data != nullptr && e.gseq == 0) {
+        backlog.emplace_back(static_cast<std::int32_t>(origin), lseq);
+      }
+    }
   }
-  std::sort(backlog.begin(), backlog.end());
   for (const auto& id : backlog) assign(id);
 }
 
 void SequencerAbcast::try_deliver() {
   obs::ProfScope prof(obs::CostCenter::GcsAbcast);
-  for (;;) {
-    const auto oit = order_.find(next_deliver_);
-    if (oit == order_.end()) return;
-    const auto pit = payloads_.find(oit->second);
-    if (pit == payloads_.end()) return;  // order known, payload still in flight
-    const std::string payload = pit->second;
-    const MsgId id = oit->second;
-    const std::uint64_t gseq = next_deliver_;
-    ++next_deliver_;
+  while (!order_.empty()) {
+    const MsgId id = order_.front();
+    if (id.second == 0) return;  // the next gseq's order is still in flight
+    Entry& e = entry(id);
+    if (e.data == nullptr) return;  // order known, payload still in flight
+    const std::uint64_t gseq = order_.base();
+    const std::shared_ptr<const AbData> data = std::move(e.data);
+    const std::uint64_t trace = e.trace;
+    const obs::SpanId span = e.span;
+    order_.pop_front();
+    mark_delivered(id);
     // Deliver inside the payload's own causal trace — not whichever
     // broadcast's event happened to unblock the queue.
     std::optional<obs::ContextScope> scope;
-    if (const auto tit = trace_of_.find(id); tit != trace_of_.end()) {
-      if (tit->second != 0) {
-        scope.emplace(host_.sim().tracer(), obs::TraceContext{tit->second, obs::kNoSpan, 0});
-      }
-      trace_of_.erase(tit);
-    }
-    if (const auto sit = order_spans_.find(id); sit != order_spans_.end()) {
-      auto& tracer = host_.sim().tracer();
-      tracer.attr(sit->second, "gseq", std::to_string(gseq));
-      tracer.end(sit->second, host_.now());
-      const obs::Span* span = tracer.find(sit->second);
-      host_.sim().metrics().histogram("gcs.abcast.order_latency_us")
-          .observe(static_cast<double>(span->end - span->start));
-      order_spans_.erase(sit);
-    }
+    if (trace != 0) scope.emplace(host_.sim().tracer(), obs::TraceContext{trace, obs::kNoSpan, 0});
+    auto& tracer = host_.sim().tracer();
+    tracer.attr(span, "gseq", std::to_string(gseq));
+    tracer.end(span, host_.now());
+    const obs::Span* s = tracer.find(span);
+    host_.sim().metrics().histogram("gcs.abcast.order_latency_us")
+        .observe(static_cast<double>(s->end - s->start));
     host_.sim().metrics().incr("gcs.abcast.delivered");
-    deliver_up(id.first, wire::from_blob(payload));
+    deliver_up(id.first, wire::from_blob(data->payload));
   }
 }
 

@@ -10,10 +10,22 @@
 // real-world counterparts (ISIS-style sequencers), it assumes an accurate
 // failure detector: two live sequencers under false suspicion could order
 // divergently. The consensus-based variant makes no such assumption.
+//
+// Per-message state lives in flat tables indexed by sequence number, and a
+// message leaves them once delivered, so memory follows the undelivered
+// messages rather than the run's length:
+//  - per origin, a ring indexed by lseq from the origin's delivered
+//    watermark (every lseq below it is delivered) up to its newest known
+//    message. Each slot holds the received AbData (shared, not copied), its
+//    causal trace id, its open order span and its gseq; slots delivered
+//    above the watermark are the "ahead set", folded in as the gaps fill.
+//    A late duplicate order for a delivered id finds it below the
+//    watermark or in the ahead set, and is ignored.
+//  - a ring indexed by gseq from the next one to deliver.
 #pragma once
 
-#include <map>
-#include <set>
+#include <memory>
+#include <vector>
 
 #include "gcs/abcast.hh"
 #include "gcs/fd.hh"
@@ -21,6 +33,7 @@
 #include "gcs/group.hh"
 #include "obs/context.hh"
 #include "obs/trace.hh"
+#include "util/seq_ring.hh"
 
 namespace repli::gcs {
 
@@ -74,11 +87,27 @@ class SequencerAbcast : public AtomicBroadcast {
 
   sim::NodeId current_sequencer() const;
 
+  /// Slots held in the per-origin tables: from each origin's delivered
+  /// watermark to its newest known message. 0 once every message this node
+  /// knows of has been delivered.
+  std::size_t held() const;
+
  protected:
   void abcast_now(const wire::Message& msg) override;
 
  private:
   using MsgId = std::pair<std::int32_t, std::uint64_t>;
+
+  /// A known message not yet delivered: its payload once that has arrived,
+  /// its place in the total order once that is known.
+  struct Entry {
+    std::shared_ptr<const AbData> data;  // null until the payload arrives
+    std::uint64_t gseq = 0;              // 0 until the order is known
+    std::uint64_t trace = 0;             // causal trace the payload arrived under
+    obs::SpanId span = obs::kNoSpan;     // open gcs/abcast.order span
+    bool assign_pending = false;         // in order_batcher_ (double-assign guard)
+    bool delivered = false;              // delivered above the watermark
+  };
 
   void on_flood(wire::MessagePtr msg);
   void sequence_backlog();
@@ -90,23 +119,32 @@ class SequencerAbcast : public AtomicBroadcast {
   /// has elapsed (in-flight orders from the predecessor have settled).
   bool may_sequence() const;
 
+  bool delivered(const MsgId& id) const;
+  /// Delivered, or in the total order awaiting delivery.
+  bool ordered(const MsgId& id) const;
+  /// The slot of an id that is not delivered, created empty if unknown.
+  /// Creating a slot may move the others: re-find after anything that can
+  /// reach on_flood (a delivery, an opt-delivery, a flood).
+  Entry& entry(const MsgId& id);
+  /// Frees a delivered id's slot, then advances its origin's watermark
+  /// past every delivered slot.
+  void mark_delivered(const MsgId& id);
+
   sim::Process& host_;
   Group group_;
   FailureDetector& fd_;
   Flooder flood_;
   std::uint64_t next_lseq_ = 1;
+  AbData outgoing_;  // reused by abcast_now: its payload keeps its capacity
 
-  std::map<MsgId, std::string> payloads_;     // everything received
-  std::set<MsgId> ordered_;                   // ids that have a gseq
-  std::map<std::uint64_t, MsgId> order_;      // gseq -> id
-  std::uint64_t next_deliver_ = 1;            // next gseq to deliver
+  std::vector<util::SeqRing<Entry>> table_;  // per origin node id, by lseq
+  // gseq -> id from the next gseq to deliver (base()); lseq 0 marks a gseq
+  // whose order has not arrived.
+  util::SeqRing<MsgId> order_{1};
   std::uint64_t next_gseq_ = 1;               // sequencer-side allocator
   sim::Time sequencing_allowed_at_ = 0;       // takeover grace deadline
   DeliverFn opt_deliver_;
-  std::map<MsgId, obs::SpanId> order_spans_;  // open gcs/abcast.order spans
-  std::map<MsgId, std::uint64_t> trace_of_;   // causal trace each payload arrived under
   sim::Batcher<AbOrder> order_batcher_;       // assignments awaiting a batched flood
-  std::set<MsgId> assign_pending_;            // ids in order_batcher_ (double-assign guard)
 };
 
 }  // namespace repli::gcs

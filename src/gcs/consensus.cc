@@ -15,7 +15,7 @@ Consensus::Consensus(sim::Process& host, Group group, FailureDetector& fd, std::
       fd_(fd),
       link_(host, channel, batch),
       decide_flood_(host, group_, channel + 1, batch) {
-  link_.set_deliver([this](sim::NodeId from, wire::MessagePtr msg) {
+  link_.set_deliver([this](sim::NodeId from, wire::MessagePtr msg, std::string_view) {
     const std::uint64_t k = [&]() -> std::uint64_t {
       if (const auto m = wire::message_cast<CsEstimate>(msg)) return m->instance;
       if (const auto m = wire::message_cast<CsProposal>(msg)) return m->instance;
@@ -237,9 +237,10 @@ void Consensus::maybe_propose_as_coordinator(std::uint64_t k) {
   prop.instance = k;
   prop.round = inst.round;
   prop.value = value;
+  const wire::Blob blob = wire::share_blob(prop);  // one encoding for every member
   for (const auto m : group_.members()) {
     if (m == host_.id()) continue;
-    link_.send_reliable(m, prop);
+    link_.send_blob(m, blob);
   }
   // Coordinator adopts and acks its own proposal.
   inst.ts = inst.round + 1;

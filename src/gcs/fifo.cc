@@ -9,7 +9,7 @@ namespace repli::gcs {
 
 FifoChannel::FifoChannel(sim::Process& host, std::uint32_t channel, sim::BatchPolicy pack)
     : host_(host), link_(host, channel, pack) {
-  link_.set_deliver([this](sim::NodeId from, wire::MessagePtr msg) {
+  link_.set_deliver([this](sim::NodeId from, wire::MessagePtr msg, std::string_view) {
     const auto data = wire::message_cast<FifoData>(msg);
     if (!data) return;
     Incoming& in = in_[from];

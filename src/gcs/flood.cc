@@ -4,40 +4,38 @@ namespace repli::gcs {
 
 Flooder::Flooder(sim::Process& host, Group group, std::uint32_t channel, sim::BatchPolicy pack)
     : host_(host), group_(std::move(group)), channel_(channel), link_(host, channel, pack) {
-  link_.set_deliver([this](sim::NodeId /*from*/, wire::MessagePtr msg) {
+  link_.set_deliver([this](sim::NodeId /*from*/, wire::MessagePtr msg, std::string_view bytes) {
     const auto data = wire::message_cast<FloodData>(msg);
-    if (data) accept(*data);
+    if (data && first_time(data->origin, data->seq)) {
+      relay_and_deliver(*data, wire::share_bytes(bytes));
+    }
   });
 }
 
 void Flooder::rbcast(const wire::Message& msg) {
-  FloodData data;
+  FloodData& data = outgoing_;
   data.channel = channel_;
   data.origin = host_.id();
   data.seq = next_seq_++;
-  data.payload = wire::to_blob(msg);
-  accept(data);
+  wire::assign_blob(data.payload, msg);
+  first_time(data.origin, data.seq);  // a fresh seq: always the first time
+  relay_and_deliver(data, wire::share_blob(data));
 }
 
-void Flooder::accept(const FloodData& data) {
-  if (!first_time(data.origin, data.seq)) return;
+void Flooder::relay_and_deliver(const FloodData& data, const wire::Blob& blob) {
   // Relay first, then deliver: if we deliver, every correct process will
   // eventually receive the relays (uniform agreement under crash-stop).
-  disseminate(data, host_.id());
-  if (deliver_) deliver_(data.origin, wire::from_blob(data.payload));
-}
-
-void Flooder::disseminate(const FloodData& data, sim::NodeId skip) {
-  // One encoding serves every destination of this relay.
-  const std::string blob = wire::to_blob(data);
+  // One Blob serves every destination of this relay.
   for (const auto m : group_.members()) {
-    if (m == skip) continue;
+    if (m == host_.id()) continue;
     if (m == data.origin) continue;  // the origin has it by construction
     link_.send_blob(m, blob);
   }
+  if (deliver_) deliver_(data.origin, wire::from_blob(data.payload));
 }
 
 bool Flooder::first_time(std::int32_t origin, std::uint64_t seq) {
+  if (seen_.size() <= static_cast<std::size_t>(origin)) seen_.resize(origin + 1);
   SeqWindow& w = seen_[origin];
   if (seq < w.next) return false;
   if (seq > w.next) return w.ahead.insert(seq).second;
@@ -50,8 +48,7 @@ bool Flooder::first_time(std::int32_t origin, std::uint64_t seq) {
 }
 
 std::size_t Flooder::out_of_order(sim::NodeId origin) const {
-  const auto it = seen_.find(origin);
-  return it == seen_.end() ? 0 : it->second.ahead.size();
+  return static_cast<std::size_t>(origin) < seen_.size() ? seen_[origin].ahead.size() : 0;
 }
 
 bool Flooder::handle(sim::NodeId from, const wire::MessagePtr& msg) {

@@ -4,17 +4,23 @@
 // correct processes eventually deliver. Point-to-point loss is absorbed by
 // an internal ReliableLink.
 //
+// A broadcast is encoded once: the origin encodes its FloodData into one
+// shared wire::Blob that every destination's link entry refers to, and a
+// relay forwards the bytes it received (the encoding is canonical, so they
+// equal a fresh encoding) instead of decoding and encoding them again.
+//
 // Each origin numbers its broadcasts densely (1, 2, ...), so duplicate
-// suppression keeps, per origin, a watermark below which every broadcast
-// has been accepted, plus the few broadcasts accepted out of order above
-// it; those fold into the watermark as the gaps fill.
+// suppression keeps, per origin (a table indexed by node id), a watermark
+// below which every broadcast has been accepted, plus the few broadcasts
+// accepted out of order above it; those fold into the watermark as the
+// gaps fill.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "gcs/group.hh"
 #include "gcs/link.hh"
@@ -60,8 +66,9 @@ class Flooder : public Component {
     std::set<std::uint64_t> ahead;   // accepted seqs above `next`
   };
 
-  void disseminate(const FloodData& data, sim::NodeId skip);
-  void accept(const FloodData& data);
+  /// Sends `blob` (the encoding of `data`) to every member but this one
+  /// and the origin, then delivers `data` here.
+  void relay_and_deliver(const FloodData& data, const wire::Blob& blob);
   /// Marks (origin, seq) accepted; false when it already was.
   bool first_time(std::int32_t origin, std::uint64_t seq);
 
@@ -71,7 +78,11 @@ class Flooder : public Component {
   ReliableLink link_;
   DeliverFn deliver_;
   std::uint64_t next_seq_ = 1;
-  std::map<std::int32_t, SeqWindow> seen_;  // dedup per origin
+  // This node's next broadcast, reused so its payload string keeps its
+  // capacity. Nothing reads it once deliver_ runs, so a broadcast made
+  // from inside deliver_ may overwrite it.
+  FloodData outgoing_;
+  std::vector<SeqWindow> seen_;  // dedup per origin, indexed by node id
 };
 
 }  // namespace repli::gcs

@@ -10,10 +10,10 @@ ReliableLink::ReliableLink(sim::Process& host, std::uint32_t channel, sim::Batch
     : host_(host), channel_(channel), pack_policy_(pack) {}
 
 void ReliableLink::send_reliable(sim::NodeId to, const wire::Message& msg) {
-  send_blob(to, wire::to_blob(msg));
+  send_blob(to, wire::share_blob(msg));
 }
 
-void ReliableLink::send_blob(sim::NodeId to, std::string payload) {
+void ReliableLink::send_blob(sim::NodeId to, wire::Blob payload) {
   obs::ProfScope prof(obs::CostCenter::GcsLink);
   if (!pack_policy_.batching()) {
     send_now(to, std::move(payload));
@@ -23,11 +23,11 @@ void ReliableLink::send_blob(sim::NodeId to, std::string payload) {
   // LinkPack (one seq / ack / retransmission unit).
   pack_
       .try_emplace(to, pack_policy_, host_,
-                   [this, to](std::vector<std::string> p) { flush_pack(to, std::move(p)); })
+                   [this, to](std::vector<wire::Blob> p) { flush_pack(to, std::move(p)); })
       .first->second.add(std::move(payload));
 }
 
-void ReliableLink::flush_pack(sim::NodeId to, std::vector<std::string> payloads) {
+void ReliableLink::flush_pack(sim::NodeId to, std::vector<wire::Blob> payloads) {
   host_.sim().metrics().histogram("gcs.link.pack_occupancy")
       .observe(static_cast<double>(payloads.size()));
   if (payloads.size() == 1) {
@@ -37,13 +37,14 @@ void ReliableLink::flush_pack(sim::NodeId to, std::vector<std::string> payloads)
   }
   LinkPack pack;
   pack.payloads = std::move(payloads);
-  send_now(to, wire::to_blob(pack));
+  send_now(to, wire::share_blob(pack));
 }
 
-void ReliableLink::send_now(sim::NodeId to, std::string payload) {
-  const std::uint64_t seq = next_seq_++;
-  auto [it, inserted] = outbox_.emplace(seq, Pending{to, std::move(payload), 0});
-  transmit(seq, it->second);
+void ReliableLink::send_now(sim::NodeId to, wire::Blob payload) {
+  const std::uint64_t seq = outbox_.end();
+  const Pending& p = outbox_.push_back(Pending{to, std::move(payload), 0});
+  ++unacked_;
+  transmit(seq, p);
   arm_timer();
 }
 
@@ -53,12 +54,21 @@ void ReliableLink::transmit(std::uint64_t seq, const Pending& p) {
   auto data = wire::MessagePool<LinkData>::acquire();
   data->channel = channel_;
   data->seq = seq;
-  data->payload = p.payload;
+  data->payload = *p.payload;
   host_.send(p.to, std::move(data));
 }
 
+void ReliableLink::settle(Pending& p) {
+  p.payload = nullptr;
+  --unacked_;
+}
+
+void ReliableLink::release_settled() {
+  while (!outbox_.empty() && outbox_.front().payload == nullptr) outbox_.pop_front();
+}
+
 void ReliableLink::arm_timer() {
-  if (timer_ != sim::Process::kNoTimer || outbox_.empty()) return;
+  if (timer_ != sim::Process::kNoTimer || unacked_ == 0) return;
   timer_ = host_.set_timer(kLinkRto, [this] {
     timer_ = sim::Process::kNoTimer;
     on_tick();
@@ -66,16 +76,17 @@ void ReliableLink::arm_timer() {
 }
 
 void ReliableLink::on_tick() {
-  for (auto it = outbox_.begin(); it != outbox_.end();) {
-    Pending& p = it->second;
+  for (std::uint64_t seq = outbox_.base(); seq < outbox_.end(); ++seq) {
+    Pending& p = outbox_[seq];
+    if (p.payload == nullptr) continue;
     if (++p.retries > kLinkMaxRetries) {
-      util::log_debug("link ", host_.id(), ": giving up on seq ", it->first, " to ", p.to);
-      it = outbox_.erase(it);
+      util::log_debug("link ", host_.id(), ": giving up on seq ", seq, " to ", p.to);
+      settle(p);
       continue;
     }
-    transmit(it->first, p);
-    ++it;
+    transmit(seq, p);
   }
+  release_settled();
   arm_timer();
 }
 
@@ -87,6 +98,7 @@ bool ReliableLink::handle(sim::NodeId from, const wire::MessagePtr& msg) {
     ack->channel = channel_;
     ack->seq = data->seq;
     host_.send(from, std::move(ack));
+    if (seen_.size() <= static_cast<std::size_t>(from)) seen_.resize(from + 1);
     std::vector<bool>& seen = seen_[from];
     if (seen.size() <= data->seq) seen.resize(data->seq + 1);
     const bool fresh = !seen[data->seq];
@@ -94,9 +106,9 @@ bool ReliableLink::handle(sim::NodeId from, const wire::MessagePtr& msg) {
     if (fresh && deliver_) {
       const auto payload = wire::from_blob(data->payload);
       if (const auto pack = wire::message_cast<LinkPack>(payload)) {
-        for (const auto& blob : pack->payloads) deliver_(from, wire::from_blob(blob));
+        for (const auto& blob : pack->payloads) deliver_(from, wire::from_blob(*blob), *blob);
       } else {
-        deliver_(from, payload);
+        deliver_(from, payload, data->payload);
       }
     }
     return true;
@@ -104,7 +116,11 @@ bool ReliableLink::handle(sim::NodeId from, const wire::MessagePtr& msg) {
   if (const auto ack = wire::message_cast<LinkAck>(msg)) {
     if (ack->channel != channel_) return false;
     obs::ProfScope prof(obs::CostCenter::GcsLink);
-    outbox_.erase(ack->seq);
+    if (outbox_.contains(ack->seq)) {
+      Pending& p = outbox_[ack->seq];
+      if (p.payload != nullptr) settle(p);
+      release_settled();
+    }
     return true;
   }
   return false;

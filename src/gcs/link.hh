@@ -3,10 +3,19 @@
 // suppression at the receiver. This is the "quasi-reliable channel"
 // abstraction the distributed-systems protocols assume.
 //
+// Every send goes through one path, send_blob: the payload is a shared,
+// immutable wire::Blob, encoded once by the sender. A fan-out hands the
+// same Blob to every destination, and each destination's pending entry
+// refers to it rather than holding a copy, so a hop costs no allocation
+// per destination.
+//
 // A link numbers its LinkData from one counter shared by all destinations,
 // so the sequence numbers one receiver sees from a sender have gaps (the
 // numbers sent to other destinations). The receiver therefore cannot keep a
 // watermark; it keeps one bit per sequence number of the sender's link.
+// The sender keeps its unacknowledged LinkData in a ring indexed by
+// `seq - base`: an ack clears its entry in place, the acknowledged prefix
+// is released, and retransmission walks the ring in ascending seq order.
 //
 // Retransmission stops after kLinkMaxRetries (the peer is then assumed
 // crashed; crash-stop processes never return, so this only truncates
@@ -17,10 +26,12 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "gcs/component.hh"
 #include "sim/batcher.hh"
+#include "util/seq_ring.hh"
 
 namespace repli::gcs {
 
@@ -53,7 +64,7 @@ struct LinkAck : wire::MessageBase<LinkAck> {
 /// receiver unpacks and delivers the payloads in send order.
 struct LinkPack : wire::MessageBase<LinkPack> {
   static constexpr const char* kTypeName = "gcs.LinkPack";
-  std::vector<std::string> payloads;
+  std::vector<wire::Blob> payloads;
   template <class Ar>
   void fields(Ar& ar) {
     ar(payloads);
@@ -66,7 +77,10 @@ inline constexpr int kLinkMaxRetries = 100;
 
 class ReliableLink : public Component {
  public:
-  using DeliverFn = std::function<void(sim::NodeId from, wire::MessagePtr msg)>;
+  /// `bytes` is the payload as its sender encoded it (wire::to_blob of
+  /// `msg`), valid for the duration of the call: a relay forwards it as is.
+  using DeliverFn =
+      std::function<void(sim::NodeId from, wire::MessagePtr msg, std::string_view bytes)>;
 
   /// `channel` separates independent link instances on the same process.
   /// Send-side packing: with `pack` batching, payloads to the same
@@ -79,37 +93,46 @@ class ReliableLink : public Component {
 
   /// Sends `msg` to `to`; retransmits until acknowledged.
   void send_reliable(sim::NodeId to, const wire::Message& msg);
-  /// As send_reliable, for a message already encoded by wire::to_blob —
-  /// a fan-out encodes once for all its destinations.
-  void send_blob(sim::NodeId to, std::string payload);
+  /// As send_reliable, for a message already encoded (wire::share_blob, or
+  /// bytes received for relaying). Every send takes this path; a fan-out
+  /// passes the same Blob for each destination.
+  void send_blob(sim::NodeId to, wire::Blob payload);
 
   bool handle(sim::NodeId from, const wire::MessagePtr& msg) override;
 
-  std::size_t unacked() const { return outbox_.size(); }
+  /// LinkData sent and neither acknowledged nor given up on.
+  std::size_t unacked() const { return unacked_; }
 
  private:
   struct Pending {
-    sim::NodeId to;
-    std::string payload;
+    sim::NodeId to = 0;
+    wire::Blob payload;  // null once acknowledged or given up on
     int retries = 0;
   };
 
   void transmit(std::uint64_t seq, const Pending& p);
+  /// Clears an entry in place (acknowledged, or given up on).
+  void settle(Pending& p);
+  /// Releases the settled entries at the front of the outbox.
+  void release_settled();
   void arm_timer();
   void on_tick();
-  void send_now(sim::NodeId to, std::string payload);
-  void flush_pack(sim::NodeId to, std::vector<std::string> payloads);
+  void send_now(sim::NodeId to, wire::Blob payload);
+  void flush_pack(sim::NodeId to, std::vector<wire::Blob> payloads);
 
   sim::Process& host_;
   std::uint32_t channel_;
   sim::BatchPolicy pack_policy_;
   DeliverFn deliver_;
-  std::uint64_t next_seq_ = 1;
-  std::map<std::uint64_t, Pending> outbox_;
-  // Dedup per sender: bit `seq` is set once that LinkData was delivered.
-  std::map<sim::NodeId, std::vector<bool>> seen_;
+  // Sent LinkData from the oldest unsettled one up to the newest, by seq;
+  // end() is the next seq to send.
+  util::SeqRing<Pending> outbox_{1};
+  std::size_t unacked_ = 0;
+  // Dedup per sender, indexed by node id: bit `seq` is set once that
+  // LinkData was delivered.
+  std::vector<std::vector<bool>> seen_;
   sim::Process::TimerId timer_ = sim::Process::kNoTimer;
-  std::map<sim::NodeId, sim::Batcher<std::string>> pack_;  // per destination
+  std::map<sim::NodeId, sim::Batcher<wire::Blob>> pack_;  // per destination
 };
 
 }  // namespace repli::gcs

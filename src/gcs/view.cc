@@ -14,7 +14,7 @@ ViewGroup::ViewGroup(sim::Process& host, Group initial, FailureDetector& fd,
   view_.members = initial.members();
   util::ensure(view_.contains(host_.id()), "ViewGroup: host not in initial membership");
 
-  link_.set_deliver([this](sim::NodeId from, wire::MessagePtr msg) {
+  link_.set_deliver([this](sim::NodeId from, wire::MessagePtr msg, std::string_view) {
     if (const auto data = wire::message_cast<VsData>(msg)) {
       accept(*data);
       return;
@@ -98,9 +98,10 @@ void ViewGroup::accept(const VsData& data) {
 }
 
 void ViewGroup::relay(const VsData& data) {
+  const wire::Blob blob = wire::share_blob(data);  // one encoding for every member
   for (const auto m : view_.members) {
     if (m == host_.id() || m == data.origin) continue;
-    link_.send_reliable(m, data);
+    link_.send_blob(m, blob);
   }
 }
 
@@ -140,6 +141,7 @@ void ViewGroup::initiate_flush() {
   VsFlushReq req;
   req.target_view = flush_target_;
   req.members.assign(flush_members_.begin(), flush_members_.end());
+  const wire::Blob blob = wire::share_blob(req);
   for (const auto m : flush_members_) {
     if (m == host_.id()) {
       VsFlushAck mine;
@@ -148,7 +150,7 @@ void ViewGroup::initiate_flush() {
       mine.delivered = delivered_log_;
       flush_acks_.emplace(host_.id(), std::move(mine));
     } else {
-      link_.send_reliable(m, req);
+      link_.send_blob(m, blob);
     }
   }
   maybe_complete_flush();
@@ -182,8 +184,9 @@ void ViewGroup::maybe_complete_flush() {
             [](const VsData& a, const VsData& b) {
               return std::tie(a.origin, a.seq) < std::tie(b.origin, b.seq);
             });
+  const wire::Blob blob = wire::share_blob(inst);
   for (const auto m : flush_members_) {
-    if (m != host_.id()) link_.send_reliable(m, inst);
+    if (m != host_.id()) link_.send_blob(m, blob);
   }
   install(inst);
 }

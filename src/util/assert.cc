@@ -4,10 +4,6 @@ namespace repli::util {
 
 void raise_invariant(const char* msg) { throw InvariantViolation(msg); }
 
-void ensure(bool cond, const std::string& msg) {
-  if (!cond) throw InvariantViolation(msg);
-}
-
 void fail(const char* msg) { throw InvariantViolation(msg); }
 
 void fail(const std::string& msg) { throw InvariantViolation(msg); }

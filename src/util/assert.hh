@@ -30,11 +30,12 @@ inline void ensure(bool cond, const char* msg) {
   if (!cond) [[unlikely]] raise_invariant(msg);
 }
 
-/// Overload for call sites that build a dynamic message; the string is
-/// constructed by the caller, so keep these off hot paths.
-void ensure(bool cond, const std::string& msg);
+/// There is deliberately no `ensure(bool, const std::string&)`: its message
+/// would be built on every call, pass or fail. A check with a dynamic
+/// message is written `if (!cond) util::fail("..." + detail);`.
 
-/// Unconditional invariant failure (e.g. unreachable switch arms).
+/// Unconditional invariant failure (e.g. unreachable switch arms, or a
+/// failed check whose message is built only once it has failed).
 [[noreturn]] void fail(const char* msg);
 [[noreturn]] void fail(const std::string& msg);
 

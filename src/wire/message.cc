@@ -11,14 +11,16 @@ Registry& Registry::instance() {
 }
 
 void Registry::add(TypeId id, std::string_view name, DecodeFn fn) {
-  util::ensure(id != kContextFrameId || name == "wire.TraceContext",
-               "Registry: type name '" + std::string(name) +
-                   "' collides with the reserved context frame id");
+  if (id == kContextFrameId && name != "wire.TraceContext") {
+    util::fail("Registry: type name '" + std::string(name) +
+               "' collides with the reserved context frame id");
+  }
   const auto it = decoders_.find(id);
   if (it != decoders_.end()) {
-    util::ensure(it->second.name == name,
-                 "Registry: TypeId hash collision between '" + it->second.name + "' and '" +
-                     std::string(name) + "'");
+    if (it->second.name != name) {
+      util::fail("Registry: TypeId hash collision between '" + it->second.name + "' and '" +
+                 std::string(name) + "'");
+    }
     return;  // benign re-registration (e.g. across translation units)
   }
   decoders_.emplace(id, Entry{std::string(name), std::move(fn)});
@@ -49,19 +51,38 @@ void encode_message_into(Writer& w, const Message& msg) {
 }
 
 std::vector<std::uint8_t> encode_message(const Message& msg) {
+  // Encode into the scratch writer, then copy once into a vector of the
+  // exact size: one allocation, where growing a fresh vector takes several.
   obs::ProfScope prof(obs::CostCenter::WireEncode);
-  Writer w;
+  Writer& w = blob_scratch();
+  w.clear();
   w.put_u32(msg.type_id());
   msg.encode_into(w);
-  return w.take();
+  return {w.span().begin(), w.span().end()};
 }
 
 std::string to_blob(const Message& msg) {
+  std::string out;
+  assign_blob(out, msg);
+  return out;
+}
+
+void assign_blob(std::string& out, const Message& msg) {
   Writer& w = blob_scratch();
   w.clear();
   encode_message_into(w, msg);
-  std::string out;
   out.assign(reinterpret_cast<const char*>(w.span().data()), w.size());
+}
+
+Blob share_blob(const Message& msg) {
+  std::shared_ptr<std::string> out = MessagePool<std::string>::acquire();
+  assign_blob(*out, msg);
+  return out;
+}
+
+Blob share_bytes(std::string_view bytes) {
+  std::shared_ptr<std::string> out = MessagePool<std::string>::acquire();
+  out->assign(bytes);
   return out;
 }
 

@@ -18,6 +18,7 @@
 #include <functional>
 #include <memory>
 #include <span>
+#include <string>
 #include <string_view>
 #include <type_traits>
 #include <unordered_map>
@@ -137,6 +138,18 @@ MessagePtr decode_framed(std::span<const std::uint8_t> bytes);
 /// Encodes a message into a string blob suitable for embedding as a field
 /// of another message (used by broadcast layers that carry opaque payloads).
 std::string to_blob(const Message& msg);
+
+/// As to_blob, into `out`: a string reused across calls keeps its capacity.
+void assign_blob(std::string& out, const Message& msg);
+
+/// to_blob into a shared Blob (see visit.hh). Its string comes from a
+/// per-thread pool and keeps its capacity when recycled, so a warmed-up
+/// sender allocates nothing.
+Blob share_blob(const Message& msg);
+
+/// A pooled, shared copy of bytes already encoded by to_blob (a relay
+/// forwards what it received without decoding and re-encoding it).
+Blob share_bytes(std::string_view bytes);
 
 /// Inverse of to_blob. Decodes straight from the blob's bytes (no copy).
 MessagePtr from_blob(std::string_view blob);

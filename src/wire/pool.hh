@@ -9,7 +9,9 @@
 //  - allocates the shared_ptr control block through PoolAlloc, a sized
 //    freelist, so the control block is recycled too.
 //
-// Steady state is therefore zero heap allocations per decode. The deleter
+// Steady state is therefore zero heap allocations per decode. The same
+// pool serves wire::Blob's strings (MessagePool<std::string>): a recycled
+// string keeps its capacity for the next encode. The deleter
 // recycles instead of destroying. Every freelist belongs to one thread: a
 // message goes back to the list of the thread that releases it (the thread
 // running its Simulator), so the lists need no lock. A thread's lists are

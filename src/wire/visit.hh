@@ -4,12 +4,13 @@
 //     template <class Ar> void fields(Ar& ar) { ar(a); ar(b); ... }
 // and gets encode and decode from that one definition (byte accounting comes from
 // the encoded frames the network actually carries).
-// Supported field types: bool, (u)int32/64, double, std::string, enums,
-// std::vector<T>, std::optional<T>, std::pair<A,B>, std::map<K,V>, and any
-// nested struct that itself defines fields().
+// Supported field types: bool, (u)int32/64, double, std::string, Blob,
+// enums, std::vector<T>, std::optional<T>, std::pair<A,B>, std::map<K,V>,
+// and any nested struct that itself defines fields().
 #pragma once
 
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <type_traits>
@@ -17,8 +18,16 @@
 #include <vector>
 
 #include "wire/codec.hh"
+#include "wire/pool.hh"
 
 namespace repli::wire {
+
+/// An encoded message held once and shared by everyone who sends it: the
+/// destinations of a fan-out, and each destination's retransmission state.
+/// Immutable once built. As a field it is encoded exactly as a std::string
+/// (so the bytes on the wire do not depend on which of the two a message
+/// declares); decoding takes its string from a per-thread pool.
+using Blob = std::shared_ptr<const std::string>;
 
 class Encoder;
 class Decoder;
@@ -37,6 +46,7 @@ class Encoder {
   void operator()(std::int64_t v) { w_.put_i64(v); }
   void operator()(double v) { w_.put_double(v); }
   void operator()(const std::string& v) { w_.put_string(v); }
+  void operator()(const Blob& v) { w_.put_string(v ? std::string_view(*v) : std::string_view()); }
 
   template <typename E>
     requires std::is_enum_v<E>
@@ -95,6 +105,12 @@ class Decoder {
   void operator()(double& v) { v = r_.get_double(); }
   // Assigns in place: a recycled message's string fields keep their buffers.
   void operator()(std::string& v) { r_.get_string_into(v); }
+  // A recycled pooled string keeps its buffer, so this allocates only to warm up.
+  void operator()(Blob& v) {
+    std::shared_ptr<std::string> s = MessagePool<std::string>::acquire();
+    r_.get_string_into(*s);
+    v = std::move(s);
+  }
 
   template <typename E>
     requires std::is_enum_v<E>

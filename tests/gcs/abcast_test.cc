@@ -125,6 +125,66 @@ TEST(SequencerAbcast, SelfDeliveryWhenAlone) {
   EXPECT_EQ(n.delivered[0].second, "solo");
 }
 
+TEST(SequencerAbcast, TableHoldsOnlyUndeliveredMessages) {
+  sim::Simulator sim(5);
+  const auto group = testing::first_n(3);
+  std::vector<AbcastNode*> nodes;
+  for (int i = 0; i < 3; ++i) nodes.push_back(&sim.spawn<AbcastNode>(group, Impl::Sequencer));
+  sim.start_all();
+  const auto* at2 = dynamic_cast<SequencerAbcast*>(nodes[2]->abcast.get());
+  ASSERT_NE(at2, nullptr);
+  nodes[2]->abcast->abcast(note("first"));
+  EXPECT_EQ(at2->held(), 1u);  // its own payload, awaiting the sequencer's order
+  constexpr int kRounds = 40;
+  for (int round = 0; round < kRounds; ++round) {
+    sim.schedule_at(round * sim::kMsec, [&, round] {
+      for (auto* n : nodes) n->abcast->abcast(note(std::to_string(round)));
+    });
+  }
+  sim.run_until(2 * sim::kSec);
+  for (const auto* n : nodes) {
+    EXPECT_EQ(n->delivered.size(), 1u + 3u * kRounds) << "node " << n->id();
+    EXPECT_EQ(dynamic_cast<const SequencerAbcast&>(*n->abcast).held(), 0u)
+        << "node " << n->id() << " still holds delivered messages";
+  }
+}
+
+TEST(SequencerAbcast, LateDuplicateOrderForADeliveredIdIsIgnored) {
+  sim::Simulator sim(5);
+  const auto group = testing::first_n(3);
+  std::vector<AbcastNode*> nodes;
+  for (int i = 0; i < 3; ++i) nodes.push_back(&sim.spawn<AbcastNode>(group, Impl::Sequencer));
+  sim.start_all();
+  nodes[1]->abcast->abcast(note("a"));
+  sim.run_until(100 * sim::kMsec);
+  for (const auto* n : nodes) ASSERT_EQ(n->delivered.size(), 1u);
+
+  // A deposed sequencer's order for the delivered (1, 1), at a fresh gseq,
+  // flooded from node 0 and reaching node 2 late.
+  AbOrder stale;
+  stale.origin = 1;
+  stale.lseq = 1;
+  stale.gseq = 5;
+  FloodData flood;
+  flood.channel = 10;
+  flood.origin = 0;
+  flood.seq = 1000;
+  flood.payload = wire::to_blob(stale);
+  auto link = std::make_shared<LinkData>();
+  link->channel = 10;
+  link->seq = 1000;
+  link->payload = wire::to_blob(flood);
+  EXPECT_TRUE(nodes[2]->abcast->handle(0, link));
+
+  nodes[1]->abcast->abcast(note("b"));
+  sim.run_until(200 * sim::kMsec);
+  const std::vector<std::pair<sim::NodeId, std::string>> expected = {{1, "a"}, {1, "b"}};
+  for (const auto* n : nodes) {
+    EXPECT_EQ(n->delivered, expected) << "node " << n->id();
+    EXPECT_EQ(dynamic_cast<const SequencerAbcast&>(*n->abcast).held(), 0u);
+  }
+}
+
 TEST(SequencerAbcast, FailoverContinuesOrdering) {
   sim::Simulator sim(11);
   const auto group = testing::first_n(3);

@@ -176,7 +176,7 @@ class PackNode : public ComponentHost {
   PackNode(sim::NodeId id, sim::Simulator& sim, sim::BatchPolicy pack)
       : ComponentHost(id, sim, "pack-node"), link(*this, 5, pack) {
     add_component(link);
-    link.set_deliver([this](sim::NodeId from, wire::MessagePtr msg) {
+    link.set_deliver([this](sim::NodeId from, wire::MessagePtr msg, std::string_view) {
       delivered.emplace_back(from, testing::note_text(msg));
     });
   }

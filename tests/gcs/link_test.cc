@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
 
 #include "tests/gcs/gcs_test_util.hh"
@@ -18,7 +19,7 @@ class LinkNode : public ComponentHost {
   LinkNode(sim::NodeId id, sim::Simulator& sim)
       : ComponentHost(id, sim, "link-node"), link(*this, 1) {
     add_component(link);
-    link.set_deliver([this](sim::NodeId from, wire::MessagePtr msg) {
+    link.set_deliver([this](sim::NodeId from, wire::MessagePtr msg, std::string_view) {
       received.emplace_back(from, testing::note_text(msg));
     });
   }
@@ -136,8 +137,8 @@ TEST(ReliableLink, DifferentChannelsDoNotInterfere) {
         : ComponentHost(id, s, "two-link"), link1(*this, 1), link2(*this, 2) {
       add_component(link1);
       add_component(link2);
-      link1.set_deliver([this](sim::NodeId, wire::MessagePtr m) { via1.push_back(note_text(m)); });
-      link2.set_deliver([this](sim::NodeId, wire::MessagePtr m) { via2.push_back(note_text(m)); });
+      link1.set_deliver([this](sim::NodeId, wire::MessagePtr m, std::string_view) { via1.push_back(note_text(m)); });
+      link2.set_deliver([this](sim::NodeId, wire::MessagePtr m, std::string_view) { via2.push_back(note_text(m)); });
     }
     ReliableLink link1, link2;
     std::vector<std::string> via1, via2;
@@ -150,6 +151,73 @@ TEST(ReliableLink, DifferentChannelsDoNotInterfere) {
   sim.run();
   EXPECT_EQ(b.via1, (std::vector<std::string>{"one"}));
   EXPECT_EQ(b.via2, (std::vector<std::string>{"two"}));
+}
+
+/// Records the seq of every LinkData it receives and never acknowledges,
+/// so the sender retransmits whatever a test has not acked by hand.
+class SeqSink : public sim::Process {
+ public:
+  SeqSink(sim::NodeId id, sim::Simulator& sim) : Process(id, sim, "seq-sink") {}
+  void on_message(sim::NodeId /*from*/, wire::MessagePtr msg) override {
+    if (const auto data = wire::message_cast<LinkData>(msg)) seqs.push_back(data->seq);
+  }
+  std::vector<std::uint64_t> seqs;
+};
+
+std::shared_ptr<LinkAck> ack_of(std::uint64_t seq) {
+  auto ack = std::make_shared<LinkAck>();
+  ack->channel = 1;
+  ack->seq = seq;
+  return ack;
+}
+
+TEST(ReliableLink, OutOfOrderAcksClearInPlaceAndRetransmitsRunInSeqOrder) {
+  // No jitter: LinkData reach the sink in the order they were sent.
+  sim::NetworkConfig net;
+  net.jitter_mean = 0;
+  sim::Simulator sim(1, net);
+  auto& a = sim.spawn<LinkNode>();
+  auto& sink = sim.spawn<SeqSink>();
+  for (int i = 0; i < 4; ++i) a.link.send_reliable(sink.id(), note("m" + std::to_string(i)));
+  EXPECT_EQ(a.link.unacked(), 4u);
+  // Acks arrive out of order: 3 and 2 before 1; 4 stays unacked.
+  EXPECT_TRUE(a.link.handle(sink.id(), ack_of(3)));
+  EXPECT_TRUE(a.link.handle(sink.id(), ack_of(2)));
+  EXPECT_TRUE(a.link.handle(sink.id(), ack_of(2)));  // a duplicate ack is a no-op
+  EXPECT_EQ(a.link.unacked(), 2u);
+  // One retransmission tick: the still-unacked seqs 1 and 4, ascending.
+  sim.run_until(kLinkRto + kLinkRto / 2);
+  EXPECT_EQ(sink.seqs, (std::vector<std::uint64_t>{1, 2, 3, 4, 1, 4}));
+  EXPECT_TRUE(a.link.handle(sink.id(), ack_of(1)));
+  EXPECT_EQ(a.link.unacked(), 1u);
+  sim.run_until(2 * kLinkRto + kLinkRto / 2);
+  EXPECT_EQ(sink.seqs, (std::vector<std::uint64_t>{1, 2, 3, 4, 1, 4, 4}));
+  EXPECT_TRUE(a.link.handle(sink.id(), ack_of(4)));
+  EXPECT_TRUE(a.link.handle(sink.id(), ack_of(9)));  // never sent: ignored
+  EXPECT_EQ(a.link.unacked(), 0u);
+  // Nothing is left to retransmit, and the next send gets the next seq.
+  a.link.send_reliable(sink.id(), note("m4"));
+  sim.run_until(3 * kLinkRto + kLinkRto / 2);
+  EXPECT_EQ(sink.seqs, (std::vector<std::uint64_t>{1, 2, 3, 4, 1, 4, 4, 5, 5}));
+}
+
+TEST(ReliableLink, GivingUpFreesTheSharedPayload) {
+  sim::Simulator sim(1);
+  auto& a = sim.spawn<LinkNode>();
+  auto& b = sim.spawn<LinkNode>();
+  auto& c = sim.spawn<LinkNode>();
+  sim.crash(b.id());
+  sim.crash(c.id());
+  // One encoding for both destinations: each pending entry refers to it.
+  wire::Blob blob = wire::share_blob(note("into the void"));
+  const std::weak_ptr<const std::string> watch = blob;
+  a.link.send_blob(b.id(), blob);
+  a.link.send_blob(c.id(), std::move(blob));
+  EXPECT_EQ(a.link.unacked(), 2u);
+  EXPECT_FALSE(watch.expired());
+  sim.run_until((kLinkMaxRetries + 1) * kLinkRto);
+  EXPECT_EQ(a.link.unacked(), 0u);
+  EXPECT_TRUE(watch.expired()) << "a given-up entry still holds its payload";
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <type_traits>
+
 namespace repli::util {
 namespace {
 
@@ -15,6 +18,10 @@ TEST(Ensure, ThrowsWithMessageOnFalse) {
     EXPECT_STREQ(e.what(), "broken invariant");
   }
 }
+
+// A passing check must not build its message: there is no overload taking
+// a std::string, so `ensure(cond, "..." + detail)` does not compile.
+static_assert(!std::is_invocable_v<decltype(&ensure), bool, const std::string&>);
 
 TEST(Fail, AlwaysThrows) { EXPECT_THROW(fail("unreachable"), InvariantViolation); }
 
