@@ -14,6 +14,7 @@ Client::Client(sim::NodeId id, sim::Simulator& sim, ClientConfig config)
   util::ensure(config_.history != nullptr && config_.monitor != nullptr,
                "Client: null history or monitor");
   primary_hint_ = config_.replicas.members().front();
+  home_ = config_.home;
   if (config_.mode == SubmitMode::AbcastGroup || config_.mode == SubmitMode::FloodGroup) {
     util::ensure(config_.group_channel != 0, "Client: group mode needs a channel");
     flood_ = std::make_unique<gcs::Flooder>(*this, config_.replicas, config_.group_channel);
@@ -79,7 +80,7 @@ void Client::dispatch(Outstanding& out) {
       send(out.target, out.request);
       break;
     case SubmitMode::ToHome: {
-      sim::NodeId target = config_.home;
+      sim::NodeId target = home_;
       if (config_.reads_at_home) {
         // Lazy primary copy: updates must go to the primary; reads are
         // served by the client's local replica.
@@ -116,8 +117,13 @@ void Client::arm_retry(const std::string& request_id) {
       return;
     }
     // The paper's failure model for primary-based schemes: the client
-    // notices the failure and retries against the next server.
+    // notices the failure and retries against the next server, and later
+    // requests start there too. A home moves the same way; lazy primary
+    // copy keeps its read home (its §4.3 non-recovery is documented).
     if (config_.mode == SubmitMode::ToPrimary) primary_hint_ = next_target(out.target);
+    if (config_.mode == SubmitMode::ToHome && !config_.reads_at_home) {
+      home_ = next_target(out.target);
+    }
     sim().metrics().incr("client.retries");
     util::log_info("client ", id(), ": retrying ", request_id, " (attempt ",
                    out.attempts + 1, ")");

@@ -28,7 +28,7 @@ enum class SubmitMode {
 struct ClientConfig {
   SubmitMode mode = SubmitMode::ToHome;
   gcs::Group replicas;
-  sim::NodeId home = 0;            // ToHome target / LazyPrimary read target
+  sim::NodeId home = 0;            // first ToHome target / LazyPrimary read target
   bool reads_at_home = false;      // lazy primary: read-only ops go to home
   std::uint32_t group_channel = 0; // flood channel for AbcastGroup/FloodGroup
   sim::Time retry_timeout = 500 * sim::kMsec;
@@ -77,6 +77,7 @@ class Client : public gcs::ComponentHost {
   std::uint64_t next_seq_ = 1;
   std::uint64_t next_abcast_lseq_ = 1;
   sim::NodeId primary_hint_ = sim::kNoNode;
+  sim::NodeId home_ = sim::kNoNode;  // ToHome target; a timeout moves it on
   int timeouts_ = 0;
 };
 

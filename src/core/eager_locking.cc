@@ -70,6 +70,24 @@ EagerLockingReplica::EagerLockingReplica(sim::NodeId id, sim::Simulator& sim, Re
     commit_groups_[group_id] = std::move(members);
     return all;
   });
+  // A suspicion is final in the fault model (crash-stop; partitions heal
+  // before kFdTimeout), so a driven transaction stops waiting for the
+  // suspect's lock grant or execution.
+  fd_.on_suspect([this](sim::NodeId who) {
+    std::vector<std::string> ready;
+    for (auto& [txn_id, drive] : driving_) {
+      if (drive.awaiting.erase(who) > 0 && drive.awaiting.empty()) ready.push_back(txn_id);
+    }
+    for (const auto& txn_id : ready) {
+      const auto it = driving_.find(txn_id);
+      if (it == driving_.end()) continue;
+      if (it->second.executing) {
+        executed_everywhere(txn_id);
+      } else {
+        locked_everywhere(txn_id);
+      }
+    }
+  });
   tpc_.set_outcome_handler([this](const std::string& group_id, bool commit) {
     // A participant that never saw the prepare (the coordinator's vote
     // timeout beat it) knows the group only by its id, the first member's.
@@ -231,15 +249,19 @@ void EagerLockingReplica::on_lock_reply(sim::NodeId from, const LkReply& reply) 
     return;
   }
   drive.awaiting.erase(from);
-  if (!drive.awaiting.empty()) return;
-  phase(reply.txn, sim::Phase::ServerCoord, drive.sc_start, now());
+  if (drive.awaiting.empty()) locked_everywhere(reply.txn);
+}
+
+void EagerLockingReplica::locked_everywhere(const std::string& txn_id) {
+  Drive& drive = driving_.at(txn_id);
+  phase(txn_id, sim::Phase::ServerCoord, drive.sc_start, now());
 
   // EX phase: every locked replica executes the operation (under ROWA a
   // read-only operation runs at the delegate only).
   LkExec exec;
-  exec.txn = reply.txn;
-  exec.op_index = reply.op_index;
-  exec.attempt = reply.attempt;
+  exec.txn = txn_id;
+  exec.op_index = static_cast<std::uint32_t>(drive.next_op);
+  exec.attempt = static_cast<std::uint32_t>(drive.attempt);
   exec.op = drive.request.ops[drive.next_op];
   const bool local_only = config_.read_one_write_all && exec.op.read_only();
   drive.executing = true;
@@ -289,10 +311,14 @@ void EagerLockingReplica::on_exec_done(sim::NodeId from, const LkExecDone& done)
   if (done.attempt != static_cast<std::uint32_t>(drive.attempt)) return;
   if (!drive.executing || done.op_index != drive.next_op) return;
   drive.awaiting.erase(from);
-  if (!drive.awaiting.empty()) return;
-  if (parts_.contains(done.txn)) drive.last_result = parts_.at(done.txn).result;
+  if (drive.awaiting.empty()) executed_everywhere(done.txn);
+}
+
+void EagerLockingReplica::executed_everywhere(const std::string& txn_id) {
+  Drive& drive = driving_.at(txn_id);
+  if (parts_.contains(txn_id)) drive.last_result = parts_.at(txn_id).result;
   ++drive.next_op;
-  drive_next_op(done.txn);
+  drive_next_op(txn_id);
 }
 
 void EagerLockingReplica::abort_and_retry(const std::string& txn_id) {

@@ -169,6 +169,10 @@ class EagerLockingReplica : public ReplicaBase {
   void drive_next_op(const std::string& txn_id);
   void on_lock_reply(sim::NodeId from, const LkReply& reply);
   void on_exec_done(sim::NodeId from, const LkExecDone& done);
+  /// Every awaited site granted the current operation's locks: start EX.
+  void locked_everywhere(const std::string& txn_id);
+  /// Every awaited site executed the current operation: drive the next one.
+  void executed_everywhere(const std::string& txn_id);
   void abort_and_retry(const std::string& txn_id);
   void start_commit(const std::string& txn_id);
   void flush_commit_group(std::vector<LkGroupEntry> members);

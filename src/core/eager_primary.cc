@@ -28,6 +28,7 @@ EagerPrimaryReplica::EagerPrimaryReplica(sim::NodeId id, sim::Simulator& sim, Re
       // Secondary: stage the shipped log records (apply happens at commit).
       Staged& staged = staged_[change->txn];
       if (staged.ac_start == 0) staged.ac_start = now();
+      staged.shipper = from;
       for (const auto& [key, value] : change->writes) staged.writes[key] = value;
       EpChangeAck ack;
       ack.txn = change->txn;
@@ -47,10 +48,11 @@ EagerPrimaryReplica::EagerPrimaryReplica(sim::NodeId id, sim::Simulator& sim, Re
     if (!payload.empty()) {
       const auto parsed = wire::from_blob(payload);
       if (const auto meta = wire::message_cast<EpCommitMeta>(parsed)) {
-        Staged& staged = staged_[txn];
-        staged.client = meta->client;
-        staged.result = meta->result;
-        staged.request_id = meta->request_id;
+        const auto it = staged_.find(txn);
+        if (it == staged_.end()) return false;  // the shipped change never arrived
+        it->second.client = meta->client;
+        it->second.result = meta->result;
+        it->second.request_id = meta->request_id;
       } else if (const auto change = wire::message_cast<EpGroupChange>(parsed)) {
         if (!resolved_.contains(txn)) staged_group_[txn] = change->entries;
       }
@@ -66,6 +68,15 @@ EagerPrimaryReplica::EagerPrimaryReplica(sim::NodeId id, sim::Simulator& sim, Re
     // change — whoever now ranks first has taken over.
     if (is_primary() && who < this->id()) monitor().promoted(this->id(), now());
     on_primary_suspected(who);
+    // A suspicion is final in the fault model (crash-stop; partitions heal
+    // before kFdTimeout), so the suspect's ship ack is no longer awaited.
+    std::vector<std::string> shipped;
+    for (auto& [txn_id, txn] : active_) {
+      if (txn.awaiting_acks.erase(who) > 0 && txn.awaiting_acks.empty()) {
+        shipped.push_back(txn_id);
+      }
+    }
+    for (const auto& txn_id : shipped) ship_round_done(txn_id);
   });
 }
 
@@ -331,17 +342,13 @@ void EagerPrimaryReplica::ship_changes(const std::string& txn_id) {
   change.writes = txn.exec->writes();
   txn.ac_start = now();
   txn.awaiting_acks.clear();
+  txn.acks = 0;
   for (const auto m : group().members()) {
     if (m == id() || fd_.suspects(m)) continue;
     txn.awaiting_acks.insert(m);
     ship_.send_fifo(m, change);
   }
-  if (txn.awaiting_acks.empty()) {
-    phase(txn.request.request_id, sim::Phase::AgreementCoord, txn.ac_start, now());
-    span("core/ac.ship", txn.ac_start, now(), txn.request.request_id,
-         obs::Attrs{{"acks", "0"}});
-    run_next_op(txn_id);
-  }
+  if (txn.awaiting_acks.empty()) ship_round_done(txn_id);
 }
 
 void EagerPrimaryReplica::on_change_ack(sim::NodeId from, const EpChangeAck& ack) {
@@ -349,19 +356,24 @@ void EagerPrimaryReplica::on_change_ack(sim::NodeId from, const EpChangeAck& ack
   if (it == active_.end()) return;
   Txn& txn = it->second;
   if (ack.op_index != txn.next_op) return;  // stale ack from an earlier op
-  txn.awaiting_acks.erase(from);
-  if (txn.awaiting_acks.empty()) {
-    phase(txn.request.request_id, sim::Phase::AgreementCoord, txn.ac_start, now());
-    span("core/ac.ship", txn.ac_start, now(), txn.request.request_id,
-         obs::Attrs{{"acks", std::to_string(group().size() - 1)}});
-    run_next_op(ack.txn);
-  }
+  if (txn.awaiting_acks.erase(from) == 0) return;
+  ++txn.acks;
+  if (txn.awaiting_acks.empty()) ship_round_done(ack.txn);
+}
+
+void EagerPrimaryReplica::ship_round_done(const std::string& txn_id) {
+  const Txn& txn = active_.at(txn_id);
+  phase(txn.request.request_id, sim::Phase::AgreementCoord, txn.ac_start, now());
+  span("core/ac.ship", txn.ac_start, now(), txn.request.request_id,
+       obs::Attrs{{"acks", std::to_string(txn.acks)}});
+  run_next_op(txn_id);
 }
 
 void EagerPrimaryReplica::start_commit(const std::string& txn_id) {
   Txn& txn = active_.at(txn_id);
   // Stage our own writes so commit application is uniform across roles.
   Staged& staged = staged_[txn_id];
+  staged.shipper = id();
   staged.writes = txn.exec->writes();
   staged.client = txn.request.client;
   staged.result = txn.last_result;
@@ -476,10 +488,11 @@ void EagerPrimaryReplica::on_primary_suspected(sim::NodeId who) {
     query.txn = txn_id;
     for (const auto peer : peers) ship_.send_fifo(peer, query);
   }
-  // Staged-but-never-prepared work from the dead primary is dropped.
+  // Staged-but-never-prepared work from the dead primary is dropped; a
+  // change shipped by a live primary stays, whoever else was suspected.
   for (auto it = staged_.begin(); it != staged_.end();) {
-    if (!tpc_.in_doubt().contains(it->first) && !resolved_.contains(it->first) &&
-        !active_.contains(it->first)) {
+    if (it->second.shipper == who && !tpc_.in_doubt().contains(it->first) &&
+        !resolved_.contains(it->first) && !active_.contains(it->first)) {
       it = staged_.erase(it);
     } else {
       ++it;

@@ -12,6 +12,9 @@
 // over; in-doubt transactions of the dead primary are resolved among the
 // survivors (commit if anyone saw the commit decision, abort otherwise) —
 // the paper's "if the primary fails, all active transactions are aborted".
+// A backup suspected while the primary awaits its ship ack is dropped from
+// the round (suspicion is final under crash-stop), so its crash costs one
+// detection period, not the transaction.
 #pragma once
 
 #include <deque>
@@ -141,6 +144,7 @@ class EagerPrimaryReplica : public ReplicaBase {
     std::size_t next_op = 0;
     std::unique_ptr<db::TxnExec> exec;
     std::set<sim::NodeId> awaiting_acks;
+    std::size_t acks = 0;  // ship acks received in the current round
     std::string last_result;
     sim::Time ac_start = 0;
   };
@@ -164,6 +168,9 @@ class EagerPrimaryReplica : public ReplicaBase {
   void run_next_op(const std::string& txn_id);
   void ship_changes(const std::string& txn_id);
   void on_change_ack(sim::NodeId from, const EpChangeAck& ack);
+  /// Every awaited backup acked or was suspected: close the ship round and
+  /// run the next operation (or commit).
+  void ship_round_done(const std::string& txn_id);
   void start_commit(const std::string& txn_id);
   void apply_commit(const std::string& txn_id, bool commit);
   void on_primary_suspected(sim::NodeId who);
@@ -186,6 +193,7 @@ class EagerPrimaryReplica : public ReplicaBase {
   std::map<std::string, std::string> request_of_txn_;  // txn id -> request id
   std::map<std::string, Txn> active_;  // primary-side (at most one entry)
   struct Staged {
+    sim::NodeId shipper = sim::kNoNode;  // the primary that shipped the change
     std::map<db::Key, db::Value> writes;
     std::string request_id;
     std::int32_t client = 0;

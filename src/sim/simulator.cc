@@ -15,9 +15,10 @@ namespace {
 // an O(n) rebuild.
 constexpr std::size_t kCompactFloor = 64;
 
-// Initial queue and slot capacity: a run whose queue stays below it never
-// regrows either vector.
-constexpr std::size_t kInitialEvents = 1024;
+// Initial queue and slot capacity. Every cluster pays for it at
+// construction, touching fresh pages when the allocator has returned the
+// heap top; a busy run's few doublings past it cost less.
+constexpr std::size_t kInitialEvents = 256;
 
 }  // namespace
 

@@ -2,6 +2,8 @@
 // failover, the 2PC blocking window, and exactly-once under retries.
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "core/cluster.hh"
 #include "core/eager_primary.hh"
 #include "core/passive.hh"
@@ -105,6 +107,60 @@ TEST(Failover, EagerPrimaryHotStandbyTakesOver) {
   EXPECT_GT(cluster.client(0).timeouts(), 0) << "DB failover is client-visible (§4.1)";
 }
 
+TEST(Failover, EagerPrimaryBackupSuspectingTheOtherBackupKeepsThePrimarysChange) {
+  // Crash backup 2 in the first 500 us of a put, before it acks the
+  // shipped change (a later crash leaves the prepare without its vote, and
+  // 2PC aborts). The primary stops awaiting that ack once it suspects the
+  // backup and prepares with backup 1 alone. Backup 1 suspects backup 2 at
+  // about the same time; it must keep the live primary's staged change and
+  // commit the put (dropping it either commits the put with no writes or,
+  // voting no, aborts it).
+  for (sim::Time at = 0; at <= 500; at += 50) {
+    Cluster cluster(testing::quiet_config(TechniqueKind::EagerPrimary));
+    ASSERT_TRUE(cluster.run_op(0, op_put("k", "v1")).ok);
+    std::optional<ClientReply> reply;
+    cluster.submit_op(0, op_put("k", "v2"), [&reply](const ClientReply& r) { reply = r; });
+    cluster.sim().schedule_after(at, [&cluster] { cluster.crash_replica(2); });
+    cluster.settle(1 * sim::kSec);
+    ASSERT_TRUE(reply.has_value()) << "the put stalled, crash at +" << at << " us";
+    EXPECT_TRUE(reply->ok) << reply->result << ", crash at +" << at << " us";
+    EXPECT_TRUE(cluster.converged()) << "crash at +" << at << " us";
+    EXPECT_EQ(cluster.replica(1).storage().get("k")->value, "v2") << "crash at +" << at << " us";
+  }
+}
+
+TEST(Failover, EagerPrimaryPrepareWhoseChangeNeverArrivedGetsANoVote) {
+  // Out of the fault model on purpose: cut backup 1 off for 30 ms (three
+  // suspicion timeouts) right after the primary collected every ship ack,
+  // so the prepare is still in flight. Backup 1 suspects the primary and
+  // drops its staged change; after the heal the prepare arrives. Voting yes
+  // would commit the put everywhere but at backup 1.
+  Cluster cluster(testing::quiet_config(TechniqueKind::EagerPrimary));
+  ASSERT_TRUE(cluster.run_op(0, op_put("k", "v1")).ok);
+  const auto ship_rounds = [&cluster] {
+    std::size_t n = 0;
+    for (const auto& s : cluster.sim().tracer().spans()) n += s.name == "core/ac.ship";
+    return n;
+  };
+  const auto before = ship_rounds();
+  std::optional<ClientReply> reply;
+  cluster.submit_op(0, op_put("k", "v2"), [&reply](const ClientReply& r) { reply = r; });
+  // 10 us steps: far shorter than the 100 us one-way latency of the prepare.
+  for (int step = 0; ship_rounds() == before; ++step) {
+    ASSERT_LT(step, 10000) << "the put never finished its ship round";
+    cluster.sim().run_until(cluster.sim().now() + 10);
+  }
+  auto& net = cluster.sim().net();
+  net.set_partition([](sim::NodeId from, sim::NodeId to) { return (from == 1) != (to == 1); });
+  cluster.sim().schedule_after(30 * sim::kMsec, [&net] { net.set_partition(nullptr); });
+  cluster.settle(2 * sim::kSec);
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_FALSE(reply->ok) << "backup 1 voted yes without the change";
+  EXPECT_EQ(reply->result, "aborted");
+  EXPECT_TRUE(cluster.converged());
+  EXPECT_EQ(cluster.replica(1).storage().get("k")->value, "v1");
+}
+
 TEST(Failover, TwoPhaseCommitBlockingWindowIsObservable) {
   // Crash the eager-primary coordinator between votes and decision: the
   // backups must sit in doubt until the termination protocol resolves them.
@@ -144,6 +200,23 @@ TEST(Failover, ClientGivesUpAfterMaxAttempts) {
   const auto reply = cluster.run_op(0, op_put("k", "v"), 60 * sim::kSec);
   EXPECT_FALSE(reply.ok);
   EXPECT_EQ(reply.result, "timeout");
+}
+
+TEST(Failover, HomeClientKeepsTheServerThatAnsweredAfterItsHomeCrashed) {
+  for (const auto kind : {TechniqueKind::EagerLocking, TechniqueKind::EagerAbcast,
+                          TechniqueKind::LazyEverywhere, TechniqueKind::Certification}) {
+    auto cfg = testing::quiet_config(kind);
+    cfg.client_retry_timeout = 150 * sim::kMsec;
+    Cluster cluster(cfg);
+    ASSERT_TRUE(cluster.run_op(0, op_put("k", "v0")).ok);
+    cluster.crash_replica(0);  // client 0's home
+    for (int i = 1; i <= 5; ++i) {
+      const auto reply = cluster.run_op(0, op_put("k", "v" + std::to_string(i)), 60 * sim::kSec);
+      ASSERT_TRUE(reply.ok) << technique_name(kind) << ": " << reply.result;
+    }
+    EXPECT_EQ(cluster.client(0).timeouts(), 1)
+        << technique_name(kind) << ": only the first request may wait on the dead home";
+  }
 }
 
 TEST(Failover, ExactlyOnceUnderClientRetries) {

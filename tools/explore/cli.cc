@@ -207,8 +207,9 @@ int cmd_run(const std::map<std::string, std::string>& flags) {
   bool io_failure = false;
   // Sweep throughput (wall seconds, trials/s) goes to stdout only: the
   // EXPLORE artifact stays a deterministic function of its seeds.
-  std::cout << "| technique | trials | events | faults | violations | wall s | trials/s | artifact |\n"
-            << "|---|---|---|---|---|---|---|---|\n";
+  std::cout << "| technique | trials | events | faults | ops failed | violations | wall s | "
+               "trials/s | artifact |\n"
+            << "|---|---|---|---|---|---|---|---|---|\n";
   for (const auto kind : kinds) {
     explore::ExploreConfig config = base;
     config.kind = kind;
@@ -218,12 +219,14 @@ int cmd_run(const std::map<std::string, std::string>& flags) {
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
     const auto path = explore::save_explore(result);
     if (path.empty()) io_failure = true;
+    std::size_t ops_failed = 0;
+    for (const auto& row : result.rows) ops_failed += row.result.ops_failed;
     char timing[64];
     std::snprintf(timing, sizeof timing, "%.2f | %.1f", wall_s,
                   wall_s > 0 ? config.trials / wall_s : 0.0);
     std::cout << "| " << core::technique_name(kind) << " | " << config.trials << " | "
               << result.events_total << " | " << result.faults_injected_total << " | "
-              << result.violations.size() << " | " << timing << " | "
+              << ops_failed << " | " << result.violations.size() << " | " << timing << " | "
               << (path.empty() ? "(write failed)" : path) << " |\n";
     for (const auto& v : result.violations) {
       any_violation = true;
