@@ -144,15 +144,20 @@ ShrinkResult shrink(const TrialConfig& failing) {
   ShrinkResult out;
   TrialConfig current = failing;
 
-  const auto still_fails = [&out](const TrialConfig& candidate, TrialResult* result) {
-    ++out.runs;
-    *result = run_trial(candidate);
-    return !result->ok;
-  };
-
   TrialResult last = run_trial(current);
   ++out.runs;
   util::ensure(!last.ok, "shrink: the given trial does not fail to begin with");
+
+  // Runs `candidate`; keeps it if it still fails.
+  const auto accept_if_failing = [&](const TrialConfig& candidate) {
+    ++out.runs;
+    TrialResult result = run_trial(candidate);
+    if (result.ok) return false;
+    current = candidate;
+    last = std::move(result);
+    ++out.steps;
+    return true;
+  };
 
   bool progress = true;
   while (progress) {
@@ -162,37 +167,26 @@ ShrinkResult shrink(const TrialConfig& failing) {
       TrialConfig candidate = current;
       candidate.plan.faults.erase(candidate.plan.faults.begin() +
                                   static_cast<std::ptrdiff_t>(i));
-      TrialResult result;
-      if (still_fails(candidate, &result)) {
-        current = candidate;
-        last = result;
-        ++out.steps;
+      if (accept_if_failing(candidate)) {
         progress = true;  // do not advance i: the next fault shifted down
       } else {
         ++i;
       }
     }
+    if (current.plan.loss > 0) {
+      TrialConfig candidate = current;
+      candidate.plan.loss = 0;
+      progress |= accept_if_failing(candidate);
+    }
     if (current.plan.jitter > 0) {
       TrialConfig candidate = current;
       candidate.plan.jitter = 0;
-      TrialResult result;
-      if (still_fails(candidate, &result)) {
-        current = candidate;
-        last = result;
-        ++out.steps;
-        progress = true;
-      }
+      progress |= accept_if_failing(candidate);
     }
     if (current.plan.tie_break) {
       TrialConfig candidate = current;
       candidate.plan.tie_break = false;
-      TrialResult result;
-      if (still_fails(candidate, &result)) {
-        current = candidate;
-        last = result;
-        ++out.steps;
-        progress = true;
-      }
+      progress |= accept_if_failing(candidate);
     }
   }
 

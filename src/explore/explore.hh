@@ -84,9 +84,9 @@ TrialConfig trial_config(const ExploreConfig& config, int trial);
 ExploreResult explore(const ExploreConfig& config);
 
 /// Greedy delta debugging on a failing trial: drop faults one at a time,
-/// then zero the jitter, then disable tie randomization, re-running after
-/// each candidate reduction and keeping it only if the trial still fails;
-/// repeats to a fixed point. The returned plan is 1-minimal: removing any
+/// then zero the loss, then the jitter, then disable tie randomization,
+/// re-running after each candidate reduction and keeping it only if the
+/// trial still fails; repeats to a fixed point. The returned plan is 1-minimal: removing any
 /// single remaining element makes the violation vanish.
 ShrinkResult shrink(const TrialConfig& failing);
 

@@ -116,6 +116,7 @@ std::string format_plan(const Plan& plan) {
   };
   if (plan.tie_break) emit("tie");
   if (plan.jitter > 0) emit("jitter=" + std::to_string(plan.jitter));
+  if (plan.loss > 0) emit("loss=" + std::to_string(plan.loss));
   for (const auto& f : plan.faults) {
     std::string entry = f.kind == Fault::Kind::Crash ? "crash@" : "part@";
     entry += format_trigger(f.trigger);
@@ -149,6 +150,18 @@ std::optional<Plan> parse_plan(std::string_view text, std::string* error) {
         return std::nullopt;
       }
       plan.jitter = static_cast<sim::Time>(jitter);
+    } else if (entry.rfind("loss=", 0) == 0) {
+      std::size_t pos = 5;
+      std::uint64_t loss = 0;
+      if (!parse_uint(entry, pos, loss, error) || pos != entry.size()) {
+        if (error != nullptr && error->empty()) *error = "bad loss entry";
+        return std::nullopt;
+      }
+      if (loss == 0 || loss >= 1000) {
+        fail(error, "loss is per mille, 1..999: '" + std::string(entry) + "'");
+        return std::nullopt;
+      }
+      plan.loss = static_cast<int>(loss);
     } else if (entry.rfind("crash@", 0) == 0) {
       if (!parse_fault(entry.substr(6), Fault::Kind::Crash, plan, error)) return std::nullopt;
     } else if (entry.rfind("part@", 0) == 0) {

@@ -9,6 +9,8 @@
 //   plan  := "none" | entry ("; " entry)*
 //   entry := "tie"                     randomize same-time event order
 //          | "jitter=" N               extra delivery delay in [0, N] us
+//          | "loss=" N                 drop each cross-node message with
+//                                      probability N per mille (1..999)
 //          | "crash@" trig ":r" I      crash-stop replica I
 //          | "part@" trig ":r" I "+" D isolate replica I for D us, then heal
 //   trig  := "t" N                     at absolute simulated time N us
@@ -16,7 +18,8 @@
 //                                      of protocol phase ph
 //   ph    := "re" | "sc" | "ex" | "ac" | "end"
 //
-// Examples: "tie; jitter=400; crash@sc2:r1", "part@t20000:r0+50000".
+// Examples: "tie; jitter=400; crash@sc2:r1", "part@t20000:r0+50000",
+// "loss=50; crash@t20000:r1".
 // format_plan and parse_plan round-trip exactly.
 #pragma once
 
@@ -48,9 +51,10 @@ struct Fault {
 struct Plan {
   bool tie_break = false;
   sim::Time jitter = 0;  // max extra delivery delay (us); 0 = off
+  int loss = 0;          // iid message drop rate, per mille; 0 = off
   std::vector<Fault> faults;
 
-  bool empty() const { return !tie_break && jitter == 0 && faults.empty(); }
+  bool empty() const { return !tie_break && jitter == 0 && loss == 0 && faults.empty(); }
 };
 
 /// Canonical textual form (see grammar above); "none" for an empty plan.

@@ -37,6 +37,7 @@ TrialResult run_trial(const TrialConfig& config) {
   cc.replicas = config.replicas;
   cc.clients = config.clients;
   cc.seed = config.workload_seed;
+  cc.net.drop_probability = config.plan.loss / 1000.0;
   core::Cluster cluster(cc);
   auto& sim = cluster.sim();
 

@@ -1,5 +1,7 @@
 #include "gcs/link.hh"
 
+#include <bit>
+
 #include "obs/profile.hh"
 #include "sim/simulator.hh"
 #include "util/log.hh"
@@ -84,7 +86,9 @@ void ReliableLink::on_tick() {
       settle(p);
       continue;
     }
-    transmit(seq, p);
+    if (p.retries <= kLinkSteadyRetries || std::has_single_bit(static_cast<unsigned>(p.retries))) {
+      transmit(seq, p);
+    }
   }
   release_settled();
   arm_timer();

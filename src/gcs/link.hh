@@ -17,9 +17,16 @@
 // `seq - base`: an ack clears its entry in place, the acknowledged prefix
 // is released, and retransmission walks the ring in ascending seq order.
 //
-// Retransmission stops after kLinkMaxRetries (the peer is then assumed
-// crashed; crash-stop processes never return, so this only truncates
-// pointless traffic and lets the simulation quiesce).
+// An unacknowledged entry is retransmitted on each of its first
+// kLinkSteadyRetries ticks, then only on ticks that are powers of two
+// (4, 8, 16, 32, 64), and given up on after kLinkMaxRetries ticks (the peer
+// is then assumed crashed; crash-stop processes never return, so this only
+// truncates pointless traffic and lets the simulation quiesce). A peer that
+// has not acked for kLinkSteadyRetries ticks has been silent for longer than
+// the failure detector's kFdTimeout plus one RTO. Inside the fault envelope
+// (partitions shorter than kFdTimeout) every retransmission that can reach
+// a live peer therefore leaves at the same tick as under a fixed RTO, while
+// a message to a dead peer costs 9 transmissions rather than one per tick.
 #pragma once
 
 #include <cstdint>
@@ -30,6 +37,7 @@
 #include <vector>
 
 #include "gcs/component.hh"
+#include "gcs/fd.hh"
 #include "sim/batcher.hh"
 #include "util/seq_ring.hh"
 
@@ -71,9 +79,12 @@ struct LinkPack : wire::MessageBase<LinkPack> {
   }
 };
 
-// Retransmission timeout, and the retransmissions before giving up.
+// Retransmission timeout, and the ticks before giving up.
 inline constexpr sim::Time kLinkRto = 5 * sim::kMsec;
 inline constexpr int kLinkMaxRetries = 100;
+// Ticks on which an entry is retransmitted unconditionally: they cover a
+// silence of kFdTimeout plus one RTO.
+inline constexpr int kLinkSteadyRetries = static_cast<int>(kFdTimeout / kLinkRto) + 1;
 
 class ReliableLink : public Component {
  public:

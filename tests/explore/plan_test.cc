@@ -55,6 +55,26 @@ TEST(PlanGrammar, FullPlanRoundTrips) {
   EXPECT_EQ(back.faults[1].heal_after, 50000);
 }
 
+TEST(PlanGrammar, LossRoundTrips) {
+  Plan plan;
+  plan.jitter = 400;
+  plan.loss = 50;
+  Fault crash;
+  crash.trigger.at = 20000;
+  crash.replica = 1;
+  plan.faults.push_back(crash);
+  EXPECT_FALSE(plan.empty());
+  EXPECT_EQ(format_plan(plan), "jitter=400; loss=50; crash@t20000:r1");
+  const auto back = roundtrip(plan);
+  EXPECT_EQ(back.loss, 50);
+  EXPECT_EQ(format_plan(back), format_plan(plan));
+  for (const char* text : {"loss=1", "loss=999", "tie; loss=10"}) {
+    const auto parsed = parse_plan(text);
+    ASSERT_TRUE(parsed.has_value()) << text;
+    EXPECT_EQ(format_plan(*parsed), text);
+  }
+}
+
 TEST(PlanGrammar, EveryPhaseAbbrevParses) {
   for (const char* ph : {"re", "sc", "ex", "ac", "end"}) {
     const std::string text = std::string("crash@") + ph + "3:r0";
@@ -84,6 +104,12 @@ TEST(PlanGrammar, MalformedInputsAreRejectedWithADiagnostic) {
            "part@t5:r1+",            // empty duration
            "crash@t5:r1 extra",      // trailing garbage
            "none; tie",              // "none" must stand alone
+           "loss=",                  // missing rate
+           "loss=-5",                // negative
+           "loss=0",                 // zero is the absent entry, not a rate
+           "loss=1000",              // per mille: 1000 would drop everything
+           "loss=5%",                // trailing garbage
+           "loss=0.05",              // a fraction, not per mille
        }) {
     std::string error;
     EXPECT_FALSE(parse_plan(bad, &error).has_value()) << "accepted: '" << bad << "'";

@@ -1,7 +1,7 @@
 // The delta-debugging shrinker, exercised against a hand-planted
 // violation: a deliberately weakened "checker" (the extra_check hook)
 // that flags any plan containing a crash fault. The shrinker must strip
-// everything else — extra faults, jitter, tie-breaking — and hand back
+// everything else — extra faults, loss, jitter, tie-breaking — and hand back
 // the minimal 1-fault plan, still failing.
 #include <gtest/gtest.h>
 
@@ -54,6 +54,15 @@ TEST(Shrink, ReducesToTheMinimalOneFaultPlan) {
   const auto again = run_trial(replay);
   EXPECT_FALSE(again.ok);
   EXPECT_EQ(again.schedule_digest, shrunk.result.schedule_digest);
+}
+
+TEST(Shrink, DropsTheLossRate) {
+  auto tc = planted_config();
+  tc.plan = parse_plan("loss=50; crash@t9000:r1").value();
+  const auto shrunk = shrink(tc);
+  EXPECT_FALSE(shrunk.result.ok);
+  EXPECT_EQ(format_plan(shrunk.minimal), "crash@t9000:r1");
+  EXPECT_EQ(shrunk.steps, 1);
 }
 
 TEST(Shrink, PassingTrialIsAnInvariantViolation) {

@@ -81,6 +81,36 @@ TEST(Trial, PartitionHealsAndConverges) {
   EXPECT_EQ(a.faults_injected, 1u);
 }
 
+TEST(Trial, FailureTransparentTechniquesLoseNoOpUnderLossAndACrash) {
+  // The live replicas' ARQ links retransmit through 5% iid loss while
+  // their links to the crashed replica back off.
+  for (const auto kind : {core::TechniqueKind::Active, core::TechniqueKind::SemiActive,
+                          core::TechniqueKind::SemiPassive}) {
+    auto tc = small_config();
+    tc.kind = kind;
+    tc.plan = parse_plan("loss=50; crash@t9000:r1").value();
+    const auto a = run_trial(tc);
+    EXPECT_TRUE(a.ok) << core::technique_name(kind) << ": " << a.failed_check << ": "
+                      << a.violation;
+    EXPECT_EQ(a.faults_injected, 1u) << core::technique_name(kind);
+    EXPECT_EQ(a.ops_failed, 0u) << core::technique_name(kind);
+    EXPECT_EQ(a.ops_ok, 20u) << core::technique_name(kind);
+  }
+}
+
+TEST(Trial, LossDropsMessages) {
+  auto tc = small_config();
+  tc.plan = parse_plan("loss=100").value();
+  std::int64_t dropped = 0;
+  tc.extra_check = [&dropped](const TrialConfig&, core::Cluster& cluster) {
+    dropped = cluster.sim().metrics().counter("net.dropped").value();
+    return std::string();
+  };
+  const auto a = run_trial(tc);
+  EXPECT_TRUE(a.ok) << a.failed_check << ": " << a.violation;
+  EXPECT_GT(dropped, 0);
+}
+
 TEST(Trial, FaultOnNonReplicaIsAnInvariantViolation) {
   auto tc = small_config();
   tc.plan = parse_plan("crash@t5000:r7").value();

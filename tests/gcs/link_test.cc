@@ -21,11 +21,13 @@ class LinkNode : public ComponentHost {
     add_component(link);
     link.set_deliver([this](sim::NodeId from, wire::MessagePtr msg, std::string_view) {
       received.emplace_back(from, testing::note_text(msg));
+      received_at.push_back(now());
     });
   }
 
   ReliableLink link;
   std::vector<std::pair<sim::NodeId, std::string>> received;
+  std::vector<sim::Time> received_at;
 };
 
 TEST(ReliableLink, DeliversWithoutLoss) {
@@ -159,9 +161,13 @@ class SeqSink : public sim::Process {
  public:
   SeqSink(sim::NodeId id, sim::Simulator& sim) : Process(id, sim, "seq-sink") {}
   void on_message(sim::NodeId /*from*/, wire::MessagePtr msg) override {
-    if (const auto data = wire::message_cast<LinkData>(msg)) seqs.push_back(data->seq);
+    if (const auto data = wire::message_cast<LinkData>(msg)) {
+      seqs.push_back(data->seq);
+      at.push_back(now());
+    }
   }
   std::vector<std::uint64_t> seqs;
+  std::vector<sim::Time> at;
 };
 
 std::shared_ptr<LinkAck> ack_of(std::uint64_t seq) {
@@ -199,6 +205,63 @@ TEST(ReliableLink, OutOfOrderAcksClearInPlaceAndRetransmitsRunInSeqOrder) {
   a.link.send_reliable(sink.id(), note("m4"));
   sim.run_until(3 * kLinkRto + kLinkRto / 2);
   EXPECT_EQ(sink.seqs, (std::vector<std::uint64_t>{1, 2, 3, 4, 1, 4, 4, 5, 5}));
+}
+
+TEST(ReliableLink, SilentPeerGetsNineTransmissionsBeforeGiveUp) {
+  // Every tick up to kLinkSteadyRetries retransmits, later ones only on
+  // powers of two; the entry is still given up on after kLinkMaxRetries.
+  sim::NetworkConfig net;
+  net.jitter_mean = 0;
+  sim::Simulator sim(1, net);
+  auto& a = sim.spawn<LinkNode>();
+  auto& sink = sim.spawn<SeqSink>();
+  a.link.send_reliable(sink.id(), note("unheard"));
+  sim.run_until((kLinkMaxRetries + 1) * kLinkRto + kLinkRto / 2);
+  EXPECT_EQ(a.link.unacked(), 0u);
+  EXPECT_EQ(sink.seqs, std::vector<std::uint64_t>(9, 1));
+  std::vector<sim::Time> ticks;
+  for (const sim::Time t : sink.at) ticks.push_back((t - sink.at.front()) / kLinkRto);
+  EXPECT_EQ(ticks, (std::vector<sim::Time>{0, 1, 2, 3, 4, 8, 16, 32, 64}));
+}
+
+/// When b receives a's one message if a->b is cut from the send until
+/// `heal` (0: never cut).
+sim::Time delivery_time_after_partition(sim::Time heal) {
+  sim::NetworkConfig net;
+  net.jitter_mean = 0;
+  sim::Simulator sim(1, net);
+  auto& a = sim.spawn<LinkNode>();
+  auto& b = sim.spawn<LinkNode>();
+  if (heal > 0) {
+    sim.net().set_partition([&](sim::NodeId from, sim::NodeId to) {
+      return from == a.id() && to == b.id();
+    });
+    sim.schedule_at(heal, [&] { sim.net().set_partition(nullptr); });
+  }
+  a.link.send_reliable(b.id(), note("delayed"));
+  sim.run_until(1 * sim::kSec);
+  EXPECT_EQ(b.received.size(), 1u);
+  EXPECT_EQ(a.link.unacked(), 0u);
+  return b.received_at.empty() ? -1 : b.received_at.front();
+}
+
+TEST(ReliableLink, PartitionInsideFdTimeoutDeliversAsWithFixedRto) {
+  // Under a fixed RTO the message gets through on the first tick after the
+  // heal. Every partition up to kFdTimeout plus one RTO heals before tick
+  // kLinkSteadyRetries, so the backoff must not delay any of them.
+  const sim::Time transit = delivery_time_after_partition(0);
+  for (const sim::Time heal : {1 * sim::kMsec, kLinkRto - 1, kLinkRto + 1, kFdTimeout - 1,
+                               kFdTimeout + kLinkRto - 1}) {
+    const sim::Time first_tick_after = (heal / kLinkRto + 1) * kLinkRto;
+    EXPECT_EQ(delivery_time_after_partition(heal), first_tick_after + transit)
+        << "partition healed at " << heal;
+  }
+}
+
+TEST(ReliableLink, LongPartitionDeliversOnceHealed) {
+  // 120 ms: past the steady ticks, so the message waits for tick 32.
+  const sim::Time transit = delivery_time_after_partition(0);
+  EXPECT_EQ(delivery_time_after_partition(120 * sim::kMsec), 32 * kLinkRto + transit);
 }
 
 TEST(ReliableLink, GivingUpFreesTheSharedPayload) {

@@ -131,7 +131,7 @@ TEST(SchedulePin, ExploreTrialWithTieBreakAndJitter) {
   got.schedule_digest = result.schedule_digest;
   got.events = result.events;
   // r1 crashed: the two live replicas are digested.
-  expect_pinned(got, Pin{2044072781264740980ull, 37944, 36173,
+  expect_pinned(got, Pin{10516536607071967799ull, 7979, 6199,
                          std::vector<std::uint64_t>(2, 9286247159512237666ull)});
 }
 
