@@ -39,17 +39,10 @@ void CertificationReplica::on_request(const RequestPtr& request) {
       const std::string& id = request->request_id;
       db::TxnExec txn(id, storage_);
       db::SeededChoices choices(wire::fnv1a(id));
-      std::string result;
-      try {
-        for (const auto& op : request->ops) result = txn.run(registry(), op, choices);
-      } catch (const std::exception& e) {
-        reply(request->client, id, false, e.what());
-        return;
-      }
-      phase(id, sim::Phase::Execution, exec_start, now());
-      exec_span(request->ops.back(), exec_start, id);
-      cache_reply(id, true, result);
-      reply(request->client, id, true, result);
+      const auto result = execute_request(*request, txn, choices, exec_start);
+      if (!result) return;
+      cache_reply(id, true, *result);
+      reply(request->client, id, true, *result);
     });
     return;
   }
@@ -66,23 +59,18 @@ void CertificationReplica::execute_and_broadcast(const RequestPtr& request, int 
     // Optimistic execution on shadow copies (no coordination yet).
     db::TxnExec txn(id, storage_);
     db::SeededChoices choices(wire::fnv1a(id) + static_cast<std::uint64_t>(attempt));
-    std::string result;
-    try {
-      for (const auto& op : request->ops) result = txn.run(registry(), op, choices);
-    } catch (const std::exception& e) {
-      reply(request->client, id, false, e.what());
+    const auto result = execute_request(*request, txn, choices, exec_start);
+    if (!result) {
       driving_.erase(id);
       return;
     }
-    phase(id, sim::Phase::Execution, exec_start, now());
-    exec_span(request->ops.back(), exec_start, id);
 
     CtCertify cert;
     cert.txn = id;
     cert.attempt = static_cast<std::uint32_t>(attempt);
     cert.delegate = this->id();
     cert.client = request->client;
-    cert.result = result;
+    cert.result = *result;
     cert.read_versions = txn.read_versions();
     cert.writes = txn.writes();
     // Delegate-side AC span: open now, closed when the certification verdict
@@ -118,13 +106,7 @@ void CertificationReplica::on_delivered(const CtCertify& cert) {
 
   if (pass) {
     decided_.insert(cert.txn);
-    if (!cert.writes.empty()) {
-      const auto seq = storage_.next_commit_seq();
-      for (const auto& [key, value] : cert.writes) {
-        storage_.put(key, value, seq, cert.txn);
-      }
-      record_commit(cert.txn, cert.writes, cert.read_versions, seq);
-    }
+    if (!cert.writes.empty()) install(cert.txn, cert.writes, cert.read_versions);
     cache_reply(cert.txn, true, cert.result);
     phase(cert.txn, sim::Phase::AgreementCoord, cert_start, now());
     if (cert.delegate == id()) {

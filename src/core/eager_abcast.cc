@@ -97,13 +97,7 @@ void EagerAbcastReplica::on_delivered(const std::shared_ptr<const EaForward>& fw
                                                       std::map<db::Key, std::uint64_t> reads,
                                                       std::string result) {
     tentative_.erase(request->request_id);
-    if (!writes.empty()) {
-      const auto commit_seq = storage_.next_commit_seq();
-      for (const auto& [key, value] : writes) {
-        storage_.put(key, value, commit_seq, request->request_id);
-      }
-      record_commit(request->request_id, writes, reads, commit_seq);
-    }
+    if (!writes.empty()) install(request->request_id, writes, reads);
     phase(request->request_id, sim::Phase::Execution, exec_start, now());
     exec_span(request->ops.front(), exec_start, request->request_id);
     cache_reply(request->request_id, true, result);

@@ -141,20 +141,26 @@ void EagerLockingReplica::drive_next_op(const std::string& txn_id) {
   acquire.attempt = static_cast<std::uint32_t>(drive.attempt);
   acquire.plan = op.lock_plan();
 
-  drive.executing = false;
   drive.sc_start = now();
-  drive.awaiting.clear();
   if (!op.read_only()) drive.wrote = true;
   // Read-one/write-all: a read-only operation locks only the local copy.
-  const bool local_only = config_.read_one_write_all && op.read_only();
+  fan_out(drive, false, config_.read_one_write_all && op.read_only(), acquire,
+          &EagerLockingReplica::local_acquire);
+}
+
+template <class Msg>
+void EagerLockingReplica::fan_out(Drive& drive, bool executing, bool local_only, const Msg& msg,
+                                  void (EagerLockingReplica::*local)(sim::NodeId, const Msg&)) {
+  drive.executing = executing;
+  drive.awaiting.clear();
   for (const auto m : group().members()) {
     if (fd_.suspects(m)) continue;
     if (local_only && m != id()) continue;
     drive.awaiting.insert(m);
     if (m == id()) {
-      local_acquire(id(), acquire);
+      (this->*local)(id(), msg);
     } else {
-      link_.send_reliable(m, acquire);
+      link_.send_reliable(m, msg);
     }
   }
 }
@@ -263,18 +269,8 @@ void EagerLockingReplica::locked_everywhere(const std::string& txn_id) {
   exec.op_index = static_cast<std::uint32_t>(drive.next_op);
   exec.attempt = static_cast<std::uint32_t>(drive.attempt);
   exec.op = drive.request.ops[drive.next_op];
-  const bool local_only = config_.read_one_write_all && exec.op.read_only();
-  drive.executing = true;
-  for (const auto m : group().members()) {
-    if (fd_.suspects(m)) continue;
-    if (local_only && m != id()) continue;
-    drive.awaiting.insert(m);
-    if (m == id()) {
-      local_exec(id(), exec);
-    } else {
-      link_.send_reliable(m, exec);
-    }
-  }
+  fan_out(drive, true, config_.read_one_write_all && exec.op.read_only(), exec,
+          &EagerLockingReplica::local_exec);
 }
 
 void EagerLockingReplica::local_exec(sim::NodeId delegate, const LkExec& exec) {
@@ -387,11 +383,7 @@ void EagerLockingReplica::start_commit(const std::string& txn_id) {
 }
 
 void EagerLockingReplica::flush_commit_group(std::vector<LkGroupEntry> members) {
-  std::vector<sim::NodeId> participants;
-  for (const auto m : group().members()) {
-    if (!fd_.suspects(m)) participants.push_back(m);
-  }
-  commit_group(std::move(members), participants);
+  commit_group(std::move(members), fd_.trusted());
 }
 
 void EagerLockingReplica::commit_group(std::vector<LkGroupEntry> members,
@@ -423,10 +415,7 @@ void EagerLockingReplica::local_outcome(const std::string& txn_id, bool commit) 
   parts_.erase(it);
   const auto apply_start = now();
   cpu_execute(kApplyCost, [this, txn_id, part, apply_start] {
-    const auto seq = part->exec->commit_into(storage_);
-    if (!part->exec->writes().empty()) {
-      record_commit(txn_id, part->exec->writes(), part->exec->read_versions(), seq);
-    }
+    install(txn_id, part->exec->writes(), part->exec->read_versions());
     cache_reply(txn_id, true, part->result);
     locks_.release_all(txn_id);
     phase(txn_id, sim::Phase::AgreementCoord, apply_start, now());

@@ -8,10 +8,13 @@
 //   AC  2PC commits or aborts the transaction everywhere, releasing locks
 //   END the delegate answers the client
 //
-// Distributed deadlocks are broken by each site's local wait-for-graph
-// detection plus the wait-timeout backstop; a denied lock aborts the
-// transaction globally and the delegate retries after a randomized backoff
-// (the paper: "the transaction can be delayed and the request repeated").
+// Distributed deadlocks are prevented by wait-die at each site's lock
+// manager (a requester younger than an incompatible holder aborts instead
+// of waiting; db/lock.hh), with local wait-for-graph detection and the wait
+// timeout as backstops for the cycles wait-die lets through. A denied lock
+// aborts the transaction globally and the delegate retries after a
+// randomized backoff (the paper: "the transaction can be delayed and the
+// request repeated").
 #pragma once
 
 #include <map>
@@ -167,6 +170,13 @@ class EagerLockingReplica : public ReplicaBase {
 
   void on_request(const ClientRequest& request);
   void drive_next_op(const std::string& txn_id);
+  /// Starts the current operation's lock round (`executing` false) or
+  /// execution round (true): awaits every site not suspected, or only this
+  /// one when `local_only`, handing `msg` to `local` here and sending it to
+  /// the others, in member order.
+  template <class Msg>
+  void fan_out(Drive& drive, bool executing, bool local_only, const Msg& msg,
+               void (EagerLockingReplica::*local)(sim::NodeId, const Msg&));
   void on_lock_reply(sim::NodeId from, const LkReply& reply);
   void on_exec_done(sim::NodeId from, const LkExecDone& done);
   /// Every awaited site granted the current operation's locks: start EX.

@@ -123,10 +123,7 @@ void EagerPrimaryReplica::on_unhandled(sim::NodeId from, wire::MessagePtr msg) {
 
 void EagerPrimaryReplica::on_request(const ClientRequest& request) {
   if (!is_primary()) {
-    auto redirect = std::make_shared<Redirect>();
-    redirect->request_id = request.request_id;
-    redirect->try_instead = current_primary();
-    send(request.client, std::move(redirect));
+    redirect(request, current_primary());
     return;
   }
   if (replay_cached_reply(request.client, request.request_id)) return;
@@ -222,25 +219,17 @@ void EagerPrimaryReplica::run_group_step(const std::string& group_id) {
                                std::to_string(++accept_seq_);
     db::TxnExec exec(txn_id, grp.scratch);
     db::SeededChoices choices(wire::fnv1a(request.request_id));
-    std::string result;
-    bool ok = true;
-    try {
-      for (const auto& op : request.ops) result = exec.run(registry(), op, choices);
-    } catch (const std::exception& e) {
-      // A failed transaction answers immediately and leaves the scratch
-      // state untouched — the rest of the group is unaffected.
-      reply(request.client, request.request_id, false, e.what());
+    // A failed transaction is answered at once and leaves the scratch state
+    // untouched: the rest of the group is unaffected.
+    const auto result = execute_request(request, exec, choices, exec_start);
+    if (!result) {
       group_inflight_.erase(request.request_id);
-      ok = false;
-    }
-    if (ok) {
-      phase(request.request_id, sim::Phase::Execution, exec_start, now());
-      exec_span(request.ops.back(), exec_start, request.request_id);
+    } else {
       EpGroupEntry entry;
       entry.txn = txn_id;
       entry.request_id = request.request_id;
       entry.client = request.client;
-      entry.result = result;
+      entry.result = *result;
       entry.writes = exec.writes();
       exec.commit_into(grp.scratch);
       request_of_txn_.emplace(txn_id, request.request_id);
@@ -269,10 +258,7 @@ void EagerPrimaryReplica::group_commit(const std::string& group_id) {
   change.entries = grp.entries;
   staged_group_[group_id] = grp.entries;  // stage our own copy
 
-  std::vector<sim::NodeId> participants;
-  for (const auto m : group().members()) {
-    if (m == id() || !fd_.suspects(m)) participants.push_back(m);
-  }
+  const auto participants = fd_.trusted();
   std::vector<EpGroupEntry> replies;
   for (const auto& e : grp.entries) {
     EpGroupEntry r;
@@ -386,10 +372,7 @@ void EagerPrimaryReplica::start_commit(const std::string& txn_id) {
   meta.result = txn.last_result;
   staged.request_id = txn.request.request_id;
 
-  std::vector<sim::NodeId> participants;
-  for (const auto m : group().members()) {
-    if (m == id() || !fd_.suspects(m)) participants.push_back(m);
-  }
+  const auto participants = fd_.trusted();
   const auto client = txn.request.client;
   const auto request_id = txn.request.request_id;
   const auto result = txn.last_result;
@@ -421,11 +404,7 @@ void EagerPrimaryReplica::apply_commit(const std::string& txn_id, bool commit) {
         wal_.begin(e.txn);
         for (const auto& [key, value] : e.writes) wal_.write(e.txn, key, value);
         wal_.commit(e.txn);
-        const auto seq = storage_.next_commit_seq();
-        for (const auto& [key, value] : e.writes) {
-          storage_.put(key, value, seq, e.txn);
-        }
-        if (!e.writes.empty()) record_commit(e.txn, e.writes, {}, seq);
+        install(e.txn, e.writes);
         cache_reply(e.request_id, true, e.result);
       }
       phase(txn_id, sim::Phase::AgreementCoord, apply_start, now());
@@ -449,11 +428,7 @@ void EagerPrimaryReplica::apply_commit(const std::string& txn_id, bool commit) {
     wal_.begin(txn_id);
     for (const auto& [key, value] : staged.writes) wal_.write(txn_id, key, value);
     wal_.commit(txn_id);
-    const auto seq = storage_.next_commit_seq();
-    for (const auto& [key, value] : staged.writes) {
-      storage_.put(key, value, seq, txn_id);
-    }
-    if (!staged.writes.empty()) record_commit(txn_id, staged.writes, {}, seq);
+    install(txn_id, staged.writes);
     // The reply cache is keyed by the client-visible request id.
     const auto& reply_key = staged.request_id.empty() ? txn_id : staged.request_id;
     cache_reply(reply_key, true, staged.result);
@@ -472,8 +447,8 @@ void EagerPrimaryReplica::on_primary_suspected(sim::NodeId who) {
     if (doubt.coordinator != who) continue;  // its coordinator is still alive
     if (resolved_.contains(txn_id) || term_waiting_.contains(txn_id)) continue;
     std::set<sim::NodeId> peers;
-    for (const auto m : group().members()) {
-      if (m != id() && m != who && !fd_.suspects(m)) peers.insert(m);
+    for (const auto m : fd_.trusted()) {
+      if (m != id()) peers.insert(m);
     }
     if (peers.empty()) {
       if (is_primary()) {

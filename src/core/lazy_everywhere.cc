@@ -36,21 +36,13 @@ void LazyEverywhereReplica::on_request(const RequestPtr& request) {
               [this, request, exec_start] {
     db::TxnExec txn(request->request_id, storage_);
     db::SeededChoices choices(wire::fnv1a(request->request_id));
-    std::string result;
-    try {
-      for (const auto& op : request->ops) result = txn.run(registry(), op, choices);
-    } catch (const std::exception& e) {
-      reply(request->client, request->request_id, false, e.what());
-      return;
-    }
-    phase(request->request_id, sim::Phase::Execution, exec_start, now());
-    exec_span(request->ops.back(), exec_start, request->request_id);
+    const auto result = execute_request(*request, txn, choices, exec_start);
+    if (!result) return;
 
     const auto writes = txn.writes();
     if (!writes.empty()) {
       // Optimistic local commit: visible to local reads immediately.
-      const auto seq = txn.commit_into(storage_);
-      record_commit(request->request_id, writes, txn.read_versions(), seq);
+      install(request->request_id, writes, txn.read_versions());
       if (config_.reconciliation == Reconciliation::AbcastOrder) {
         for (const auto& [key, value] : writes) local_pending_[key] = request->request_id;
       } else {
@@ -61,9 +53,9 @@ void LazyEverywhereReplica::on_request(const RequestPtr& request) {
         }
       }
     }
-    cache_reply(request->request_id, true, result);
+    cache_reply(request->request_id, true, *result);
     // END before AC: reply now, reconcile later.
-    reply(request->client, request->request_id, true, result);
+    reply(request->client, request->request_id, true, *result);
 
     if (!writes.empty()) {
       LeUpdate update;

@@ -25,11 +25,7 @@ void LazyPrimaryReplica::on_unhandled(sim::NodeId /*from*/, wire::MessagePtr msg
 void LazyPrimaryReplica::on_request(const RequestPtr& request) {
   if (replay_cached_reply(request->client, request->request_id)) return;
   if (!request->read_only() && !is_primary()) {
-    // Updates belong at the primary copy.
-    auto redirect = std::make_shared<Redirect>();
-    redirect->request_id = request->request_id;
-    redirect->try_instead = group().members().front();
-    send(request->client, std::move(redirect));
+    redirect(*request, group().members().front());  // updates belong at the primary copy
     return;
   }
   const auto exec_start = now();
@@ -39,24 +35,14 @@ void LazyPrimaryReplica::on_request(const RequestPtr& request) {
     // no difference whether it has one or many operations, §5.3).
     db::TxnExec txn(request->request_id, storage_);
     db::SeededChoices choices(wire::fnv1a(request->request_id));
-    std::string result;
-    try {
-      for (const auto& op : request->ops) result = txn.run(registry(), op, choices);
-    } catch (const std::exception& e) {
-      reply(request->client, request->request_id, false, e.what());
-      return;
-    }
-    phase(request->request_id, sim::Phase::Execution, exec_start, now());
-    exec_span(request->ops.back(), exec_start, request->request_id);
+    const auto result = execute_request(*request, txn, choices, exec_start);
+    if (!result) return;
 
     const auto writes = txn.writes();
-    if (!writes.empty()) {
-      const auto seq = txn.commit_into(storage_);
-      record_commit(request->request_id, writes, txn.read_versions(), seq);
-    }
-    cache_reply(request->request_id, true, result);
+    if (!writes.empty()) install(request->request_id, writes, txn.read_versions());
+    cache_reply(request->request_id, true, *result);
     // END before AC: the client hears back *before* any replica coordination.
-    reply(request->client, request->request_id, true, result);
+    reply(request->client, request->request_id, true, *result);
 
     if (!writes.empty()) {
       LzUpdate update;
@@ -76,11 +62,7 @@ void LazyPrimaryReplica::on_request(const RequestPtr& request) {
 void LazyPrimaryReplica::on_update(const LzUpdate& update) {
   const auto apply_start = now();
   cpu_execute(kApplyCost, [this, update, apply_start] {
-    const auto seq = storage_.next_commit_seq();
-    for (const auto& [key, value] : update.writes) {
-      storage_.put(key, value, seq, update.txn);
-    }
-    record_commit(update.txn, update.writes, {}, seq);
+    install(update.txn, update.writes);
     sim().metrics().histogram("lazy.staleness_us")
         .observe(static_cast<double>(now() - update.committed_at));
     phase(update.txn, sim::Phase::AgreementCoord, apply_start, now());

@@ -44,10 +44,7 @@ void PassiveReplica::on_unhandled(sim::NodeId from, wire::MessagePtr msg) {
 
 void PassiveReplica::on_request(const ClientRequest& request) {
   if (!is_primary()) {
-    auto redirect = std::make_shared<Redirect>();
-    redirect->request_id = request.request_id;
-    redirect->try_instead = vg_.view().primary();
-    send(request.client, std::move(redirect));
+    redirect(request, vg_.view().primary());
     return;
   }
   if (replay_cached_reply(request.client, request.request_id)) return;
@@ -128,13 +125,7 @@ void PassiveReplica::on_update(const PbUpdate& update) {
   cpu_execute(kApplyCost, [this, update, apply_start] {
     for (const auto& entry : update.entries) {
       if (has_cached_reply(entry.request_id)) continue;  // already applied here
-      const auto seq = storage_.next_commit_seq();
-      for (const auto& [key, value] : entry.writes) {
-        storage_.put(key, value, seq, entry.request_id);
-      }
-      if (!entry.writes.empty()) {
-        record_commit(entry.request_id, entry.writes, {}, seq);
-      }
+      install(entry.request_id, entry.writes);
       cache_reply(entry.request_id, true, entry.result);
       phase(entry.request_id, sim::Phase::AgreementCoord, apply_start, now());
     }

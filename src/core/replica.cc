@@ -52,6 +52,36 @@ void ReplicaBase::reply(sim::NodeId client, const std::string& request_id, bool 
   send(client, std::move(msg));
 }
 
+void ReplicaBase::redirect(const ClientRequest& request, sim::NodeId to) {
+  auto msg = std::make_shared<Redirect>();
+  msg->request_id = request.request_id;
+  msg->try_instead = to;
+  send(request.client, std::move(msg));
+}
+
+std::optional<std::string> ReplicaBase::execute_request(const ClientRequest& request,
+                                                        db::TxnExec& txn,
+                                                        db::ChoiceSource& choices,
+                                                        sim::Time start) {
+  std::string result;
+  try {
+    for (const auto& op : request.ops) result = txn.run(registry(), op, choices);
+  } catch (const std::exception& e) {
+    reply(request.client, request.request_id, false, e.what());
+    return std::nullopt;
+  }
+  phase(request.request_id, sim::Phase::Execution, start, now());
+  exec_span(request.ops.back(), start, request.request_id);
+  return result;
+}
+
+void ReplicaBase::install(const std::string& txn, const std::map<db::Key, db::Value>& writes,
+                          const std::map<db::Key, std::uint64_t>& reads) {
+  const auto seq = storage_.next_commit_seq();
+  for (const auto& [key, value] : writes) storage_.put(key, value, seq, txn);
+  if (!writes.empty()) record_commit(txn, writes, reads, seq);
+}
+
 bool ReplicaBase::replay_cached_reply(sim::NodeId client, const std::string& request_id) {
   const auto it = reply_cache_.find(request_id);
   if (it == reply_cache_.end()) return false;

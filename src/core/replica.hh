@@ -76,6 +76,22 @@ class ReplicaBase : public gcs::ComponentHost {
   /// Sends a ClientReply, inside `request_id`'s own causal trace.
   void reply(sim::NodeId client, const std::string& request_id, bool ok, std::string result);
 
+  /// Sends the client to replica `to` instead (a Redirect).
+  void redirect(const ClientRequest& request, sim::NodeId to);
+
+  /// The EX phase of a whole request: runs every op in `txn`. If an op
+  /// throws, answers the client ok=false with the error and returns nullopt;
+  /// otherwise records the EX phase and the db/exec.op span over
+  /// [start, now] and returns the last op's result.
+  std::optional<std::string> execute_request(const ClientRequest& request, db::TxnExec& txn,
+                                             db::ChoiceSource& choices, sim::Time start);
+
+  /// Installs a committed writeset under the next commit sequence number and
+  /// records the commit, unless the writeset is empty (the seq is taken
+  /// anyway).
+  void install(const std::string& txn, const std::map<db::Key, db::Value>& writes,
+               const std::map<db::Key, std::uint64_t>& reads = {});
+
   /// Reply cache for exactly-once semantics: returns true (and re-replies)
   /// when `request_id` was already answered here.
   bool replay_cached_reply(sim::NodeId client, const std::string& request_id);

@@ -77,13 +77,7 @@ void SemiPassiveReplica::apply_ready() {
     ++next_instance_;
 
     if (done_.insert(decision->request_id).second) {
-      const auto seq = storage_.next_commit_seq();
-      for (const auto& [key, value] : decision->writes) {
-        storage_.put(key, value, seq, decision->request_id);
-      }
-      if (!decision->writes.empty()) {
-        record_commit(decision->request_id, decision->writes, {}, seq);
-      }
+      install(decision->request_id, decision->writes);
       pending_.erase(decision->request_id);
       cache_reply(decision->request_id, true, decision->result);
       phase_now(decision->request_id, sim::Phase::AgreementCoord);

@@ -13,15 +13,7 @@ TwoPhaseCommit::TwoPhaseCommit(sim::Process& host, std::uint32_t channel)
       return;
     }
     if (const auto vote = wire::message_cast<TpcVote>(msg)) {
-      const auto it = coordinating_.find(vote->txn);
-      if (it == coordinating_.end() || it->second.decided) return;
-      Pending& p = it->second;
-      if (!vote->yes) {
-        decide(vote->txn, false);
-        return;
-      }
-      p.yes_votes.insert(from);
-      if (p.yes_votes.size() == p.participants.size()) decide(vote->txn, true);
+      count_vote(vote->txn, from, vote->yes);
       return;
     }
     if (const auto dec = wire::message_cast<TpcDecision>(msg)) {
@@ -67,17 +59,7 @@ void TwoPhaseCommit::deliver_prepare(sim::NodeId coordinator, const TpcPrepare& 
   vote.txn = prep.txn;
   vote.yes = yes;
   if (coordinator == host_.id()) {
-    // Local short-circuit through the same code path as remote votes.
-    const auto it = coordinating_.find(prep.txn);
-    if (it != coordinating_.end() && !it->second.decided) {
-      Pending& p = it->second;
-      if (!yes) {
-        decide(prep.txn, false);
-      } else {
-        p.yes_votes.insert(host_.id());
-        if (p.yes_votes.size() == p.participants.size()) decide(prep.txn, true);
-      }
-    }
+    count_vote(prep.txn, host_.id(), yes);  // local short-circuit
   } else {
     link_.send_fifo(coordinator, vote);
   }
@@ -86,6 +68,18 @@ void TwoPhaseCommit::deliver_prepare(sim::NodeId coordinator, const TpcPrepare& 
     resolved_.insert(prep.txn);
     if (outcome_) outcome_(prep.txn, false);
   }
+}
+
+void TwoPhaseCommit::count_vote(const std::string& txn, sim::NodeId from, bool yes) {
+  const auto it = coordinating_.find(txn);
+  if (it == coordinating_.end() || it->second.decided) return;
+  if (!yes) {
+    decide(txn, false);
+    return;
+  }
+  Pending& p = it->second;
+  p.yes_votes.insert(from);
+  if (p.yes_votes.size() == p.participants.size()) decide(txn, true);
 }
 
 void TwoPhaseCommit::decide(const std::string& txn, bool commit) {

@@ -93,6 +93,9 @@ class TwoPhaseCommit : public gcs::Component {
     OutcomeFn done;
   };
 
+  /// Counts `from`'s vote if `txn` is still undecided here: a no aborts at
+  /// once, the last yes commits.
+  void count_vote(const std::string& txn, sim::NodeId from, bool yes);
   void decide(const std::string& txn, bool commit);
   void deliver_prepare(sim::NodeId coordinator, const TpcPrepare& prep);
   void deliver_decision(const TpcDecision& dec);

@@ -58,9 +58,17 @@ bool FailureDetector::handle(sim::NodeId from, const wire::MessagePtr& msg) {
   return true;
 }
 
+std::vector<sim::NodeId> FailureDetector::trusted() const {
+  std::vector<sim::NodeId> out;
+  for (const auto m : group_.members()) {
+    if (!suspects(m)) out.push_back(m);
+  }
+  return out;
+}
+
 sim::NodeId FailureDetector::lowest_trusted() const {
   for (const auto m : group_.members()) {
-    if (m == host_.id() || !suspects(m)) return m;
+    if (!suspects(m)) return m;
   }
   return sim::kNoNode;
 }

@@ -41,6 +41,11 @@ class FailureDetector : public Component {
   bool suspects(sim::NodeId id) const { return suspected_.contains(id); }
   const std::set<sim::NodeId>& suspected() const { return suspected_; }
 
+  /// The group members not currently suspected, in id order. The host is
+  /// never suspected, so it is always among them: this is the one rule for
+  /// whom a technique still includes.
+  std::vector<sim::NodeId> trusted() const;
+
   /// Lowest group member not currently suspected (kNoNode if all suspected).
   sim::NodeId lowest_trusted() const;
 

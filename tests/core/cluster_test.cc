@@ -99,6 +99,57 @@ INSTANTIATE_TEST_SUITE_P(AllTechniques, EveryTechnique,
                          ::testing::ValuesIn(testing::all_kinds()),
                          testing::kind_param_name);
 
+// A transaction whose second operation names no registered procedure
+// fails in EX: the client hears the error, and neither the first
+// operation's write nor an execution span is left behind. Covers the
+// techniques that run a whole request's EX in one step, eager primary copy
+// in its group-commit form (batch > 1).
+class FailedExecution : public ::testing::TestWithParam<TechniqueKind> {};
+
+TEST_P(FailedExecution, IsAnsweredAndNotCommitted) {
+  auto cfg = testing::quiet_config(GetParam());
+  if (GetParam() == TechniqueKind::EagerPrimary) cfg.batch_max_ops = 4;
+  Cluster cluster(cfg);
+  const auto before = cluster.storage_digests();
+  db::Operation bad;
+  bad.proc = "no_such_proc";
+  bad.write_set = {"k"};
+  const auto reply = cluster.run_txn(0, {op_put("k", "v"), bad});
+  EXPECT_FALSE(reply.ok);
+  EXPECT_EQ(reply.result, "ProcRegistry: unknown procedure no_such_proc");
+  cluster.settle(2 * sim::kSec);
+  EXPECT_EQ(cluster.storage_digests(), before);
+  for (int r = 0; r < cluster.replica_count(); ++r) {
+    EXPECT_EQ(cluster.replica(r).storage().size(), 0u) << "replica " << r;
+  }
+  EXPECT_TRUE(cluster.history().commits().empty());
+  EXPECT_TRUE(cluster.sim().tracer().named("db/exec.op").empty());
+}
+
+INSTANTIATE_TEST_SUITE_P(WholeRequestEx, FailedExecution,
+                         ::testing::Values(TechniqueKind::Certification,
+                                           TechniqueKind::LazyPrimary,
+                                           TechniqueKind::LazyEverywhere,
+                                           TechniqueKind::EagerPrimary),
+                         testing::kind_param_name);
+
+// A read-only request installs an empty writeset where the technique
+// applies every request's writeset (passive, semi-passive): each replica's
+// commit sequence moves on, but the history records no commit.
+TEST(Cluster, EmptyWritesetTakesACommitSeqButRecordsNoCommit) {
+  for (const auto kind : {TechniqueKind::Passive, TechniqueKind::SemiPassive}) {
+    Cluster cluster(testing::quiet_config(kind));
+    const auto get = cluster.run_op(0, op_get("k"));
+    ASSERT_TRUE(get.ok) << technique_name(kind) << ": " << get.result;
+    cluster.settle(2 * sim::kSec);
+    EXPECT_TRUE(cluster.history().commits().empty()) << technique_name(kind);
+    for (int r = 0; r < cluster.replica_count(); ++r) {
+      EXPECT_EQ(cluster.replica(r).storage().last_commit_seq(), 1u)
+          << technique_name(kind) << " replica " << r;
+    }
+  }
+}
+
 TEST(Cluster, MessageAccountingIsLive) {
   Cluster cluster(testing::quiet_config(TechniqueKind::Active));
   cluster.run_op(0, op_put("k", "v"));

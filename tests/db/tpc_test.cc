@@ -67,6 +67,30 @@ TEST(TwoPhaseCommit, SingleNoVoteAbortsGlobally) {
   }
 }
 
+TEST(TwoPhaseCommit, CoordinatorsOwnNoVoteAbortsGlobally) {
+  // The coordinator's vote is counted locally, by the same rule as the
+  // remote ones: its no aborts at once, and the participants' later yes
+  // votes are ignored.
+  sim::Simulator sim(2);
+  std::vector<TpcNode*> nodes;
+  for (int i = 0; i < 3; ++i) nodes.push_back(&sim.spawn<TpcNode>());
+  nodes[0]->vote_yes = false;
+  int done_calls = 0;
+  bool committed = true;
+  nodes[0]->tpc.coordinate("t1", {0, 1, 2}, "", [&](const std::string&, bool commit) {
+    ++done_calls;
+    committed = commit;
+  });
+  sim.run_until(2 * sim::kSec);
+  EXPECT_EQ(done_calls, 1);
+  EXPECT_FALSE(committed);
+  for (auto* n : nodes) {
+    ASSERT_TRUE(n->outcomes.contains("t1")) << "node " << n->id();
+    EXPECT_FALSE(n->outcomes.at("t1"));
+    EXPECT_TRUE(n->tpc.in_doubt().empty());
+  }
+}
+
 TEST(TwoPhaseCommit, ParticipantCrashBeforeVotingAborts) {
   sim::Simulator sim(3);
   std::vector<TpcNode*> nodes;

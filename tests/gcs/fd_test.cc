@@ -98,6 +98,42 @@ TEST(FailureDetector, AllOthersCrashedMeansLowestTrustedIsSelf) {
   EXPECT_EQ(c.fd.suspected().size(), 2u);
 }
 
+TEST(FailureDetector, TrustedListsUnsuspectedMembersInIdOrderWithHost) {
+  sim::Simulator sim(1);
+  const auto group = testing::first_n(3);
+  sim.spawn<FdNode>(group);
+  sim.spawn<FdNode>(group);
+  auto& c = sim.spawn<FdNode>(group);
+  sim.start_all();
+  sim.run_until(50 * sim::kMsec);
+  EXPECT_EQ(c.fd.trusted(), (std::vector<sim::NodeId>{0, 1, 2}));
+  // Cut node 1's heartbeats towards node 2: 1 leaves the list, then returns.
+  sim.net().set_partition([](sim::NodeId from, sim::NodeId to) { return from == 1 && to == 2; });
+  sim.run_until(200 * sim::kMsec);
+  ASSERT_TRUE(c.fd.suspects(1));
+  EXPECT_EQ(c.fd.trusted(), (std::vector<sim::NodeId>{0, 2}));
+  sim.net().set_partition(nullptr);
+  sim.run_until(300 * sim::kMsec);
+  ASSERT_EQ(c.trusts, (std::vector<sim::NodeId>{1}));
+  EXPECT_EQ(c.fd.trusted(), (std::vector<sim::NodeId>{0, 1, 2}));
+}
+
+TEST(FailureDetector, TrustedKeepsHostWhenAllOthersCrash) {
+  sim::Simulator sim(1);
+  const auto group = testing::first_n(3);
+  sim.spawn<FdNode>(group);
+  auto& b = sim.spawn<FdNode>(group);
+  sim.spawn<FdNode>(group);
+  sim.start_all();
+  sim.schedule_at(50 * sim::kMsec, [&] {
+    sim.crash(0);
+    sim.crash(2);
+  });
+  sim.run_until(300 * sim::kMsec);
+  EXPECT_FALSE(b.fd.suspects(1));
+  EXPECT_EQ(b.fd.trusted(), (std::vector<sim::NodeId>{1}));
+}
+
 TEST(FailureDetector, MultipleListenersAllNotified) {
   sim::Simulator sim(1);
   const auto group = testing::first_n(2);
